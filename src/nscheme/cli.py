@@ -23,7 +23,7 @@ from .errors import ConfigError, SolverError
 from .floquet import DEFAULT_ORDER, solve_floquet_steady
 from .liouvillian import build_hamiltonian, build_superoperator
 from .mcwf import (bright_dark_statistics, default_dark_threshold,
-                   photon_records_to_csv, run_trajectory, statistics_to_json)
+                   photon_records_to_csv, run_trajectories, statistics_to_json)
 from .model import (SystemConfig, config_hash, load_config, pure_state,
                     to_mhz, with_gamma_q)
 from .scan import ScanSpec, run_scan
@@ -146,10 +146,8 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_traj(args) -> int:
     config = _load_config_arg(args.config)
-    records = [
-        run_trajectory(config, args.initial, args.t_max, (args.seed, i))
-        for i in range(args.n_traj)
-    ]
+    seeds = [(args.seed, i) for i in range(args.n_traj)]
+    records = run_trajectories(config, args.initial, args.t_max, seeds)
     with _output(args.out) as fh:
         if args.stats:
             threshold = args.dark_threshold

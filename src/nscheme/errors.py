@@ -38,6 +38,10 @@ class MotionUnsupported(ConfigError):
     """Operation is carrier-only but the config has motion enabled."""
 
 
+class LinewidthUnsupported(ConfigError):
+    """Operation has no dephasing model but a laser linewidth is set."""
+
+
 class ZeroDetuningC(ConfigError):
     """Perturbative report undefined at zero detuning of the C laser."""
 
@@ -51,7 +55,12 @@ class NotHermitian(ConfigError):
 
 
 class NonPhysicalState(ConfigError):
-    """Matrix is not a valid density matrix within tolerance."""
+    """Matrix, ket or trajectory request outside the physical domain.
+
+    An invalid density matrix or initial ket, jump times out of order, a
+    trajectory length that is not finite and positive, or fewer than one
+    trajectory.
+    """
 
 
 class SolverError(NSchemeError):

@@ -280,7 +280,13 @@ def _number(section: dict, key: str, where: str, default=None):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _laser_from_dict(section: dict, name: str) -> LaserDrive:

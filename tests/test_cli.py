@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, presets, exit codes, determinism."""
 
+import io
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from nscheme import __version__
 from nscheme.cli import main
+from nscheme.mcwf import photon_records_to_csv, run_trajectory
 from nscheme.model import lamb_dicke_parameters, load_config
 
 PRESETS = ("fig3a", "fig3e", "fig4a", "fig4d", "fig6_co", "fig6_counter")
@@ -121,6 +123,59 @@ def test_traj_stats_json(capsys):
     data = json.loads(out)
     assert data["dark_threshold_us"] == 15.0
     assert data["n_bright"] >= 3
+
+
+def test_traj_csv_matches_per_trajectory_records(capsys):
+    code, out, _ = run(capsys, "traj", "--config", "fig3a", "--t-max", "20",
+                       "--n-traj", "3", "--seed", "4")
+    assert code == 0
+    config = load_config_from_preset("fig3a")
+    buf = io.StringIO()
+    photon_records_to_csv([run_trajectory(config, "S", 20.0, (4, i)) for i in range(3)], buf)
+    assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("args", [("--t-max", "-5"), ("--t-max", "0"), ("--t-max", "nan"),
+                                  ("--t-max", "5", "--n-traj", "0"),
+                                  ("--t-max", "5", "--n-traj", "-1", "--stats")])
+def test_traj_rejects_bad_arguments(capsys, args):
+    code, out, err = run(capsys, "traj", "--config", "fig3a", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("nscheme: NonPhysicalState: ")
+    assert err.count("\n") == 1
+
+
+def test_traj_rejects_laser_linewidth(tmp_path, capsys):
+    cfg = {
+        "laser_B": {"rabi": 10.0, "detuning": 8.0},
+        "laser_R": {"rabi": 2.5, "detuning": 3.0, "linewidth": 0.5},
+        "laser_C": {"rabi": 0.05, "detuning": 5.0},
+    }
+    p = tmp_path / "broad.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "traj", "--config", str(p), "--t-max", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("nscheme: LinewidthUnsupported: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("steady",), ("evolve", "--t-max", "5"), ("traj", "--t-max", "5"), ("g2", "--tau-max", "1"),
+    ("scan", "--axis", "laser_R.detuning", "--range", "2.9:3.1", "--points", "3"),
+    ("floquet",), ("dressed",),
+])
+def test_nan_config_exits_one(tmp_path, capsys, argv):
+    # json reads the NaN literal; every subcommand must refuse it at load time
+    p = tmp_path / "bad.json"
+    p.write_text('{"laser_B": {"rabi": NaN, "detuning": 8.0}, '
+                 '"laser_R": {"rabi": 2.5, "detuning": 3.0}, '
+                 '"laser_C": {"rabi": 0.05, "detuning": 5.0}}')
+    code, out, err = run(capsys, argv[0], "--config", str(p), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "nscheme: ConfigError: laser_B.rabi must be finite, got nan\n"
 
 
 def test_g2_csv(capsys):

@@ -6,16 +6,24 @@ import json
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
+from scipy.optimize import brentq
 
-from conftest import make_config, sup_of
+from conftest import make_config, sup_of, with_linewidths
 from nscheme.dynamics import evolve
-from nscheme.errors import MotionUnsupported, NoJumps, ZeroFluorescence
+from nscheme.errors import (LinewidthUnsupported, MotionUnsupported, NoJumps, NonPhysicalState,
+                            ZeroFluorescence)
 from nscheme.mcwf import (
+    CHANNELS,
+    JUMP_TIME_TOL,
     TrajectoryRecord,
+    _basis_ket,
+    _CHANNEL_TARGET,
+    _EffectiveModel,
     bright_dark_statistics,
     default_dark_threshold,
     ensemble_populations,
     photon_records_to_csv,
+    run_trajectories,
     run_trajectory,
     statistics_to_json,
 )
@@ -78,6 +86,31 @@ def test_motion_unsupported():
         run_trajectory(make_config(motion=True), "S", 1.0, 0)
     with pytest.raises(MotionUnsupported):
         ensemble_populations(make_config(motion=True), "S", np.linspace(0, 1, 2), 2, 0)
+
+
+def test_linewidth_unsupported():
+    c = with_linewidths(make_config(), 0.5)
+    with pytest.raises(LinewidthUnsupported):
+        run_trajectory(c, "S", 1.0, 0)
+    with pytest.raises(LinewidthUnsupported):
+        run_trajectories(c, "S", 1.0, [0])
+    with pytest.raises(LinewidthUnsupported):
+        ensemble_populations(c, "S", np.linspace(0, 1, 2), 2, 0)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -5.0, float("nan"), float("inf")])
+def test_trajectory_length_must_be_finite_and_positive(t_max):
+    with pytest.raises(NonPhysicalState):
+        run_trajectory(make_config(), "S", t_max, 0)
+    with pytest.raises(NonPhysicalState):
+        run_trajectories(make_config(), "S", t_max, [0])
+
+
+def test_trajectory_count_must_be_positive():
+    with pytest.raises(NonPhysicalState):
+        run_trajectories(make_config(), "S", 1.0, [])
+    with pytest.raises(NonPhysicalState):
+        ensemble_populations(make_config(), "S", np.linspace(0, 1, 2), 0, 0)
 
 
 def test_ensemble_tracks_master_equation():
@@ -176,3 +209,92 @@ def test_statistics_json_keys():
         "mean_bright_photons", "se_bright_photons", "mean_dark_duration_us",
         "se_dark_duration_us", "n_bright", "n_dark", "dark_threshold_us",
     }
+
+
+# -- oracle: the previous sampler, one brentq root per jump ----------------
+
+class _OracleSource:
+    """Survival as the 16-exponential sum, bracketed on a 512-point table."""
+
+    def __init__(self, model, psi, t_max):
+        self.a = model.v_inv @ psi
+        gram = model.v.conj().T @ model.v
+        # ||psi(t)||^2 = Re sum_jk conj(a_j) a_k (V+V)_jk exp(i(conj(mu_j)-mu_k) t)
+        self.c = (np.outer(self.a.conj(), self.a) * gram).ravel()
+        self.z = (1j * (model.mu.conj()[:, None] - model.mu[None, :])).ravel()
+        self.t_table = np.concatenate(([0.0], np.geomspace(1e-7, max(t_max, 1e-6), 512)))
+        self.surv = self.survival(self.t_table)
+
+    def survival(self, t):
+        t = np.asarray(t, dtype=float)
+        vals = np.real(np.exp(np.multiply.outer(t, self.z)) @ self.c)
+        return vals if t.ndim else float(vals)
+
+    def waiting_time(self, u, t_rem):
+        if self.survival(t_rem) >= u:
+            return None
+        idx = int(np.searchsorted(-self.surv, -u, side="right"))
+        lo = self.t_table[idx - 1] if idx > 0 else 0.0
+        hi = min(self.t_table[idx], t_rem) if idx < self.t_table.size else t_rem
+        return max(float(brentq(lambda t: self.survival(t) - u, lo, hi, xtol=JUMP_TIME_TOL)), 1e-12)
+
+
+def _oracle_trajectory(config, psi0, t_max, seed):
+    """Per-jump (source key, uniform, waiting time, channel) of the scalar sampler."""
+    model = _EffectiveModel(config, t_max)
+    sources = {key: _OracleSource(model, _basis_ket(key), t_max) for key in {psi0, "S", "D"}}
+    rng = default_rng(SeedSequence(seed))
+    key, t_now, jumps = psi0, 0.0, []
+    while True:
+        u = rng.random()
+        src = sources[key]
+        dt = src.waiting_time(u, t_max - t_now)
+        if dt is None:
+            break
+        t_now += dt
+        amps = model.v @ (src.a * np.exp(-1j * model.mu * dt))
+        w = model.rates * np.abs(amps[[1, 1, 3]]) ** 2
+        total = w.sum()
+        if total <= 0.0:
+            break
+        pick = rng.random() * total
+        channel = 0 if pick < w[0] else (1 if pick < w[0] + w[1] else 2)
+        jumps.append((key, u, dt, channel))
+        key = _CHANNEL_TARGET[channel]
+    return model, sources, jumps
+
+
+def _assert_matches_oracle(config, psi0, t_max, seed):
+    model, sources, jumps = _oracle_trajectory(config, psi0, t_max, seed)
+    rec = run_trajectory(config, psi0, t_max, seed)
+    assert rec.jump_channels == tuple(CHANNELS[ch] for _, _, _, ch in jumps)
+    waits = np.array([dt for _, _, dt, _ in jumps])
+    assert np.abs(np.diff(rec.jump_times, prepend=0.0) - waits).max(initial=0.0) < JUMP_TIME_TOL
+    # the block sampler's own roots, per segment, solve survival(dt) = u
+    for key in sources:
+        mine = [(u, dt) for k, u, dt, _ in jumps if k == key]
+        if not mine:
+            continue
+        u = np.array([m[0] for m in mine])
+        wait, _ = model.source(key).sample(u, np.zeros_like(u))
+        assert np.abs(np.array(wait) - [m[1] for m in mine]).max() < JUMP_TIME_TOL
+        assert np.abs(sources[key].survival(np.array(wait)) - u).max() < 1e-12
+    return rec
+
+
+@pytest.mark.parametrize("seed", [(1, 0), (20260819, 1)])
+def test_block_sampler_matches_scalar_oracle(seed):
+    # make_config() is the fig3a working point
+    rec = _assert_matches_oracle(make_config(), "S", 60.0, seed)
+    assert rec.jump_times.size > 100
+    assert "P->D" in rec.jump_channels
+
+
+def test_block_sampler_matches_oracle_over_several_blocks():
+    rec = _assert_matches_oracle(make_config(), "S", 200.0, 7)
+    assert rec.jump_times.size > 32 + 64 + 128 + 256
+
+
+def test_block_sampler_matches_oracle_on_one_jump():
+    rec = _assert_matches_oracle(make_config(ob=0.0, orr=0.0, oc=0.0, gq=0.05), "Q", 400.0, 7)
+    assert rec.jump_channels == ("Q->S",)

@@ -116,6 +116,22 @@ def test_config_from_dict_rejects_missing_laser():
         config_from_dict({"laser_B": {"rabi": 1.0, "detuning": 0.0, "wavelength_nm": 397.0}})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+def test_config_from_dict_rejects_non_finite_numbers(value):
+    d = {
+        "laser_B": {"rabi": 10.0, "detuning": 8.0},
+        "laser_R": {"rabi": 2.5, "detuning": 3.0},
+        "laser_C": {"rabi": 0.05, "detuning": 5.0},
+    }
+    d["laser_B"]["rabi"] = value
+    with pytest.raises(ConfigError, match="laser_B.rabi must be finite"):
+        config_from_dict(d)
+    d["laser_B"]["rabi"] = 10.0
+    d["atom"] = {"gamma_Q": value}
+    with pytest.raises(ConfigError, match="atom.gamma_Q must be finite"):
+        config_from_dict(d)
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json")
