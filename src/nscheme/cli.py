@@ -84,7 +84,7 @@ def _dump(doc: dict, stream) -> None:
 
 
 def _steady_populations(config: SystemConfig) -> tuple:
-    sup = build_superoperator(build_hamiltonian(config).h_total, config, dephasing=True)
+    sup = build_superoperator(build_hamiltonian(config).h_total, config)
     rho = steady_state(sup)
     return rho, residual(sup, rho), sup
 
@@ -126,7 +126,7 @@ def _cmd_evolve(args) -> int:
     config = _load_config_arg(args.config)
     if args.gamma_q_zero:
         config = with_gamma_q(config, 0.0)
-    sup = build_superoperator(build_hamiltonian(config).h_total, config, dephasing=True)
+    sup = build_superoperator(build_hamiltonian(config).h_total, config)
     times = np.linspace(0.0, args.t_max, args.points)
     trace = evolve(sup, pure_state(args.initial), times, method=args.method)
     with _output(args.out) as fh:

@@ -54,7 +54,8 @@ def three_photon_report(config: SystemConfig) -> PerturbativeReport:
     alpha_C = Omega_C / (2 Delta_C) must satisfy |alpha_C| < 0.1 for
     the expansion to be meaningful; outside that range the report is
     still produced but carries a warning and emits
-    PerturbationInvalid.
+    PerturbationInvalid. A field beyond the float range is a
+    ConfigError.
     """
     dc = config.laser_c.detuning
     if dc == 0.0:
@@ -70,26 +71,31 @@ def three_photon_report(config: SystemConfig) -> PerturbativeReport:
 
     alpha = config.laser_c.rabi / (2.0 * dc)
     eps = (config.laser_b.rabi / config.laser_r.rabi) * alpha
+    # exact squared amplitudes of N'(eps |D> + N(|Q> - alpha |S>)), in
+    # hypot form so that a huge alpha or eps does not overflow its square
+    norm_q = math.hypot(1.0, alpha)
+    norm_d = math.hypot(1.0, eps)
+    nn2 = (1.0 / norm_q) ** 2
+    np2 = (1.0 / norm_d) ** 2
+    linewidth_root = alpha * alpha * config.laser_b.rabi / config.laser_r.rabi
+    values = dict(
+        alpha_c=alpha,
+        epsilon=eps,
+        population_q=np2 * nn2,
+        population_d=(eps / norm_d) ** 2,
+        population_s=np2 * (alpha / norm_q) ** 2,
+        shift_sq=alpha * config.laser_c.rabi / 2.0,
+        shift_qs=-dc - alpha * config.laser_c.rabi / 2.0,
+        q_linewidth_scale=linewidth_root * linewidth_root,
+    )
+    if not all(math.isfinite(v) for v in values.values()):
+        raise ConfigError("three_photon_report overflows the float range at these parameters")
 
     warning = None
     if abs(alpha) >= PERTURBATION_GUARD:
         warning = f"|alpha_C| = {abs(alpha):.3g} >= {PERTURBATION_GUARD}; expansion unreliable"
         warnings.warn(warning, PerturbationInvalid, stacklevel=2)
-
-    # exact squared amplitudes of N'(eps |D> + N(|Q> - alpha |S>))
-    nn2 = 1.0 / (1.0 + alpha**2)
-    np2 = 1.0 / (1.0 + eps**2)
-    return PerturbativeReport(
-        alpha_c=alpha,
-        epsilon=eps,
-        population_q=np2 * nn2,
-        population_d=np2 * eps**2,
-        population_s=np2 * nn2 * alpha**2,
-        shift_sq=alpha * config.laser_c.rabi / 2.0,
-        shift_qs=-dc - alpha * config.laser_c.rabi / 2.0,
-        q_linewidth_scale=(alpha**2 * config.laser_b.rabi / config.laser_r.rabi) ** 2,
-        warning=warning,
-    )
+    return PerturbativeReport(**values, warning=warning)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,7 +137,7 @@ def lambda_eigensystem(config: SystemConfig) -> LambdaEigensystem:
     if obar == 0.0:
         raise ZeroCoupling("lambda_eigensystem undefined for Omega_B = Omega_R = 0")
 
-    root = math.sqrt(db**2 + obar**2)
+    root = math.hypot(db, obar)
     theta = math.atan((db + root) / obar)  # in [0, pi/2)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
 
@@ -147,7 +153,7 @@ def lambda_eigensystem(config: SystemConfig) -> LambdaEigensystem:
         dark_state=dark,
         bright_plus=cos_t * e_p + sin_t * bright,
         bright_minus=-sin_t * e_p + cos_t * bright,
-        effective_rabi=config.laser_c.rabi * orr / obar,
+        effective_rabi=config.laser_c.rabi * (orr / obar),
     )
 
 

@@ -58,8 +58,8 @@ class NonPhysicalState(ConfigError):
     """Matrix, ket or trajectory request outside the physical domain.
 
     An invalid density matrix or initial ket, jump times out of order, a
-    trajectory length that is not finite and positive, or fewer than one
-    trajectory.
+    trajectory length or dark threshold that is not finite and positive,
+    or fewer than one trajectory.
     """
 
 

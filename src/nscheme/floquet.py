@@ -4,7 +4,7 @@ For an ion oscillating at the trap frequency nu, the density matrix
 is expanded as rho(t) = sum_n rho(n) exp(i n nu t) with |n| <= N.
 The stationary blocks obey a block-tridiagonal linear system: block
 row n couples rho(n) through the carrier generator shifted by -i n
-nu, and rho(n -+ 1) through the sideband commutators -i[H_I^{+-}, .].
+nu, and rho(n -+ 1) through the sideband commutator -i[H_side, .].
 The n = 0 block carries the physical populations; blocks with n != 0
 are traceless and paired by rho(-n) = rho(n)+.
 """
@@ -71,12 +71,12 @@ class FloquetBlockSystem:
         }
 
 
-def build_floquet_generator(config: SystemConfig, order: int, *, dephasing: bool = True) -> np.ndarray:
+def build_floquet_generator(config: SystemConfig, order: int) -> np.ndarray:
     """Block-tridiagonal generator of dimension 16(2N+1).
 
     Blocks are ordered n = -N..N. Row n encodes (M0 - i n nu) rho(n)
-    - i[H+, rho(n-1)] - i[H-, rho(n+1)] with rho(+-(N+1)) truncated
-    to zero; M0 is the carrier generator including dissipation.
+    - i[H_side, rho(n-1) + rho(n+1)] with rho(+-(N+1)) truncated to
+    zero; M0 is the carrier generator including dissipation.
     """
     if not config.motion.enabled:
         raise MotionDisabled("the Floquet expansion needs motion enabled")
@@ -84,9 +84,8 @@ def build_floquet_generator(config: SystemConfig, order: int, *, dephasing: bool
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
 
     parts = build_hamiltonian(config)
-    m0 = build_superoperator(parts.h_total, config, dephasing=dephasing).matrix
-    c_plus = commutator_superoperator(parts.h_plus)
-    c_minus = commutator_superoperator(parts.h_minus)
+    m0 = build_superoperator(parts.h_total, config).matrix
+    c_side = commutator_superoperator(parts.h_side)
     nu = config.motion.trap_frequency
 
     nblocks = 2 * order + 1
@@ -96,9 +95,9 @@ def build_floquet_generator(config: SystemConfig, order: int, *, dephasing: bool
         rows = slice(16 * b, 16 * (b + 1))
         gen[rows, rows] = m0 - 1j * n * nu * np.eye(16)
         if b > 0:
-            gen[rows, 16 * (b - 1):16 * b] = c_plus
+            gen[rows, 16 * (b - 1):16 * b] = c_side
         if b + 1 < nblocks:
-            gen[rows, 16 * (b + 1):16 * (b + 2)] = c_minus
+            gen[rows, 16 * (b + 1):16 * (b + 2)] = c_side
     return gen
 
 
@@ -120,6 +119,8 @@ def _solve_blocks(gen: np.ndarray, order: int) -> tuple[np.ndarray, float]:
         raise DegenerateKernel(f"Floquet block system is singular: {exc}") from None
 
     trace = x[diag_idx].sum()
+    if not np.isfinite(trace):
+        raise NoConvergence("Floquet solution overflowed")
     if abs(trace) < 1e-300:
         raise DegenerateKernel("Floquet solution has vanishing trace")
     x = x / trace
@@ -146,7 +147,7 @@ def _blocks_from_vector(x: np.ndarray, order: int) -> tuple[dict, float]:
     return blocks, defect
 
 
-def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *, dephasing: bool = True,
+def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
                          check_truncation: bool = True) -> FloquetBlockSystem:
     """Stationary Floquet blocks at the given truncation order.
 
@@ -156,17 +157,20 @@ def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *, de
     TruncationNotConverged when they differ by more than 1e-5. The
     stricter 1e-8 convergence flag is reported by convergence_check.
     """
-    gen = build_floquet_generator(config, order, dephasing=dephasing)
+    gen = build_floquet_generator(config, order)
     x, residual = _solve_blocks(gen, order)
     blocks, pairing = _blocks_from_vector(x, order)
 
     rho0 = blocks[0]
-    eigs = np.linalg.eigvalsh(rho0)
+    try:
+        eigs = np.linalg.eigvalsh(rho0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalues of rho(0): {exc}") from None
     if eigs.min() < -1e-8:
         raise NoConvergence(f"rho(0) eigenvalue {eigs.min():.3e} below -1e-8")
 
     if check_truncation:
-        gen_up = build_floquet_generator(config, order + 1, dephasing=dephasing)
+        gen_up = build_floquet_generator(config, order + 1)
         x_up, _ = _solve_blocks(gen_up, order + 1)
         blocks_up, _ = _blocks_from_vector(x_up, order + 1)
         delta = float(np.abs(blocks_up[0] - rho0).max())
@@ -184,11 +188,11 @@ def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *, de
     )
 
 
-def convergence_check(config: SystemConfig, order: int, *, dephasing: bool = True) -> tuple[float, bool]:
+def convergence_check(config: SystemConfig, order: int) -> tuple[float, bool]:
     """Max |rho0_N - rho0_{N+1}| and whether it is below 1e-8."""
     if order < 1:
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
-    lo = solve_floquet_steady(config, order, dephasing=dephasing, check_truncation=False)
-    hi = solve_floquet_steady(config, order + 1, dephasing=dephasing, check_truncation=False)
+    lo = solve_floquet_steady(config, order, check_truncation=False)
+    hi = solve_floquet_steady(config, order + 1, check_truncation=False)
     delta = float(np.abs(lo.block(0) - hi.block(0)).max())
     return delta, bool(delta < TRUNCATION_TOL)

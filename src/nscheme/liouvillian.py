@@ -5,10 +5,12 @@ Density matrices are vectorized column-major (Fortran order): element
 (B^T kron A) vec(rho) and the coherent part of the generator is
 M = -i [(1 kron h) - (h^T kron 1)].
 
-Dissipation: P decays at gamma_p with branching beta_ps to S and
-beta_pd to D; Q decays at gamma_q to S only. Finite laser linewidths
-enter as pure dephasing of the coherences, with multi-photon
-coherences decaying at the summed linewidths of the lasers involved.
+There is one way to build the generator: the commutator of h, plus
+the Lindblad dissipator of the config's jump operators (P decays at
+gamma_p with branching beta_ps to S and beta_pd to D; Q decays at
+gamma_q to S only), minus the laser-linewidth dephasing rates on the
+diagonal. Multi-photon coherences dephase at the summed linewidths of
+the lasers involved; with every linewidth zero the last term vanishes.
 """
 
 from __future__ import annotations
@@ -36,22 +38,26 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((4, 4), order="F")
 
 
+def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 4x4 matrices as a 16x16 matrix."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class HamiltonianParts:
-    """Static part, carrier couplings, and the two sideband couplings.
+    """Static part, carrier couplings, and the sideband coupling.
 
-    h_plus and h_minus multiply exp(+i nu t) and exp(-i nu t)
-    respectively in the interaction Hamiltonian; both vanish with
+    h_side multiplies both exp(+i nu t) and exp(-i nu t) in the
+    interaction Hamiltonian (the motion is a cosine) and vanishes with
     motion disabled. All 4x4, rad/us.
     """
 
     h0: np.ndarray
     h_carrier: np.ndarray
-    h_plus: np.ndarray
-    h_minus: np.ndarray
+    h_side: np.ndarray
 
     def __post_init__(self):
-        for m in (self.h0, self.h_carrier, self.h_plus, self.h_minus):
+        for m in (self.h0, self.h_carrier, self.h_side):
             m.setflags(write=False)
 
     @property
@@ -66,7 +72,7 @@ def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
     h0 = diag(0, -Delta_B, Delta_R - Delta_B, -Delta_C); the carrier
     couples S-P, D-P and S-Q with half the respective Rabi
     frequencies. With motion enabled, first order in the modulation
-    indices eta gives h_plus = h_minus = sum_j i eta_j (Omega_j/2) x
+    indices eta gives h_side = sum_j i eta_j (Omega_j/2) x
     (coupling_j) + h.c.
     """
     db = config.laser_b.detuning
@@ -91,29 +97,28 @@ def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
     else:
         h_side = np.zeros((4, 4), dtype=complex)
 
-    return HamiltonianParts(h0=h0, h_carrier=h_carrier, h_plus=h_side, h_minus=h_side.copy())
+    return HamiltonianParts(h0=h0, h_carrier=h_carrier, h_side=h_side)
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     """Superoperator of -i [h, .] in the column-major convention."""
-    return -1j * (np.kron(_I4, h) - np.kron(h.T, _I4))
+    return -1j * (_kron4(_I4, h) - _kron4(h.T, _I4))
 
 
 def lindblad_dissipator(jump_ops: list[tuple[float, np.ndarray]]) -> np.ndarray:
     """Generic Lindblad dissipator for (rate, L) pairs.
 
     sum_k rate_k [L rho L+ - (L+L rho + rho L+L)/2], as a 16x16
-    superoperator. Used as the independent construction route in the
-    structure tests.
+    superoperator.
     """
     m = np.zeros((16, 16), dtype=complex)
     for rate, op in jump_ops:
         op = np.asarray(op, dtype=complex)
         ldl = op.conj().T @ op
         m += rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * np.kron(_I4, ldl)
-            - 0.5 * np.kron(ldl.T, _I4)
+            _kron4(op.conj(), op)
+            - 0.5 * _kron4(_I4, ldl)
+            - 0.5 * _kron4(ldl.T, _I4)
         )
     return m
 
@@ -129,26 +134,6 @@ def jump_operators(config: SystemConfig) -> list[tuple[float, np.ndarray]]:
         (atom.beta_pd * atom.gamma_p, l_pd),
         (atom.gamma_q, l_qs),
     ]
-
-
-def _decay_dissipator(config: SystemConfig) -> np.ndarray:
-    """Dissipator in the anticommutator-plus-feeding form."""
-    atom = config.atom
-    proj_p = np.zeros((4, 4)); proj_p[_P, _P] = 1.0
-    proj_q = np.zeros((4, 4)); proj_q[_Q, _Q] = 1.0
-
-    m = np.zeros((16, 16), dtype=complex)
-    for gamma, proj in ((atom.gamma_p, proj_p), (atom.gamma_q, proj_q)):
-        m -= 0.5 * gamma * (np.kron(_I4, proj) + np.kron(proj.T, _I4))
-
-    def feed(target, source, rate):
-        op = np.zeros((4, 4)); op[target, source] = 1.0
-        return rate * np.kron(op.conj(), op)
-
-    m += feed(_S, _P, atom.beta_ps * atom.gamma_p)
-    m += feed(_D, _P, atom.beta_pd * atom.gamma_p)
-    m += feed(_S, _Q, atom.gamma_q)
-    return m
 
 
 def dephasing_rates(config: SystemConfig) -> np.ndarray:
@@ -170,17 +155,6 @@ def dephasing_rates(config: SystemConfig) -> np.ndarray:
     rates[_Q, _P] = b_b + b_c
     rates[_Q, _D] = b_b + b_r + b_c
     return rates + rates.T
-
-
-def _dephasing_dissipator(config: SystemConfig) -> np.ndarray:
-    rates = dephasing_rates(config)
-    m = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                k = i + 4 * j
-                m[k, k] = -rates[i, j]
-    return m
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -209,21 +183,22 @@ class Superoperator:
         return cached
 
 
-def build_superoperator(h: np.ndarray, config: SystemConfig, *, dephasing: bool = False) -> Superoperator:
-    """Full generator for the Hamiltonian h plus decay (plus dephasing).
+def build_superoperator(h: np.ndarray, config: SystemConfig) -> Superoperator:
+    """Full generator: -i[h, .] plus decay, minus linewidth dephasing.
 
-    h must be Hermitian to 1e-10; callers typically pass
-    HamiltonianParts.h_total. The dephasing flag adds the
-    laser-linewidth coherence decay of dephasing_rates.
+    commutator_superoperator(h) + lindblad_dissipator(jump_operators(
+    config)), with dephasing_rates(config) subtracted from the diagonal
+    entries of the coherences; the config's linewidths alone decide the
+    dephasing. h must be Hermitian to 1e-10; callers typically pass
+    HamiltonianParts.h_total.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise NotHermitian(f"expected a 4x4 Hamiltonian, got shape {h.shape}")
     if np.abs(h - h.conj().T).max() > 1e-10:
         raise NotHermitian("Hamiltonian deviates from Hermitian by more than 1e-10")
-    m = commutator_superoperator(h) + _decay_dissipator(config)
-    if dephasing:
-        m = m + _dephasing_dissipator(config)
+    m = commutator_superoperator(h) + lindblad_dissipator(jump_operators(config))
+    m.flat[::17] -= dephasing_rates(config).ravel(order="F")
     return Superoperator(matrix=m)
 
 
@@ -242,18 +217,3 @@ def trace_defect(matrix: np.ndarray) -> float:
     diag_rows = [i + 4 * i for i in range(4)]
     return float(np.abs(matrix[diag_rows, :].sum(axis=0)).max())
 
-
-def superoperator_to_json(superop: Superoperator) -> dict:
-    """Debug dump: row-major nested lists of [re, im] entries."""
-    return {"shape": [16, 16], "vectorization": "column-major", "matrix": _complex_to_lists(superop.matrix)}
-
-
-def hamiltonian_to_json(parts: HamiltonianParts) -> dict:
-    return {
-        name: _complex_to_lists(getattr(parts, name))
-        for name in ("h0", "h_carrier", "h_plus", "h_minus")
-    }
-
-
-def _complex_to_lists(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]

@@ -389,8 +389,12 @@ def bright_dark_statistics(records, dark_threshold: float) -> BrightDarkStats:
     Every maximal run of photons separated by gaps <= threshold
     counts as one bright period (including runs cut off by the record
     edges); every gap > threshold counts as one dark period of that
-    gap's duration. Statistics pool all periods of all records.
+    gap's duration. Statistics pool all periods of all records; a mean
+    over no period and a standard error over one are NaN. The
+    threshold must be finite and positive.
     """
+    if not (math.isfinite(dark_threshold) and dark_threshold > 0.0):
+        raise NonPhysicalState(f"dark threshold must be finite and positive, got {dark_threshold!r}")
     bright_counts: list[int] = []
     dark_durations: list[float] = []
     total_jumps = 0
@@ -430,12 +434,17 @@ def photon_records_to_csv(records, stream) -> None:
 
 
 def statistics_to_json(stats: BrightDarkStats) -> str:
+    """The statistics as a JSON object; undefined (NaN) values become null."""
+
+    def number(value: float):
+        return value if math.isfinite(value) else None
+
     return json.dumps(
         {
-            "mean_bright_photons": stats.mean_bright_photons,
-            "se_bright_photons": stats.se_bright_photons,
-            "mean_dark_duration_us": stats.mean_dark_duration,
-            "se_dark_duration_us": stats.se_dark_duration,
+            "mean_bright_photons": number(stats.mean_bright_photons),
+            "se_bright_photons": number(stats.se_bright_photons),
+            "mean_dark_duration_us": number(stats.mean_dark_duration),
+            "se_dark_duration_us": number(stats.se_dark_duration),
             "n_bright": stats.n_bright,
             "n_dark": stats.n_dark,
             "dark_threshold_us": stats.threshold,

@@ -67,6 +67,14 @@ def level_index(label: str) -> int:
         raise UnknownLevel(f"unknown level {label!r}, expected one of {LEVELS}") from None
 
 
+def _require_finite(spec) -> None:
+    """Reject a NaN or infinite field, e.g. an MHz value that overflowed on conversion."""
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{type(spec).__name__}.{field.name} must be finite, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class LaserDrive:
     """One driving laser.
@@ -83,6 +91,7 @@ class LaserDrive:
     linewidth: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.rabi < 0:
             raise NegativeRate(f"rabi must be >= 0, got {self.rabi}")
         if self.wavelength <= 0:
@@ -104,6 +113,7 @@ class AtomSpec:
     mass: float = MASS_DEFAULT
 
     def __post_init__(self):
+        _require_finite(self)
         if self.gamma_p <= 0:
             raise NegativeRate(f"gamma_p must be > 0, got {self.gamma_p}")
         if self.gamma_q < 0:
@@ -133,6 +143,7 @@ class MotionSpec:
     amplitude: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.enabled and self.trap_frequency <= 0:
             raise NegativeRate(f"trap_frequency must be > 0, got {self.trap_frequency}")
         if self.amplitude < 0:
@@ -148,17 +159,6 @@ class SystemConfig:
     laser_c: LaserDrive
     atom: AtomSpec = dataclasses.field(default_factory=AtomSpec)
     motion: MotionSpec = dataclasses.field(default_factory=MotionSpec)
-
-
-def validate(config: SystemConfig) -> SystemConfig:
-    """Re-run all field validators; returns the config unchanged.
-
-    Construction already validates; this re-checks instances built by
-    dataclasses.replace or deserialized from elsewhere.
-    """
-    for section in (config.laser_b, config.laser_r, config.laser_c, config.atom, config.motion):
-        section.__post_init__()
-    return config
 
 
 class ResonanceMismatches(NamedTuple):

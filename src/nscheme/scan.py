@@ -125,13 +125,13 @@ def _point_config(config: SystemConfig, axis: str, value_mhz: float, gamma_q_mod
 
 def _solve_point(payload):
     """One scan point: (populations, residual, pairing defect, flag)."""
-    config, axis, value_mhz, solver, order, gamma_q_mode, dephasing = payload
+    config, axis, value_mhz, solver, order, gamma_q_mode = payload
     cfg = _point_config(config, axis, value_mhz, gamma_q_mode)
     try:
         if solver == "floquet":
-            sol = solve_floquet_steady(cfg, order, dephasing=dephasing, check_truncation=False)
+            sol = solve_floquet_steady(cfg, order, check_truncation=False)
             return sol.populations, sol.residual, sol.pairing_defect, ""
-        sup = build_superoperator(build_hamiltonian(cfg).h_total, cfg, dephasing=dephasing)
+        sup = build_superoperator(build_hamiltonian(cfg).h_total, cfg)
         rho = steady_state(sup)
         pops = np.real(np.diag(rho.matrix)).copy()
         return pops, residual(sup, rho), 0.0, ""
@@ -156,8 +156,7 @@ def _worker_count(workers: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
-def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = None,
-             dephasing: bool = True) -> Spectrum:
+def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = None) -> Spectrum:
     """Sweep spec.axis and solve the steady state at every point.
 
     Solver errors at individual points become NaN rows with a flag;
@@ -171,7 +170,7 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
     _point_config(config, spec.axis, float(values[0]), spec.gamma_q_mode)
 
     payloads = [(config, spec.axis, float(v), spec.solver, spec.floquet_order,
-                 spec.gamma_q_mode, dephasing) for v in values]
+                 spec.gamma_q_mode) for v in values]
     n_workers = min(_worker_count(workers), len(payloads))
     if n_workers > 1:
         chunk = max(1, len(payloads) // (4 * n_workers))
@@ -194,7 +193,7 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
         "points": int(spec.points),
         "solver": spec.solver,
         "gamma_q_mode": spec.gamma_q_mode,
-        "dephasing": bool(dephasing),
+        "dephasing": True,
         "n_failed": int(sum(1 for f in flags if f)),
     }
     if spec.solver == "floquet":

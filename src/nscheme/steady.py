@@ -52,7 +52,10 @@ def residual(superop: Superoperator, rho: DensityMatrix) -> float:
 
 
 def _steady_vec(m: np.ndarray, n: int) -> np.ndarray:
-    sing = np.linalg.svd(m, compute_uv=False)
+    try:
+        sing = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular values of the generator: {exc}") from None
     if sing[0] < 1e-300:
         raise DegenerateKernel("generator is identically zero")
     if sing[-2] >= GAP_THRESHOLD * sing[0]:
@@ -114,7 +117,10 @@ def _unfed_levels(m: np.ndarray, n: int, scale: float) -> list[int]:
 
 def _physical(rho: np.ndarray) -> DensityMatrix:
     rho = 0.5 * (rho + rho.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(rho)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(rho)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigenvalues of the steady state: {exc}") from None
     if eigvals.min() < -1e-10:
         raise NoConvergence(f"steady state has eigenvalue {eigvals.min():.2e} < -1e-10")
     clipped = np.clip(eigvals, 0.0, None)

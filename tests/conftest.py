@@ -45,9 +45,8 @@ def two_plus_one(**kw):
     return make_config(**kw)
 
 
-def sup_of(config, *, dephasing=False):
-    parts = build_hamiltonian(config)
-    return build_superoperator(parts.h_total, config, dephasing=dephasing)
+def sup_of(config):
+    return build_superoperator(build_hamiltonian(config).h_total, config)
 
 
 def with_linewidths(config, lw_mhz):

@@ -252,13 +252,13 @@ def test_criterion_10_hermiticity_pairing(sideband_scan, coprop_scan):
 def test_criterion_11_linewidth_robustness():
     # broadened-ratio configuration; 10 kHz HWHM on all three lasers
     config = make_config(db=5.0, dr=-9.0, dc=14.0, ob=10.0, orr=14.0, oc=0.8)
-    pq = steady_state(sup_of(with_linewidths(config, 0.01), dephasing=True)).population("Q")
+    pq = steady_state(sup_of(with_linewidths(config, 0.01))).population("Q")
     print(f"three-photon P_Q with 10 kHz linewidths = {pq:.4f}")
     assert pq >= 0.95
 
     plateau = make_config(db=5.0, dr=5.0, dc=0.0, ob=10.0, orr=14.0, oc=0.8)
-    base = steady_state(sup_of(plateau, dephasing=True)).population("Q")
-    broad = steady_state(sup_of(with_linewidths(plateau, 0.01), dephasing=True)).population("Q")
+    base = steady_state(sup_of(plateau)).population("Q")
+    broad = steady_state(sup_of(with_linewidths(plateau, 0.01))).population("Q")
     print(f"two+one P_Q {base:.6f} -> {broad:.6f}, reduction = {base - broad:+.6f}")
     assert base - broad < 0.01
 

@@ -6,10 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_config, with_linewidths
 from nscheme import __version__
 from nscheme.cli import main
-from nscheme.mcwf import photon_records_to_csv, run_trajectory
-from nscheme.model import lamb_dicke_parameters, load_config
+from nscheme.liouvillian import build_hamiltonian, build_superoperator
+from nscheme.mcwf import default_dark_threshold, photon_records_to_csv, run_trajectory
+from nscheme.model import config_to_dict, lamb_dicke_parameters, load_config
+from nscheme.scan import ScanSpec, run_scan
+from nscheme.steady import steady_state
 
 PRESETS = ("fig3a", "fig3e", "fig4a", "fig4d", "fig6_co", "fig6_counter")
 
@@ -268,3 +272,101 @@ def test_out_file_writes(tmp_path):
     out = tmp_path / "pops.json"
     assert main(["steady", "--config", "fig3a", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["populations"]["Q"] > 0.99
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN/Infinity tokens, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_traj_stats_rejects_bad_dark_threshold(capsys, threshold):
+    code, out, err = run(capsys, "traj", "--config", "fig3a", "--t-max", "5", "--stats",
+                         f"--dark-threshold={threshold}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("nscheme: NonPhysicalState: dark threshold must be finite and positive")
+    assert err.count("\n") == 1
+
+
+def test_traj_stats_undefined_values_are_null(capsys):
+    # no gap above the threshold: one bright period (no standard error), no dark period
+    code, out, _ = run(capsys, "traj", "--config", "fig3a", "--t-max", "5", "--stats",
+                       "--dark-threshold", "1000")
+    assert code == 0
+    data = _strict_json(out)
+    assert (data["n_bright"], data["n_dark"]) == (1, 0)
+    assert data["mean_bright_photons"] > 0
+    assert data["se_bright_photons"] is None
+    assert data["mean_dark_duration_us"] is None
+    assert data["se_dark_duration_us"] is None
+
+
+def test_traj_stats_single_dark_gap_has_null_standard_error(capsys):
+    record = run_trajectory(load_config_from_preset("fig3a"), "S", 5.0, (0, 0))
+    gaps = np.sort(np.diff(record.jump_times))
+    threshold = 0.5 * (gaps[-1] + gaps[-2])  # only the longest gap is dark
+    code, out, _ = run(capsys, "traj", "--config", "fig3a", "--t-max", "5", "--stats",
+                       "--dark-threshold", repr(float(threshold)))
+    assert code == 0
+    data = _strict_json(out)
+    assert data["n_dark"] == 1
+    assert data["mean_dark_duration_us"] == pytest.approx(gaps[-1])
+    assert data["se_dark_duration_us"] is None
+    assert data["se_bright_photons"] is not None
+
+
+def _write_config(tmp_path, **laser_b):
+    cfg = {
+        "laser_B": {"rabi": 10.0, "detuning": 8.0, **laser_b},
+        "laser_R": {"rabi": 2.5, "detuning": 3.0},
+        "laser_C": {"rabi": 0.05, "detuning": 5.0},
+    }
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+def test_steady_rejects_rabi_overflowing_to_infinity(tmp_path, capsys):
+    code, out, err = run(capsys, "steady", "--config", _write_config(tmp_path, rabi=1e308))
+    assert code == 1
+    assert out == ""
+    assert err == "nscheme: ConfigError: LaserDrive.rabi must be finite, got inf\n"
+
+
+def test_floquet_scan_flags_huge_rabi_points(capsys):
+    code, out, err = run(capsys, "scan", "--config", "fig6_counter", "--solver", "floquet",
+                         "--axis", "laser_B.rabi", "--range", "1e300:1e301", "--points", "3",
+                         "--workers", "1")
+    assert code == 0
+    flags = [line.split(",")[-1] for line in out.strip().split("\n")[1:]]
+    assert len(flags) == 3
+    assert "NoConvergence" in flags
+    assert set(flags) <= {"", "NoConvergence"}
+    assert err.endswith("points flagged\n")
+
+
+def test_dressed_survives_huge_detuning(tmp_path, capsys):
+    code, out, _ = run(capsys, "dressed", "--config", _write_config(tmp_path, detuning=1e200))
+    assert code == 0
+    data = _strict_json(out)
+    assert data["lambda"]["omega_minus_MHz"] == pytest.approx(-1e200)
+    assert "error" in data["three_photon"]
+
+
+def test_linewidths_dephase_every_entry_point(tmp_path, capsys):
+    # 10 kHz on all three lasers; every route must apply the same dephasing
+    config = with_linewidths(make_config(), 0.01)
+    api = steady_state(build_superoperator(build_hamiltonian(config).h_total, config)).population("Q")
+    path = tmp_path / "broad.json"
+    path.write_text(json.dumps(config_to_dict(config)))
+    code, out, _ = run(capsys, "steady", "--config", str(path))
+    assert code == 0
+    spectrum = run_scan(config, ScanSpec("laser_C.rabi", 0.0, 0.05, 2), workers=1)
+    assert abs(json.loads(out)["populations"]["Q"] - api) < 1e-12
+    assert abs(spectrum.population("Q")[1] - api) < 1e-12
+    # the dark threshold solves the same config with the C drive off: scan point 0
+    bright_rate = config.atom.gamma_p * spectrum.population("P")[0]
+    assert default_dark_threshold(config) == pytest.approx(100.0 / bright_rate, rel=1e-12)

@@ -27,7 +27,7 @@ def _with_amplitude(c, amp):
 def test_zero_amplitude_reduces_to_carrier():
     c = _with_amplitude(make_config(motion=True, counter=True), 0.0)
     fb = solve_floquet_steady(c, 2)
-    rho_ss = steady_state(sup_of(c, dephasing=True))
+    rho_ss = steady_state(sup_of(c))
     assert np.abs(fb.block(0) - rho_ss.matrix).max() < 1e-10
     assert np.abs(fb.block(1)).max() == 0.0
     assert np.abs(fb.block(-2)).max() == 0.0

@@ -1,9 +1,12 @@
 """Hamiltonian assembly, dissipators, and the vectorization convention."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_config, sup_of, with_linewidths
+from nscheme.floquet import build_floquet_generator
 from nscheme.liouvillian import (
     apply,
     build_hamiltonian,
@@ -51,21 +54,24 @@ def test_h_total_hermitian_and_wavelength_independent():
     c = make_config()
     h1 = build_hamiltonian(c).h_total
     assert np.abs(h1 - h1.conj().T).max() < 1e-12
-    import dataclasses
     c2 = dataclasses.replace(c, laser_b=dataclasses.replace(c.laser_b, wavelength=500.0))
     assert np.array_equal(build_hamiltonian(c2).h_total, h1)
 
 
 def test_sideband_parts_conjugate():
-    parts = build_hamiltonian(make_config(motion=True, counter=True))
-    assert np.abs(parts.h_plus - parts.h_minus.conj().T).max() < 1e-12
-    assert np.abs(parts.h_plus).max() > 0.0
+    # one Hermitian sideband field couples rho(n) to both rho(n - 1) and rho(n + 1)
+    c = make_config(motion=True, counter=True)
+    h_side = build_hamiltonian(c).h_side
+    assert np.abs(h_side - h_side.conj().T).max() < 1e-12
+    assert np.abs(h_side).max() > 0.0
+    gen = build_floquet_generator(c, 1)
+    c_side = commutator_superoperator(h_side)
+    assert np.array_equal(gen[16:32, 0:16], c_side)
+    assert np.array_equal(gen[16:32, 32:48], c_side)
 
 
 def test_sideband_parts_vanish_without_motion():
-    parts = build_hamiltonian(make_config(motion=False))
-    assert np.abs(parts.h_plus).max() == 0.0
-    assert np.abs(parts.h_minus).max() == 0.0
+    assert np.abs(build_hamiltonian(make_config(motion=False)).h_side).max() == 0.0
 
 
 def test_jump_operator_rates_and_targets():
@@ -82,12 +88,16 @@ def test_jump_operator_rates_and_targets():
 
 
 def test_dissipator_matches_elementwise_route():
-    """Superoperator dissipator vs direct evaluation of the Lindblad map."""
-    c = make_config(gq=0.3)
+    """Dissipator and full generator vs direct evaluation of the master equation."""
+    c = make_config(gq=0.7)
+    c = dataclasses.replace(c, laser_b=dataclasses.replace(c.laser_b, linewidth=from_mhz(0.01)),
+                            laser_r=dataclasses.replace(c.laser_r, linewidth=from_mhz(0.003)),
+                            laser_c=dataclasses.replace(c.laser_c, linewidth=from_mhz(0.02)))
+    h = build_hamiltonian(c).h_total
     ops = jump_operators(c)
-    d_fast = lindblad_dissipator(ops)
+    rates = dephasing_rates(c)
     d_slow = np.zeros((16, 16), dtype=complex)
-    eye = np.eye(4)
+    m_slow = np.zeros((16, 16), dtype=complex)
     for col in range(16):
         basis = unvec(np.eye(16)[:, col])
         out = np.zeros((4, 4), dtype=complex)
@@ -95,16 +105,9 @@ def test_dissipator_matches_elementwise_route():
             anti = op.conj().T @ op
             out += rate * (op @ basis @ op.conj().T - 0.5 * (anti @ basis + basis @ anti))
         d_slow[:, col] = vec(out)
-    assert np.abs(d_fast - d_slow).max() < 1e-12
-
-
-def test_decay_routes_agree():
-    """Anticommutator-plus-feeding assembly vs the generic Lindblad sum."""
-    c = make_config(gq=0.7)
-    h = build_hamiltonian(c).h_total
-    sup = build_superoperator(h, c)
-    m_dissipator = sup.matrix - commutator_superoperator(h)
-    assert np.abs(m_dissipator - lindblad_dissipator(jump_operators(c))).max() < 1e-12
+        m_slow[:, col] = vec(-1j * (h @ basis - basis @ h) + out - rates * basis)
+    assert np.abs(lindblad_dissipator(ops) - d_slow).max() < 1e-12
+    assert np.abs(build_superoperator(h, c).matrix - m_slow).max() < 1e-12
 
 
 def test_commutator_superoperator_action():
@@ -126,14 +129,20 @@ def test_apply_equals_matrix_action():
 
 def test_trace_preservation():
     for cfg in (make_config(), make_config(gq=0.0), with_linewidths(make_config(), 0.01)):
-        sup = build_superoperator(build_hamiltonian(cfg).h_total, cfg, dephasing=True)
-        assert trace_defect(sup.matrix) < 1e-12
+        assert trace_defect(sup_of(cfg).matrix) < 1e-12
+
+
+def test_trace_preserved_for_branching_within_tolerance():
+    # validation accepts beta_PS + beta_PD within 1e-12 of one; every
+    # Lindblad channel preserves the trace whatever its rate
+    c = make_config()
+    c = dataclasses.replace(c, atom=dataclasses.replace(c.atom, beta_ps=0.9375 + 5e-13))
+    assert trace_defect(sup_of(c).matrix) < 1e-12
 
 
 def test_dephasing_rate_pairs():
     b_b, b_r, b_c = from_mhz(0.01), from_mhz(0.003), from_mhz(0.02)
     c = make_config()
-    import dataclasses
     c = dataclasses.replace(
         c,
         laser_b=dataclasses.replace(c.laser_b, linewidth=b_b),
@@ -154,16 +163,15 @@ def test_dephasing_rate_pairs():
 def test_dephasing_noop_at_zero_linewidth():
     c = make_config()
     h = build_hamiltonian(c).h_total
-    m_on = build_superoperator(h, c, dephasing=True).matrix
-    m_off = build_superoperator(h, c, dephasing=False).matrix
-    assert np.array_equal(m_on, m_off)
+    m_zero = build_superoperator(h, with_linewidths(c, 0.0)).matrix
+    assert np.array_equal(m_zero, commutator_superoperator(h) + lindblad_dissipator(jump_operators(c)))
 
 
 def test_dephasing_damps_only_coherences():
-    c = with_linewidths(make_config(), 0.01)
+    c = make_config()
     h = build_hamiltonian(c).h_total
-    diff = (build_superoperator(h, c, dephasing=True).matrix
-            - build_superoperator(h, c, dephasing=False).matrix)
+    diff = (build_superoperator(h, with_linewidths(c, 0.01)).matrix
+            - build_superoperator(h, c).matrix)
     # pure dephasing: diagonal superoperator, zero on population entries
     off = diff - np.diag(np.diag(diff))
     assert np.abs(off).max() < 1e-14

@@ -35,7 +35,6 @@ from nscheme.model import (
     replace_param,
     resonance_mismatches,
     to_mhz,
-    validate,
     with_gamma_q,
 )
 
@@ -157,14 +156,22 @@ def test_validation_errors():
         AtomSpec(gamma_p=0.0)
 
 
-def test_validate_rechecks_replaced_instances():
+@pytest.mark.parametrize("section, field", [("laser_b", "rabi"), ("laser_r", "detuning"),
+                                            ("laser_c", "linewidth"), ("atom", "gamma_q"),
+                                            ("motion", "trap_frequency")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_sections_reject_non_finite_fields(section, field, value):
     c = make_config()
-    broken = dataclasses.replace(c, laser_b=dataclasses.replace(c.laser_b))
-    assert validate(broken) is broken
-    # bypass __post_init__ via object.__setattr__, validate must catch it
-    object.__setattr__(broken.laser_b, "direction", 3)
-    with pytest.raises(BadDirection):
-        validate(broken)
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        dataclasses.replace(getattr(c, section), **{field: value})
+
+
+def test_config_from_dict_rejects_overflow_on_conversion():
+    # 1e308 MHz is a finite float but 2pi x 1e308 rad/us is not
+    with pytest.raises(ConfigError, match="LaserDrive.rabi must be finite, got inf"):
+        config_from_dict({"laser_B": {"rabi": 1e308, "detuning": 8.0},
+                          "laser_R": {"rabi": 2.5, "detuning": 3.0},
+                          "laser_C": {"rabi": 0.05, "detuning": 5.0}})
 
 
 def test_frequency_fields_cover_all_rates():
