@@ -110,6 +110,15 @@ def test_dissipator_matches_elementwise_route():
     assert np.abs(build_superoperator(h, c).matrix - m_slow).max() < 1e-12
 
 
+def test_decay_routes_agree():
+    """Decay part of the generator vs the generic Lindblad sum."""
+    c = make_config(gq=0.7)
+    h = build_hamiltonian(c).h_total
+    sup = build_superoperator(h, c)
+    m_dissipator = sup.matrix - commutator_superoperator(h)
+    assert np.abs(m_dissipator - lindblad_dissipator(jump_operators(c))).max() < 1e-12
+
+
 def test_commutator_superoperator_action():
     c = make_config()
     h = build_hamiltonian(c).h_total
