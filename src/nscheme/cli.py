@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .dressed import doppler_rate, lambda_eigensystem, three_photon_report
 from .dynamics import evolve, fit_timescales, g2
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, PerturbationInvalid, SolverError
 from .floquet import DEFAULT_ORDER, solve_floquet_steady
 from .liouvillian import build_hamiltonian, build_superoperator
 from .mcwf import (bright_dark_statistics, default_dark_threshold,
@@ -215,7 +216,10 @@ def _cmd_dressed(args) -> int:
     doc = {"metadata": _metadata(config)}
 
     try:
-        report = three_photon_report(config)
+        # the JSON carries the warning as three_photon.warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerturbationInvalid)
+            report = three_photon_report(config)
         section = {
             "alpha_c": report.alpha_c,
             "epsilon": report.epsilon,
@@ -278,7 +282,7 @@ def _add_scan_axis(parser, *, axis_required: bool) -> None:
     parser.add_argument("--gamma-q-mode", choices=("physical", "zero"), default="physical",
                         help="metastable decay handling at every point")
     parser.add_argument("--workers", type=int, default=None,
-                        help="process count (default: NSCHEME_WORKERS or cpu count)")
+                        help="accepted and ignored: a sweep runs in one process (must be >= 1)")
     parser.add_argument("--json", action="store_true",
                         help="write the JSON document instead of CSV")
 

@@ -2,11 +2,23 @@
 
 For an ion oscillating at the trap frequency nu, the density matrix
 is expanded as rho(t) = sum_n rho(n) exp(i n nu t) with |n| <= N.
-The stationary blocks obey a block-tridiagonal linear system: block
-row n couples rho(n) through the carrier generator shifted by -i n
-nu, and rho(n -+ 1) through the sideband commutator -i[H_side, .].
-The n = 0 block carries the physical populations; blocks with n != 0
-are traceless and paired by rho(-n) = rho(n)+.
+The stationary blocks x_n = vec(rho(n)) obey a block-tridiagonal
+system: row n reads (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}) = 0,
+with M0 the carrier generator, C the sideband commutator -i[H_side, .]
+and x_{+-(N+1)} = 0.
+
+It is solved by the matrix continued fraction (Risken, The
+Fokker-Planck Equation, ch. 9). With S_{N+1} = 0 the upper harmonics
+follow x_n = S_n x_{n-1}, S_n = -(M0 - i n nu + C S_{n+1})^{-1} C, and
+the lower ones independently x_{-n} = T_n x_{-(n-1)} with T_n the
+same recursion at +i n nu. The n = 0 row then leaves the 16x16
+effective generator M0 + C S_1 + C T_1, whose kernel the steady
+state's bordered solve finds. The n = 0 block carries the physical
+populations; blocks with n != 0 are traceless and paired by rho(-n) =
+rho(n)+, a pairing the independent T recursion makes measurable.
+
+Every step runs on a stack of points; a single solve is a stack of
+one.
 """
 
 from __future__ import annotations
@@ -16,8 +28,9 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
-from .liouvillian import build_hamiltonian, build_superoperator, commutator_superoperator
+from .liouvillian import build_hamiltonian, commutator_superoperator, superoperator_stack
 from .model import SystemConfig, level_index
+from .steady import bordered_solve
 
 #: residual bound on the full block system
 FLOQUET_RESIDUAL_TOL = 1e-9
@@ -29,6 +42,9 @@ TRUNCATION_TOL = 1e-8
 #: so the strict flag cannot double as the solve gate.
 SOLVE_TRUNCATION_TOL = 1e-5
 DEFAULT_ORDER = 2
+
+_EYE16 = np.eye(16)
+_DIAG = [5 * k for k in range(4)]  # vec indices of the diagonal of a 4x4 block
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,80 +87,81 @@ class FloquetBlockSystem:
         }
 
 
-def build_floquet_generator(config: SystemConfig, order: int) -> np.ndarray:
-    """Block-tridiagonal generator of dimension 16(2N+1).
+def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Stationary Floquet blocks of every config at one truncation order.
 
-    Blocks are ordered n = -N..N. Row n encodes (M0 - i n nu) rho(n)
-    - i[H_side, rho(n-1) + rho(n+1)] with rho(+-(N+1)) truncated to
-    zero; M0 is the carrier generator including dissipation.
+    Returns the paired blocks (k, 2 order + 1, 4, 4) ordered n =
+    -order..order (NaN where a point failed), the block-system
+    residuals (k,), the pairing defects (k,), and for each point None
+    or the SolverError it failed with. A point fails when its trace is
+    not finite or vanishes, its residual exceeds 1e-9 or rho(0) has an
+    eigenvalue below -1e-8. A LAPACK failure of a stacked call raises
+    the SolverError it maps to for the whole stack.
     """
-    if not config.motion.enabled:
+    if not all(c.motion.enabled for c in configs):
         raise MotionDisabled("the Floquet expansion needs motion enabled")
     if order < 1:
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
+    parts = [build_hamiltonian(c) for c in configs]
+    m0 = superoperator_stack(np.stack([p.h_total for p in parts]), configs)
+    c = commutator_superoperator(np.stack([p.h_side for p in parts]))
+    shift = -1j * np.array([cfg.motion.trap_frequency for cfg in configs])[:, None, None] * _EYE16
 
-    parts = build_hamiltonian(config)
-    m0 = build_superoperator(parts.h_total, config).matrix
-    c_side = commutator_superoperator(parts.h_side)
-    nu = config.motion.trap_frequency
+    # non-finite values of an overflowing point stay in that point and fail its gates
+    with np.errstate(all="ignore"):
+        upper = _fraction(m0, c, shift, order)
+        lower = _fraction(m0, c, -shift, order)
+        x0 = bordered_solve(m0 + c @ upper[0] + c @ lower[0], 4)
+        trace = x0[:, _DIAG].sum(axis=1)
+        x = [(x0 / trace[:, None])[..., None]]  # column vectors (k, 16, 1)
+        for s_n, t_n in zip(upper, lower):
+            x = [t_n @ x[0]] + x + [s_n @ x[-1]]
+        # block rows (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}), x_{+-(order+1)} = 0
+        padded = [0.0, *x, 0.0]
+        residual = np.zeros(len(configs))
+        for j, n in enumerate(range(-order, order + 1)):
+            row = (m0 + n * shift) @ x[j] + c @ (padded[j] + padded[j + 2])
+            residual = np.maximum(residual, np.abs(row).max(axis=(1, 2)))
+        x = np.stack(x, axis=1)  # (k, 2 order + 1, 16, 1), n = -order..order
 
-    nblocks = 2 * order + 1
-    gen = np.zeros((16 * nblocks, 16 * nblocks), dtype=complex)
-    for b in range(nblocks):
-        n = b - order
-        rows = slice(16 * b, 16 * (b + 1))
-        gen[rows, rows] = m0 - 1j * n * nu * np.eye(16)
-        if b > 0:
-            gen[rows, 16 * (b - 1):16 * b] = c_side
-        if b + 1 < nblocks:
-            gen[rows, 16 * (b + 1):16 * (b + 2)] = c_side
-    return gen
+    raw = np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2)
+    mirrored = np.swapaxes(raw[:, ::-1], -1, -2).conj()  # rho(-n)+ at position n
+    pairing = np.abs(raw - mirrored).max(axis=(1, 2, 3))
+    blocks = 0.5 * (raw + mirrored)
 
-
-def _solve_blocks(gen: np.ndarray, order: int) -> tuple[np.ndarray, float]:
-    """Bordered solve: trace row on the n=0 block replaces one redundancy."""
-    dim = gen.shape[0]
-    base = 16 * order  # start of the n = 0 block
-    diag_idx = [base + 5 * k for k in range(4)]
-
-    a = gen.copy()
-    b = np.zeros(dim, dtype=complex)
-    a[diag_idx[0], :] = 0.0
-    a[diag_idx[0], diag_idx] = 1.0
-    b[diag_idx[0]] = 1.0
+    errors = [None] * len(configs)
+    for i in range(len(configs)):
+        if not np.isfinite(trace[i]):
+            errors[i] = NoConvergence("Floquet solution overflowed")
+        elif abs(trace[i]) < 1e-300:
+            errors[i] = DegenerateKernel("Floquet solution has vanishing trace")
+        elif residual[i] > FLOQUET_RESIDUAL_TOL:
+            errors[i] = NoConvergence(f"Floquet residual {residual[i]:.3e} exceeds {FLOQUET_RESIDUAL_TOL:.0e}")
+    failed = np.array([e is not None for e in errors])
     try:
-        x = np.linalg.solve(a, b)
-        x += np.linalg.solve(a, b - a @ x)
+        # a valid stand-in keeps the failed points out of the stacked call
+        lowest = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(4) / 4, blocks[:, order]))[:, 0]
     except np.linalg.LinAlgError as exc:
-        raise DegenerateKernel(f"Floquet block system is singular: {exc}") from None
-
-    trace = x[diag_idx].sum()
-    if not np.isfinite(trace):
-        raise NoConvergence("Floquet solution overflowed")
-    if abs(trace) < 1e-300:
-        raise DegenerateKernel("Floquet solution has vanishing trace")
-    x = x / trace
-    defect = float(np.abs(gen @ x).max())
-    if defect > FLOQUET_RESIDUAL_TOL:
-        raise NoConvergence(f"Floquet residual {defect:.3e} exceeds {FLOQUET_RESIDUAL_TOL:.0e}")
-    return x, defect
+        raise NoConvergence(f"eigenvalues of rho(0): {exc}") from None
+    for i in np.flatnonzero(lowest < -1e-8):
+        errors[i] = NoConvergence(f"rho(0) eigenvalue {lowest[i]:.3e} below -1e-8")
+    failed = [e is not None for e in errors]
+    blocks[failed] = residual[failed] = pairing[failed] = np.nan
+    return blocks, residual, pairing, errors
 
 
-def _blocks_from_vector(x: np.ndarray, order: int) -> tuple[dict, float]:
-    """Unpack, measure the pairing defect, then enforce the pairing."""
-    raw = {
-        n: x[16 * (n + order):16 * (n + order + 1)].reshape((4, 4), order="F")
-        for n in range(-order, order + 1)
-    }
-    defect = 0.0
-    for n in range(0, order + 1):
-        defect = max(defect, float(np.abs(raw[-n] - raw[n].conj().T).max()))
-    blocks = {}
-    for n in range(0, order + 1):
-        sym = 0.5 * (raw[n] + raw[-n].conj().T)
-        blocks[n] = sym
-        blocks[-n] = sym.conj().T
-    return blocks, defect
+def _fraction(m0: np.ndarray, c: np.ndarray, shift: np.ndarray, order: int) -> list:
+    """Ratios R_1..R_order of x_n = R_n x_{n-1}, R_n = -(M0 + n shift + C R_{n+1})^{-1} C."""
+    ratios = []
+    coupled = np.zeros_like(m0)  # C R_{n+1}, zero past the truncation
+    for n in range(order, 0, -1):
+        try:
+            ratio = -np.linalg.solve(m0 + n * shift + coupled, c)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateKernel(f"Floquet continued fraction is singular: {exc}") from None
+        ratios.insert(0, ratio)
+        coupled = c @ ratio
+    return ratios
 
 
 def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
@@ -157,42 +174,32 @@ def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
     TruncationNotConverged when they differ by more than 1e-5. The
     stricter 1e-8 convergence flag is reported by convergence_check.
     """
-    gen = build_floquet_generator(config, order)
-    x, residual = _solve_blocks(gen, order)
-    blocks, pairing = _blocks_from_vector(x, order)
-
-    rho0 = blocks[0]
-    try:
-        eigs = np.linalg.eigvalsh(rho0)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigenvalues of rho(0): {exc}") from None
-    if eigs.min() < -1e-8:
-        raise NoConvergence(f"rho(0) eigenvalue {eigs.min():.3e} below -1e-8")
-
+    blocks, residual, pairing, errors = solve_floquet_stack([config], order)
+    if errors[0] is not None:
+        raise errors[0]
+    solution = FloquetBlockSystem(
+        order=order,
+        nu=config.motion.trap_frequency,
+        blocks={n: blocks[0, n + order] for n in range(-order, order + 1)},
+        residual=float(residual[0]),
+        pairing_defect=float(pairing[0]),
+    )
     if check_truncation:
-        gen_up = build_floquet_generator(config, order + 1)
-        x_up, _ = _solve_blocks(gen_up, order + 1)
-        blocks_up, _ = _blocks_from_vector(x_up, order + 1)
-        delta = float(np.abs(blocks_up[0] - rho0).max())
+        delta = _truncation_delta(config, solution)
         if delta >= SOLVE_TRUNCATION_TOL:
             raise TruncationNotConverged(
                 f"order {order} vs {order + 1} differ by {delta:.3e} (tolerance {SOLVE_TRUNCATION_TOL:.0e})"
             )
-
-    return FloquetBlockSystem(
-        order=order,
-        nu=config.motion.trap_frequency,
-        blocks=blocks,
-        residual=residual,
-        pairing_defect=pairing,
-    )
+    return solution
 
 
 def convergence_check(config: SystemConfig, order: int) -> tuple[float, bool]:
     """Max |rho0_N - rho0_{N+1}| and whether it is below 1e-8."""
-    if order < 1:
-        raise ConfigError(f"Floquet order must be >= 1, got {order}")
-    lo = solve_floquet_steady(config, order, check_truncation=False)
-    hi = solve_floquet_steady(config, order + 1, check_truncation=False)
-    delta = float(np.abs(lo.block(0) - hi.block(0)).max())
+    delta = _truncation_delta(config, solve_floquet_steady(config, order, check_truncation=False))
     return delta, bool(delta < TRUNCATION_TOL)
+
+
+def _truncation_delta(config: SystemConfig, solution: FloquetBlockSystem) -> float:
+    """Max |rho0_N - rho0_{N+1}| of a solution at order N."""
+    finer = solve_floquet_steady(config, solution.order + 1, check_truncation=False)
+    return float(np.abs(finer.block(0) - solution.block(0)).max())

@@ -39,8 +39,9 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 4x4 matrices as a 16x16 matrix."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+    """Kronecker product of 4x4 matrices as 16x16, broadcast over leading axes."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], 16, 16)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -101,21 +102,24 @@ def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    """Superoperator of -i [h, .] in the column-major convention."""
-    return -1j * (_kron4(_I4, h) - _kron4(h.T, _I4))
+    """Superoperator of -i [h, .] in the column-major convention.
+
+    h may be a stack (..., 4, 4); the result is then (..., 16, 16).
+    """
+    return -1j * (_kron4(_I4, h) - _kron4(np.swapaxes(h, -1, -2), _I4))
 
 
 def lindblad_dissipator(jump_ops: list[tuple[float, np.ndarray]]) -> np.ndarray:
     """Generic Lindblad dissipator for (rate, L) pairs.
 
     sum_k rate_k [L rho L+ - (L+L rho + rho L+L)/2], as a 16x16
-    superoperator.
+    superoperator; with rates of shape (k,), a (k, 16, 16) stack.
     """
-    m = np.zeros((16, 16), dtype=complex)
+    m = np.zeros(np.broadcast_shapes(*(np.shape(rate) for rate, _ in jump_ops)) + (16, 16), dtype=complex)
     for rate, op in jump_ops:
         op = np.asarray(op, dtype=complex)
         ldl = op.conj().T @ op
-        m += rate * (
+        m += np.asarray(rate)[..., None, None] * (
             _kron4(op.conj(), op)
             - 0.5 * _kron4(_I4, ldl)
             - 0.5 * _kron4(ldl.T, _I4)
@@ -183,23 +187,37 @@ class Superoperator:
         return cached
 
 
+def superoperator_stack(h: np.ndarray, configs) -> np.ndarray:
+    """Generators of a stack of points, (k, 16, 16), one per config.
+
+    h is (k, 4, 4). Point i is commutator_superoperator(h[i]) +
+    lindblad_dissipator(jump_operators(configs[i])), with
+    dephasing_rates(configs[i]) subtracted from the diagonal entries
+    of the coherences. Every generator, single or swept, is built here.
+    """
+    ops = [jump_operators(c) for c in configs]
+    rates = np.array([[rate for rate, _ in point] for point in ops])
+    channels = [(rates[:, k], op) for k, (_, op) in enumerate(ops[0])]
+    m = commutator_superoperator(h) + lindblad_dissipator(channels)
+    dephasing = np.stack([dephasing_rates(c) for c in configs])
+    diag = np.arange(16)
+    m[:, diag, diag] -= np.swapaxes(dephasing, -1, -2).reshape(len(configs), 16)
+    return m
+
+
 def build_superoperator(h: np.ndarray, config: SystemConfig) -> Superoperator:
     """Full generator: -i[h, .] plus decay, minus linewidth dephasing.
 
-    commutator_superoperator(h) + lindblad_dissipator(jump_operators(
-    config)), with dephasing_rates(config) subtracted from the diagonal
-    entries of the coherences; the config's linewidths alone decide the
-    dephasing. h must be Hermitian to 1e-10; callers typically pass
-    HamiltonianParts.h_total.
+    superoperator_stack for one point: the config's linewidths alone
+    decide the dephasing. h must be Hermitian to 1e-10; callers
+    typically pass HamiltonianParts.h_total.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise NotHermitian(f"expected a 4x4 Hamiltonian, got shape {h.shape}")
     if np.abs(h - h.conj().T).max() > 1e-10:
         raise NotHermitian("Hamiltonian deviates from Hermitian by more than 1e-10")
-    m = commutator_superoperator(h) + lindblad_dissipator(jump_operators(config))
-    m.flat[::17] -= dephasing_rates(config).ravel(order="F")
-    return Superoperator(matrix=m)
+    return Superoperator(matrix=superoperator_stack(h[None], [config])[0])
 
 
 def apply(superop: Superoperator, rho: np.ndarray) -> np.ndarray:

@@ -225,13 +225,7 @@ class DensityMatrix:
         if m.shape != (4, 4):
             raise NonPhysicalState(f"expected a 4x4 matrix, got shape {m.shape}")
         if check:
-            if np.abs(m - m.conj().T).max() > 1e-12:
-                raise NonPhysicalState("matrix is not Hermitian")
-            if abs(m.trace() - 1.0) > 1e-10:
-                raise NonPhysicalState(f"trace deviates from 1 by {abs(m.trace() - 1.0):.2e}")
-            eigs = np.linalg.eigvalsh(m)
-            if eigs.min() < -eig_floor:
-                raise NonPhysicalState(f"negative eigenvalue {eigs.min():.2e}")
+            check_density_matrices(m, eig_floor)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -245,6 +239,18 @@ class DensityMatrix:
     def __repr__(self):
         pops = ", ".join(f"{l}={p:.4g}" for l, p in zip(LEVELS, self.populations))
         return f"DensityMatrix({pops})"
+
+
+def check_density_matrices(m: np.ndarray, eig_floor: float = 1e-10) -> None:
+    """DensityMatrix's checks, on one matrix or a non-empty stack of them."""
+    if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > 1e-12:
+        raise NonPhysicalState("matrix is not Hermitian")
+    trace_defect = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max()
+    if trace_defect > 1e-10:
+        raise NonPhysicalState(f"trace deviates from 1 by {trace_defect:.2e}")
+    eigs = np.linalg.eigvalsh(m)
+    if eigs.min() < -eig_floor:
+        raise NonPhysicalState(f"negative eigenvalue {eigs.min():.2e}")
 
 
 def pure_state(label: str) -> DensityMatrix:

@@ -1,16 +1,20 @@
 """Deterministic parameter sweeps over the steady-state solvers.
 
-A scan re-solves the system at each point of a linearly spaced axis and
-collects populations into a Spectrum. Points that fail with a solver
-error are kept in-band as NaN rows with the error name in the flag
-column, so a long sweep survives isolated degeneracies. Output is
-stable across worker counts: rows are aggregated in axis order.
+A scan builds the config of every point of a linearly spaced axis
+first, so an invalid point fails the sweep before anything is solved.
+It then solves the points in blocks of BLOCK_POINTS, in axis order,
+each block as stacked linear algebra: one stacked generator build and
+one stacked steady-state (or Floquet continued-fraction) solve. The
+fixed block size bounds the memory of the stacked arrays on long
+sweeps. Points that fail with a solver error are kept in-band as NaN
+rows with the error name in the flag column, so a long sweep survives
+isolated degeneracies. A LAPACK failure of a stacked call fails the
+whole block; the block is then solved again point by point through
+the same function, so every point gets the verdict it gets alone.
 """
 
 import dataclasses
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -19,14 +23,16 @@ from scipy.signal import peak_widths
 
 from . import __version__
 from .errors import ConfigError, SolverError, TooCoarse
-from .floquet import DEFAULT_ORDER, solve_floquet_steady
-from .liouvillian import build_hamiltonian, build_superoperator
+from .floquet import DEFAULT_ORDER, solve_floquet_stack
+from .liouvillian import build_hamiltonian, superoperator_stack
 from .model import (FREQUENCY_FIELDS, SystemConfig, config_hash, from_mhz,
                     level_index, replace_param, with_gamma_q)
-from .steady import residual, steady_state
+from .steady import residuals, steady_states
 
 _SOLVERS = ("carrier", "floquet")
 _GAMMA_MODES = ("physical", "zero")
+#: points per stacked solve
+BLOCK_POINTS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,66 +129,48 @@ def _point_config(config: SystemConfig, axis: str, value_mhz: float, gamma_q_mod
     return cfg
 
 
-def _solve_point(payload):
-    """One scan point: (populations, residual, pairing defect, flag)."""
-    config, axis, value_mhz, solver, order, gamma_q_mode = payload
-    cfg = _point_config(config, axis, value_mhz, gamma_q_mode)
+def _solve_block(configs, spec: ScanSpec):
+    """(populations, residuals, pairing defects, flags) of one block of points."""
     try:
-        if solver == "floquet":
-            sol = solve_floquet_steady(cfg, order, check_truncation=False)
-            return sol.populations, sol.residual, sol.pairing_defect, ""
-        sup = build_superoperator(build_hamiltonian(cfg).h_total, cfg)
-        rho = steady_state(sup)
-        pops = np.real(np.diag(rho.matrix)).copy()
-        return pops, residual(sup, rho), 0.0, ""
+        if spec.solver == "floquet":
+            blocks, res, pairing, errors = solve_floquet_stack(configs, spec.floquet_order)
+            rho = blocks[:, spec.floquet_order]
+        else:
+            m = superoperator_stack(np.stack([build_hamiltonian(c).h_total for c in configs]), configs)
+            rho, errors = steady_states(m)
+            res, pairing = residuals(m, rho), np.zeros(len(configs))
     except SolverError as exc:
-        return np.full(4, np.nan), np.nan, np.nan, type(exc).__name__
+        # a stacked LAPACK call failed; its verdict holds only for a lone point
+        if len(configs) > 1:
+            return _join([_solve_block([c], spec) for c in configs])
+        rho, res, pairing, errors = np.full((1, 4, 4), np.nan), np.full(1, np.nan), np.full(1, np.nan), [exc]
+    flags = ["" if e is None else type(e).__name__ for e in errors]
+    return np.real(np.diagonal(rho, axis1=-2, axis2=-1)), res, pairing, flags
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        return int(workers)
-    env = os.environ.get("NSCHEME_WORKERS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"NSCHEME_WORKERS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ConfigError(f"NSCHEME_WORKERS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+def _join(blocks):
+    pops, res, pairing, flags = zip(*blocks)
+    return (np.concatenate(pops), np.concatenate(res), np.concatenate(pairing),
+            [f for block in flags for f in block])
 
 
 def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = None) -> Spectrum:
     """Sweep spec.axis and solve the steady state at every point.
 
     Solver errors at individual points become NaN rows with a flag;
-    configuration errors (bad axis, motion off for the floquet solver)
-    abort the whole sweep. workers > 1 distributes points over a
-    process pool; the row order and content are identical either way.
-    The default comes from NSCHEME_WORKERS, then cpu_count.
+    configuration errors (bad axis, an axis value that makes an
+    invalid config, motion off for the floquet solver) abort the
+    whole sweep before any point is solved. workers is accepted for
+    compatibility and ignored: a sweep runs in one process as stacked
+    linear algebra. It must still be >= 1 when given.
     """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     values = spec.values_mhz
-    # fail fast on a bad axis or an invalid per-point config
-    _point_config(config, spec.axis, float(values[0]), spec.gamma_q_mode)
-
-    payloads = [(config, spec.axis, float(v), spec.solver, spec.floquet_order,
-                 spec.gamma_q_mode) for v in values]
-    n_workers = min(_worker_count(workers), len(payloads))
-    if n_workers > 1:
-        chunk = max(1, len(payloads) // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_solve_point, payloads, chunksize=chunk))
-    else:
-        rows = [_solve_point(p) for p in payloads]
-
-    populations = np.vstack([r[0] for r in rows])
-    residuals = np.array([r[1] for r in rows])
-    pairing = np.array([r[2] for r in rows])
-    flags = tuple(r[3] for r in rows)
+    configs = [_point_config(config, spec.axis, float(v), spec.gamma_q_mode) for v in values]
+    populations, res, pairing, flags = _join(
+        [_solve_block(configs[i:i + BLOCK_POINTS], spec) for i in range(0, len(configs), BLOCK_POINTS)])
+    flags = tuple(flags)
 
     metadata = {
         "version": __version__,
@@ -201,9 +189,9 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
         solved = pairing[~np.isnan(pairing)]
         metadata["max_pairing_defect"] = float(solved.max()) if solved.size else None
 
-    for arr in (values, populations, residuals):
+    for arr in (values, populations, res):
         arr.setflags(write=False)
-    return Spectrum(axis_mhz=values, populations=populations, residuals=residuals,
+    return Spectrum(axis_mhz=values, populations=populations, residuals=res,
                     flags=flags, metadata=metadata)
 
 

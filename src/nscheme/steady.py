@@ -1,6 +1,6 @@
 """Steady states of the Lindblad generator.
 
-The kernel of the 16x16 generator is found by replacing one redundant
+The kernel of the generator is found by replacing one redundant
 diagonal-element row with the trace constraint and solving the dense
 bordered system. Uniqueness is checked first through the relative gap
 of the second-smallest singular value (threshold 1e-8); when the gap
@@ -9,15 +9,20 @@ check fails, levels that receive no population or coherence inflow
 block is solved with the removed levels empty, which is the
 physically prepared branch. A degenerate kernel that no such
 reduction explains raises DegenerateKernel.
+
+Every step runs on a stack of generators, one generator being a stack
+of one, and each point keeps its own verdict. Only a LAPACK failure of
+a stacked call raises for the whole stack, as the SolverError that
+step maps it to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateKernel, NoConvergence
-from .liouvillian import Superoperator, unvec
-from .model import DensityMatrix
+from .errors import DegenerateKernel, NoConvergence, SolverError
+from .liouvillian import Superoperator
+from .model import DensityMatrix, check_density_matrices
 
 #: relative singular-value gap below which the kernel is treated as degenerate
 GAP_THRESHOLD = 1e-8
@@ -29,8 +34,21 @@ RESIDUAL_TOL = 1e-10
 
 def steady_state(superop: Superoperator) -> DensityMatrix:
     """Unique physical steady state of the generator."""
-    rho = unvec(_steady_vec(np.asarray(superop.matrix), 4))
-    return _physical(rho)
+    rho, errors = steady_states(np.asarray(superop.matrix)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return DensityMatrix(rho[0], check=False)  # steady_states ran the checks
+
+
+def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
+    """Steady states of a stack of 4-level generators (k, 16, 16).
+
+    Returns the density matrices (k, 4, 4), each through
+    DensityMatrix's checks and NaN where its point failed, and per
+    point None or the SolverError the point failed with.
+    """
+    x, errors = _steady_vecs(matrices, 4)
+    return _physical(np.swapaxes(x.reshape(-1, 4, 4), -1, -2), errors)
 
 
 def steady_state_of_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -46,21 +64,70 @@ def steady_state_of_matrix(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
+def residuals(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """max |M vec(rho)| of each point of a stack, the stationarity defects."""
+    return np.abs(matrices @ np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], 16, 1)).max(axis=(-2, -1))
+
+
 def residual(superop: Superoperator, rho: DensityMatrix) -> float:
     """max |M vec(rho)|, the stationarity defect of a solution."""
-    return float(np.abs(superop.matrix @ rho.matrix.flatten(order="F")).max())
+    return float(residuals(superop.matrix, rho.matrix))
+
+
+def bordered_solve(m: np.ndarray, n: int) -> np.ndarray:
+    """Kernel vectors of a stack of n-level generators, not normalized.
+
+    The first diagonal-element row is replaced by the trace row, and
+    one step of iterative refinement follows the solve.
+    """
+    a = np.array(m, dtype=complex)
+    diag_idx = [i + n * i for i in range(n)]
+    a[:, diag_idx[0], :] = 0.0
+    a[:, diag_idx[0], diag_idx] = 1.0
+    b = np.zeros((n * n, 1), dtype=complex)
+    b[diag_idx[0]] = 1.0
+    try:
+        x = np.linalg.solve(a, b)
+        x += np.linalg.solve(a, b - a @ x)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateKernel(f"bordered system singular: {exc}") from None
+    return x[..., 0]
 
 
 def _steady_vec(m: np.ndarray, n: int) -> np.ndarray:
+    x, errors = _steady_vecs(m[None], n)
+    if errors[0] is not None:
+        raise errors[0]
+    return x[0]
+
+
+def _steady_vecs(m: np.ndarray, n: int) -> tuple[np.ndarray, list]:
     try:
         sing = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular values of the generator: {exc}") from None
+    x = np.full((len(m), n * n), np.nan, dtype=complex)
+    errors = [None] * len(m)
+    gapped = (sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
+    if gapped.any():
+        sol = bordered_solve(m[gapped], n)
+        x[gapped] = sol / sol[:, [i + n * i for i in range(n)]].sum(axis=1, keepdims=True)
+        defects = np.abs(m[gapped] @ x[gapped, :, None]).max(axis=(1, 2))
+        for i, defect in zip(np.flatnonzero(gapped), defects):
+            if defect > RESIDUAL_TOL:
+                errors[i] = NoConvergence(f"stationarity defect {defect:.2e} exceeds {RESIDUAL_TOL:.0e}")
+    for i in np.flatnonzero(~gapped):
+        try:
+            x[i] = _reduced_vec(m[i], n, sing[i])
+        except SolverError as exc:
+            errors[i] = exc
+    return x, errors
+
+
+def _reduced_vec(m: np.ndarray, n: int, sing: np.ndarray) -> np.ndarray:
+    """Kernel below the gap: the unfed levels stay empty, the rest is solved."""
     if sing[0] < 1e-300:
         raise DegenerateKernel("generator is identically zero")
-    if sing[-2] >= GAP_THRESHOLD * sing[0]:
-        return _bordered_solve(m, n)
-
     unfed = _unfed_levels(m, n, sing[0])
     kept = [l for l in range(n) if l not in unfed]
     if not unfed or len(kept) < 2:
@@ -69,28 +136,8 @@ def _steady_vec(m: np.ndarray, n: int) -> np.ndarray:
             "and no decoupled level explains it"
         )
     sub_idx = [kept[i] + n * kept[j] for j in range(len(kept)) for i in range(len(kept))]
-    x_sub = _steady_vec(m[np.ix_(sub_idx, sub_idx)], len(kept))
     x = np.zeros(n * n, dtype=complex)
-    x[sub_idx] = x_sub
-    return x
-
-
-def _bordered_solve(m: np.ndarray, n: int) -> np.ndarray:
-    a = m.astype(complex).copy()
-    diag_idx = [i + n * i for i in range(n)]
-    a[diag_idx[0], :] = 0.0
-    a[diag_idx[0], diag_idx] = 1.0
-    b = np.zeros(n * n, dtype=complex)
-    b[diag_idx[0]] = 1.0
-    try:
-        x = np.linalg.solve(a, b)
-        x += np.linalg.solve(a, b - a @ x)  # one step of iterative refinement
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateKernel(f"bordered system singular: {exc}") from exc
-    x = x / np.sum(x[diag_idx])
-    defect = float(np.abs(m @ x).max())
-    if defect > RESIDUAL_TOL:
-        raise NoConvergence(f"stationarity defect {defect:.2e} exceeds {RESIDUAL_TOL:.0e}")
+    x[sub_idx] = _steady_vec(m[np.ix_(sub_idx, sub_idx)], len(kept))
     return x
 
 
@@ -103,27 +150,29 @@ def _unfed_levels(m: np.ndarray, n: int, scale: float) -> list[int]:
     """
     unfed = []
     tol = STRUCTURAL_TOL * scale
+    row, col = np.indices((n, n)).reshape(2, -1, order="F")  # (i, j) of vec index i + n j
     for level in range(n):
-        in_sector = np.zeros(n * n, dtype=bool)
-        for j in range(n):
-            for i in range(n):
-                if i == level or j == level:
-                    in_sector[i + n * j] = True
+        in_sector = (row == level) | (col == level)
         inflow = m[np.ix_(in_sector, ~in_sector)]
         if inflow.size == 0 or np.abs(inflow).max() <= tol:
             unfed.append(level)
     return unfed
 
 
-def _physical(rho: np.ndarray) -> DensityMatrix:
-    rho = 0.5 * (rho + rho.conj().T)
+def _physical(rho: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
+    """Hermitize, clip negative eigenvalues and renormalize every solved point."""
+    failed = np.array([e is not None for e in errors])
+    # a valid stand-in keeps the failed points out of the stacked calls
+    rho = np.where(failed[:, None, None], np.eye(4) / 4, rho)
+    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
     try:
         eigvals, eigvecs = np.linalg.eigh(rho)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalues of the steady state: {exc}") from None
-    if eigvals.min() < -1e-10:
-        raise NoConvergence(f"steady state has eigenvalue {eigvals.min():.2e} < -1e-10")
-    clipped = np.clip(eigvals, 0.0, None)
-    rho = (eigvecs * clipped) @ eigvecs.conj().T
-    rho /= np.real(rho.trace())
-    return DensityMatrix(rho)
+    for i in np.flatnonzero(eigvals[:, 0] < -1e-10):
+        errors[i] = NoConvergence(f"steady state has eigenvalue {eigvals[i, 0]:.2e} < -1e-10")
+    rho = (eigvecs * np.clip(eigvals, 0.0, None)[..., None, :]) @ np.swapaxes(eigvecs, -1, -2).conj()
+    rho /= np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
+    check_density_matrices(rho)
+    rho[[e is not None for e in errors]] = np.nan
+    return rho, errors

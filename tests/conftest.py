@@ -1,8 +1,12 @@
-"""Shared config builders for the test suite."""
+"""Shared config builders and reference solvers for the test suite."""
 
 import dataclasses
 
-from nscheme.liouvillian import build_hamiltonian, build_superoperator
+import numpy as np
+
+from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence
+from nscheme.floquet import FLOQUET_RESIDUAL_TOL
+from nscheme.liouvillian import build_hamiltonian, build_superoperator, commutator_superoperator
 from nscheme.model import (
     GAMMA_Q_DEFAULT,
     AtomSpec,
@@ -57,3 +61,66 @@ def with_linewidths(config, lw_mhz):
         laser_r=dataclasses.replace(config.laser_r, linewidth=lw),
         laser_c=dataclasses.replace(config.laser_c, linewidth=lw),
     )
+
+
+def build_floquet_generator(config, order):
+    """Block-tridiagonal generator of dimension 16(2N+1).
+
+    Blocks are ordered n = -N..N. Row n encodes (M0 - i n nu) rho(n)
+    - i[H_side, rho(n-1) + rho(n+1)] with rho(+-(N+1)) truncated to
+    zero; M0 is the carrier generator including dissipation. Reference
+    for the continued-fraction solver.
+    """
+    if not config.motion.enabled:
+        raise MotionDisabled("the Floquet expansion needs motion enabled")
+    if order < 1:
+        raise ConfigError(f"Floquet order must be >= 1, got {order}")
+
+    parts = build_hamiltonian(config)
+    m0 = build_superoperator(parts.h_total, config).matrix
+    c_side = commutator_superoperator(parts.h_side)
+    nu = config.motion.trap_frequency
+
+    nblocks = 2 * order + 1
+    gen = np.zeros((16 * nblocks, 16 * nblocks), dtype=complex)
+    for b in range(nblocks):
+        n = b - order
+        rows = slice(16 * b, 16 * (b + 1))
+        gen[rows, rows] = m0 - 1j * n * nu * np.eye(16)
+        if b > 0:
+            gen[rows, 16 * (b - 1):16 * b] = c_side
+        if b + 1 < nblocks:
+            gen[rows, 16 * (b + 1):16 * (b + 2)] = c_side
+    return gen
+
+
+def solve_floquet_blocks(gen, order):
+    """Bordered solve of the whole block system: trace row on the n=0 block.
+
+    Returns the trace-normalized solution vector and its residual.
+    """
+    dim = gen.shape[0]
+    base = 16 * order  # start of the n = 0 block
+    diag_idx = [base + 5 * k for k in range(4)]
+
+    a = gen.copy()
+    b = np.zeros(dim, dtype=complex)
+    a[diag_idx[0], :] = 0.0
+    a[diag_idx[0], diag_idx] = 1.0
+    b[diag_idx[0]] = 1.0
+    try:
+        x = np.linalg.solve(a, b)
+        x += np.linalg.solve(a, b - a @ x)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateKernel(f"Floquet block system is singular: {exc}") from None
+
+    trace = x[diag_idx].sum()
+    if not np.isfinite(trace):
+        raise NoConvergence("Floquet solution overflowed")
+    if abs(trace) < 1e-300:
+        raise DegenerateKernel("Floquet solution has vanishing trace")
+    x = x / trace
+    defect = float(np.abs(gen @ x).max())
+    if defect > FLOQUET_RESIDUAL_TOL:
+        raise NoConvergence(f"Floquet residual {defect:.3e} exceeds {FLOQUET_RESIDUAL_TOL:.0e}")
+    return x, defect

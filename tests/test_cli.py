@@ -2,12 +2,13 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_config, with_linewidths
-from nscheme import __version__
+from nscheme import __version__, scan
 from nscheme.cli import main
 from nscheme.liouvillian import build_hamiltonian, build_superoperator
 from nscheme.mcwf import default_dark_threshold, photon_records_to_csv, run_trajectory
@@ -346,6 +347,47 @@ def test_floquet_scan_flags_huge_rabi_points(capsys):
     assert "NoConvergence" in flags
     assert set(flags) <= {"", "NoConvergence"}
     assert err.endswith("points flagged\n")
+
+
+@pytest.mark.parametrize("config, solver, flags", [
+    ("fig6_counter", "floquet", ["", "NoConvergence", "NoConvergence"]),
+    ("fig3a", "carrier", ["", "DegenerateKernel", "DegenerateKernel"]),
+])
+def test_huge_rabi_points_fail_alone(capsys, config, solver, flags):
+    # the overflowing points share a stacked block with a solvable one
+    code, out, err = run(capsys, "scan", "--config", config, "--solver", solver,
+                         "--axis", "laser_B.rabi", "--range", "10:1e301", "--points", "3", "--json")
+    assert code == 0
+    data = _strict_json(out)
+    assert data["flags"] == flags
+    assert data["populations"]["Q"][0] is not None
+    assert err == "nscheme: 2 of 3 points flagged\n"
+
+
+def test_scan_rejects_any_invalid_point_before_solving(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a point was solved before the sweep was validated")
+
+    monkeypatch.setattr(scan, "steady_states", never)
+    code, out, err = run(capsys, "scan", "--config", "fig3a", "--axis", "laser_B.rabi",
+                         "--range", "1e300:1.7e308", "--points", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "nscheme: ConfigError: LaserDrive.rabi must be finite, got inf\n"
+
+
+def test_dressed_warning_only_in_json(tmp_path, capsys):
+    path = tmp_path / "strong_c.json"
+    path.write_text(json.dumps({"laser_B": {"rabi": 10.0, "detuning": 8.0},
+                                "laser_R": {"rabi": 2.5, "detuning": 3.0},
+                                "laser_C": {"rabi": 5.0, "detuning": 5.0}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "dressed", "--config", str(path))
+    assert code == 0
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
+    assert "expansion unreliable" in _strict_json(out)["three_photon"]["warning"]
 
 
 def test_dressed_survives_huge_detuning(tmp_path, capsys):

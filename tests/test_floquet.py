@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import OSC_AMPLITUDE_NM, make_config, sup_of
+from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, make_config, solve_floquet_blocks,
+                      sup_of, two_plus_one)
 from nscheme.errors import ConfigError, MotionDisabled, TruncationNotConverged
 from nscheme.floquet import (
     SOLVE_TRUNCATION_TOL,
     TRUNCATION_TOL,
-    build_floquet_generator,
     convergence_check,
     solve_floquet_steady,
 )
@@ -31,6 +31,23 @@ def test_zero_amplitude_reduces_to_carrier():
     assert np.abs(fb.block(0) - rho_ss.matrix).max() < 1e-10
     assert np.abs(fb.block(1)).max() == 0.0
     assert np.abs(fb.block(-2)).max() == 0.0
+
+
+@pytest.mark.parametrize("config", [
+    make_config(motion=True, counter=True),   # fig6_counter
+    make_config(motion=True),                 # fig6_co
+    two_plus_one(motion=True, counter=True),  # criterion 8's sideband point
+], ids=["counter", "co", "two_plus_one"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_continued_fraction_matches_block_solve(config, order):
+    fb = solve_floquet_steady(config, order, check_truncation=False)
+    gen = build_floquet_generator(config, order)
+    x, _ = solve_floquet_blocks(gen, order)
+    for n in range(-order, order + 1):
+        ref = x[16 * (n + order):16 * (n + order + 1)].reshape((4, 4), order="F")
+        assert np.abs(fb.block(n) - ref).max() < 1e-12
+    returned = np.concatenate([fb.block(n).flatten(order="F") for n in range(-order, order + 1)])
+    assert np.abs(gen @ returned).max() < 1e-9
 
 
 def test_generator_dimensions():

@@ -5,8 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_config, sup_of, with_linewidths
-from nscheme.floquet import build_floquet_generator
+from conftest import build_floquet_generator, make_config, sup_of, with_linewidths
 from nscheme.liouvillian import (
     apply,
     build_hamiltonian,

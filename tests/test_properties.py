@@ -1,8 +1,9 @@
 """Property test: any config either solves or fails with a documented exit code.
 
-A solved run prints strict JSON (no NaN or Infinity tokens); a failed
-one exits 1 (config) or 2 (solver) with one `nscheme: ...` line on
-standard error.
+Each config goes through steady, dressed, and a 3-point carrier and
+Floquet scan. A solved run prints strict JSON (no NaN or Infinity
+tokens); a failed one exits 1 (config) or 2 (solver) with one
+`nscheme: ...` line on standard error.
 """
 
 import contextlib
@@ -75,8 +76,9 @@ def test_any_config_solves_or_fails_with_one_line(doc):
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        for command in ("steady", "dressed"):
-            code, out, err = _run([command, "--config", path])
+        sweep = ["--axis", "laser_R.detuning", "--range", "2:4", "--points", "3", "--json"]
+        for command in (["steady"], ["dressed"], ["scan", *sweep], ["scan", "--solver", "floquet", *sweep]):
+            code, out, err = _run([*command, "--config", path])
             assert code in (0, 1, 2), (command, code)
             if code:
                 assert out == ""

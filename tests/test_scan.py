@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_config
+from nscheme.cli import _load_config_arg
 from nscheme.errors import ConfigError, SolverError, TooCoarse
-from nscheme.model import config_hash
-from nscheme.scan import Peak, ScanSpec, Spectrum, find_peaks, run_scan
+from nscheme.liouvillian import build_hamiltonian, build_superoperator
+from nscheme.model import config_hash, from_mhz, replace_param
+from nscheme.scan import BLOCK_POINTS, Peak, ScanSpec, Spectrum, find_peaks, run_scan
+from nscheme.steady import steady_state
 
 
 def _csv(spectrum):
@@ -50,6 +53,25 @@ def test_worker_count_does_not_change_output():
     serial = run_scan(c, spec, workers=1)
     parallel = run_scan(c, spec, workers=2)
     assert _csv(serial) == _csv(parallel)
+
+
+def test_stacked_blocks_match_point_by_point_solves():
+    # 801 points span 13 stacked blocks; 10 of them are DegenerateKernel
+    config = _load_config_arg("fig3a")
+    spec = ScanSpec(axis="laser_C.rabi", start=0.0, stop=0.2, points=801)
+    sp = run_scan(config, spec)
+    assert -(-spec.points // BLOCK_POINTS) == 13
+    assert sp.n_failed == 10
+    for value, pops, flag in zip(spec.values_mhz, sp.populations, sp.flags):
+        cfg = replace_param(config, "laser_C.rabi", from_mhz(value))
+        try:
+            rho = steady_state(build_superoperator(build_hamiltonian(cfg).h_total, cfg))
+        except SolverError as exc:
+            assert flag == type(exc).__name__
+            assert np.isnan(pops).all()
+        else:
+            assert flag == ""
+            assert np.abs(pops - rho.populations).max() < 1e-12
 
 
 def test_scan_metadata():
