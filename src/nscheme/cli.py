@@ -9,6 +9,7 @@ success, 1 for configuration or usage errors, 2 for solver failures.
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,9 @@ def _load_config_arg(value: str) -> SystemConfig:
         f"config {value!r} is neither a file nor a preset (presets: {', '.join(PRESETS)})")
 
 
-def _parse_range(text: str) -> tuple:
+def _parse_range(text) -> tuple:
+    if text is None:
+        raise ConfigError("--range is required when --axis is given")
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"--range expects START:STOP in MHz, got {text!r}")
@@ -179,21 +182,9 @@ def _cmd_g2(args) -> int:
 
 
 def _cmd_floquet(args) -> int:
-    config = _load_config_arg(args.config)
     if args.axis is not None:
-        if args.range is None:
-            raise ConfigError("--range is required when --axis is given")
-        start, stop = _parse_range(args.range)
-        spec = ScanSpec(axis=args.axis, start=start, stop=stop, points=args.points,
-                        solver="floquet", floquet_order=args.order,
-                        gamma_q_mode=args.gamma_q_mode)
-        spectrum = run_scan(config, spec, workers=args.workers)
-        with _output(args.out) as fh:
-            if args.json:
-                spectrum.to_json(fh)
-            else:
-                spectrum.to_csv(fh)
-        return 0
+        return _cmd_scan(args)
+    config = _load_config_arg(args.config)
     solution = solve_floquet_steady(config, args.order,
                                     check_truncation=not args.skip_truncation_check)
     doc = {
@@ -345,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include all harmonic blocks in the JSON output")
     p.add_argument("--skip-truncation-check", action="store_true",
                    help="skip the order+1 comparison on single-point solves")
-    p.set_defaults(func=_cmd_floquet)
+    p.set_defaults(func=_cmd_floquet, solver="floquet")
 
     p = sub.add_parser("dressed", help="perturbative and Lambda eigensystem reports as JSON")
     _add_common(p)
@@ -356,10 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

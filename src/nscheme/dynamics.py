@@ -5,6 +5,9 @@ The generator spans rates from gamma_P ~ 1e2 rad/us down to gamma_Q ~
 eigendecomposition of the 16x16 generator rather than by ODE
 stepping; an adaptive Runge-Kutta integrator is kept as fallback for
 ill-conditioned eigenbases and as an independent cross-check.
+
+scipy is imported on demand: scipy.integrate only when the stepwise
+integrator runs, so importing this module costs numpy alone.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.signal.windows import hann
 
-from .errors import ConfigError, DefectiveGenerator, FitFailed, NonPhysicalState, ZeroFluorescence
+from .errors import (ConfigError, DefectiveGenerator, FitFailed, NoConvergence, NonPhysicalState,
+                     ZeroFluorescence)
 from .liouvillian import Superoperator, unvec, vec
 from .model import DensityMatrix, SystemConfig, level_index
 
@@ -44,6 +46,8 @@ class PopulationTrace:
         p = np.asarray(self.populations, dtype=float)
         if p.shape != (t.size, 4):
             raise NonPhysicalState(f"populations shape {p.shape} does not match {t.size} times")
+        if not np.isfinite(p).all():
+            raise NonPhysicalState("non-finite population")
         sums = p.sum(axis=1)
         if np.abs(sums - 1.0).max() > 1e-8:
             raise NonPhysicalState(f"populations sum off unity by {np.abs(sums - 1.0).max():.3e}")
@@ -99,10 +103,16 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
         lam, v, v_inv, cond = superop.eig()
         if cond <= EIG_COND_LIMIT:
             coeff = v_inv @ v0
-            # rho_vec(t) = V diag(exp(lam t)) V^-1 rho_vec(0)
-            return (v @ (coeff[:, None] * np.exp(np.outer(lam, times)))).T
+            # rho_vec(t) = V diag(exp(lam t)) V^-1 rho_vec(0); an overflow shows as a non-finite stack
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack = (v @ (coeff[:, None] * np.exp(np.outer(lam, times)))).T
+            if not np.isfinite(stack).all():
+                raise NoConvergence("eigen-propagation overflowed")
+            return stack
         if method == "eig":
             raise DefectiveGenerator(f"eigenbasis condition number {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}")
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         lambda t, y: m @ y,
@@ -214,6 +224,15 @@ def _tail_decay_time(times: np.ndarray, series: np.ndarray, t_start: float) -> f
     return float(-1.0 / slope)
 
 
+def _hann(n: int) -> np.ndarray:
+    """scipy.signal.windows.hann(n), by scipy's own general-cosine formula."""
+    fac = np.linspace(-np.pi, np.pi, n)
+    w = np.zeros(n)
+    w += 0.5 * np.cos(0 * fac)
+    w += 0.5 * np.cos(fac)
+    return w
+
+
 def _dominant_frequency(times: np.ndarray, series: np.ndarray) -> float | None:
     """Oscillation frequency (rad/us) of the detrended series, or None.
 
@@ -230,7 +249,7 @@ def _dominant_frequency(times: np.ndarray, series: np.ndarray) -> float | None:
     resid = y - trend
     if np.ptp(resid) <= 0.1:
         return None
-    spec = np.abs(np.fft.rfft(resid * hann(n)))
+    spec = np.abs(np.fft.rfft(resid * _hann(n)))
     k = int(np.argmax(spec[2:]) + 2)  # skip DC and the trend-leakage bin
     if k + 1 >= spec.size:
         return None

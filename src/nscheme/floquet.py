@@ -103,12 +103,12 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
     if order < 1:
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
     parts = [build_hamiltonian(c) for c in configs]
-    m0 = superoperator_stack(np.stack([p.h_total for p in parts]), configs)
-    c = commutator_superoperator(np.stack([p.h_side for p in parts]))
     shift = -1j * np.array([cfg.motion.trap_frequency for cfg in configs])[:, None, None] * _EYE16
 
     # non-finite values of an overflowing point stay in that point and fail its gates
     with np.errstate(all="ignore"):
+        m0 = superoperator_stack(np.stack([p.h_total for p in parts]), configs)
+        c = commutator_superoperator(np.stack([p.h_side for p in parts]))
         upper = _fraction(m0, c, shift, order)
         lower = _fraction(m0, c, -shift, order)
         x0 = bordered_solve(m0 + c @ upper[0] + c @ lower[0], 4)
@@ -123,11 +123,10 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
             row = (m0 + n * shift) @ x[j] + c @ (padded[j] + padded[j + 2])
             residual = np.maximum(residual, np.abs(row).max(axis=(1, 2)))
         x = np.stack(x, axis=1)  # (k, 2 order + 1, 16, 1), n = -order..order
-
-    raw = np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2)
-    mirrored = np.swapaxes(raw[:, ::-1], -1, -2).conj()  # rho(-n)+ at position n
-    pairing = np.abs(raw - mirrored).max(axis=(1, 2, 3))
-    blocks = 0.5 * (raw + mirrored)
+        raw = np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2)
+        mirrored = np.swapaxes(raw[:, ::-1], -1, -2).conj()  # rho(-n)+ at position n
+        pairing = np.abs(raw - mirrored).max(axis=(1, 2, 3))
+        blocks = 0.5 * (raw + mirrored)
 
     errors = [None] * len(configs)
     for i in range(len(configs)):

@@ -175,13 +175,17 @@ class Superoperator:
     def eig(self):
         """Cached eigendecomposition (eigenvalues, V, V^-1, cond(V)).
 
-        Idempotent, so a concurrent duplicate computation is harmless.
+        An exactly singular V has no inverse: V^-1 is then None and
+        cond(V) infinite. Idempotent, so a concurrent duplicate
+        computation is harmless.
         """
         cached = self._eig_cache
         if cached is None:
             lam, v = np.linalg.eig(self.matrix)
-            v_inv = np.linalg.inv(v)
-            cond = np.linalg.cond(v)
+            try:
+                v_inv, cond = np.linalg.inv(v), np.linalg.cond(v)
+            except np.linalg.LinAlgError:
+                v_inv, cond = None, np.inf
             cached = (lam, v, v_inv, cond)
             object.__setattr__(self, "_eig_cache", cached)
         return cached

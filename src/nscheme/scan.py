@@ -11,6 +11,9 @@ rows with the error name in the flag column, so a long sweep survives
 isolated degeneracies. A LAPACK failure of a stacked call fails the
 whole block; the block is then solved again point by point through
 the same function, so every point gets the verdict it gets alone.
+
+scipy.signal is imported on demand by find_peaks, so importing this
+module costs numpy alone.
 """
 
 import dataclasses
@@ -18,8 +21,6 @@ import json
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import find_peaks as _local_maxima
-from scipy.signal import peak_widths
 
 from . import __version__
 from .errors import ConfigError, SolverError, TooCoarse
@@ -213,6 +214,9 @@ def find_peaks(spectrum: Spectrum, level: str = "Q", min_prominence: float = 0.0
     across its FWHM; coarser input raises TooCoarse rather than
     returning locations that would be dominated by the step size.
     """
+    from scipy.signal import find_peaks as _local_maxima
+    from scipy.signal import peak_widths
+
     y = spectrum.population(level)
     if np.isnan(y).any():
         raise SolverError(

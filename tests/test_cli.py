@@ -364,6 +364,43 @@ def test_huge_rabi_points_fail_alone(capsys, config, solver, flags):
     assert err == "nscheme: 2 of 3 points flagged\n"
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_floquet_sweep_is_the_floquet_scan(capsys, fmt):
+    sweep = ["--config", "fig6_counter", "--axis", "laser_B.rabi", "--range", "10:1e301",
+             "--points", "3", *fmt]
+    code, out, err = run(capsys, "floquet", *sweep)
+    assert (code, err) == (0, "nscheme: 2 of 3 points flagged\n")
+    assert (code, out, err) == run(capsys, "scan", "--solver", "floquet", *sweep)
+
+
+def test_failed_floquet_points_warn_nothing(tmp_path, capsys):
+    # the sideband coupling overflows while the carrier generator stays finite
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({
+        "laser_B": {"rabi": 10.0, "detuning": 8.0}, "laser_R": {"rabi": 2.5, "detuning": 3.0},
+        "laser_C": {"rabi": 1e300, "detuning": 5.0},
+        "motion": {"enabled": True, "amplitude_nm": 1e10}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        single = run(capsys, "floquet", "--config", str(path))
+        sweep = run(capsys, "floquet", "--config", str(path), "--axis", "laser_R.detuning",
+                    "--range", "2:4", "--points", "3")
+    assert single == (2, "", "nscheme: NoConvergence: Floquet solution overflowed\n")
+    assert sweep[0] == 0 and sweep[2] == "nscheme: 3 of 3 points flagged\n"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_evolve_overflow_exits_two_without_warnings(tmp_path, capsys):
+    path = _write_config(tmp_path, rabi=1e300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "evolve", "--config", path, "--method", "eig",
+                             "--t-max", "5", "--points", "3")
+    assert (code, out) == (2, "")
+    assert err == "nscheme: NoConvergence: eigen-propagation overflowed\n"
+    assert [str(w.message) for w in caught] == []
+
+
 def test_scan_rejects_any_invalid_point_before_solving(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a point was solved before the sweep was validated")

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,17 @@ import pytest
 from conftest import make_config, sup_of, two_plus_one
 from nscheme.dressed import lambda_eigensystem
 from nscheme.dynamics import (
+    PopulationTrace,
+    _hann,
     evolve,
     fit_timescales,
     g2,
     propagate,
+    propagate_vectors,
     slowest_decay_rate,
 )
-from nscheme.errors import ConfigError
+from nscheme.errors import ConfigError, DefectiveGenerator, NoConvergence, NonPhysicalState
+from nscheme.liouvillian import Superoperator
 from nscheme.model import pure_state
 from nscheme.steady import steady_state
 
@@ -72,6 +77,40 @@ def test_grid_validation():
         evolve(sup_of(c), pure_state("S"), np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ConfigError):
         evolve(sup_of(c), pure_state("S"), np.array([0.0, 1.0]), method="rk9")
+
+
+def test_eig_overflow_is_no_convergence_without_warnings():
+    # a 1e300 MHz Rabi frequency overflows exp(lambda t) at t > 0
+    c = make_config(ob=1e300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NoConvergence, match="overflowed"):
+            evolve(sup_of(c), pure_state("S"), np.linspace(0.0, 5.0, 3), method="eig")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_singular_eigenbasis_is_defective():
+    # a Jordan block whose second eigenvector underflows onto the first
+    m = np.zeros((16, 16))
+    m[0, 1] = 1e308
+    sup = Superoperator(m)
+    assert sup.eig()[2] is None and sup.eig()[3] == np.inf
+    with pytest.raises(DefectiveGenerator):
+        propagate_vectors(sup, pure_state("S"), np.linspace(0.0, 1.0, 3), method="eig")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_rejects_non_finite_populations(bad):
+    pops = np.array([[1.0, 0.0, 0.0, 0.0], [bad, bad, bad, bad]])
+    with pytest.raises(NonPhysicalState, match="non-finite"):
+        PopulationTrace(times=np.array([0.0, 1.0]), populations=pops)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 4096])
+def test_hann_matches_scipy_bitwise(n):
+    from scipy.signal.windows import hann
+
+    assert _hann(n).tobytes() == hann(n).tobytes()
 
 
 def test_trace_csv_format():

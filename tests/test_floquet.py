@@ -1,13 +1,15 @@
 """Motional-sideband steady states from the block-tridiagonal expansion."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, make_config, solve_floquet_blocks,
                       sup_of, two_plus_one)
-from nscheme.errors import ConfigError, MotionDisabled, TruncationNotConverged
+from nscheme import floquet
+from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, TruncationNotConverged
 from nscheme.floquet import (
     SOLVE_TRUNCATION_TOL,
     TRUNCATION_TOL,
@@ -115,6 +117,18 @@ def test_large_modulation_refused():
         solve_floquet_steady(c, 2)
     fb = solve_floquet_steady(c, 2, check_truncation=False)
     assert np.isfinite(fb.block(0)).all()
+
+
+def test_vanishing_trace_fails_without_warnings(monkeypatch):
+    # a traceless Hermitian rho(0): dividing by its trace leaves inf - inf in the pairing defect
+    traceless = np.zeros(16)
+    traceless[[1, 4]] = 1.0
+    monkeypatch.setattr(floquet, "bordered_solve", lambda a, k: np.tile(traceless, (len(a), 1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateKernel, match="vanishing trace"):
+            solve_floquet_steady(make_config(motion=True, counter=True), 2)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_motion_required_and_order_validated():

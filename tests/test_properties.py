@@ -1,16 +1,20 @@
 """Property test: any config either solves or fails with a documented exit code.
 
-Each config goes through steady, dressed, and a 3-point carrier and
-Floquet scan. A solved run prints strict JSON (no NaN or Infinity
-tokens); a failed one exits 1 (config) or 2 (solver) with one
-`nscheme: ...` line on standard error.
+Each config goes through steady, dressed, a 3-point carrier and
+Floquet scan, a single-point floquet, and a short eig-propagated
+evolve with and without --fit. A solved run prints strict JSON (no NaN
+or Infinity tokens) or a CSV of finite numbers; a failed one exits 1
+(config) or 2 (solver) with one `nscheme: ...` line on standard error.
+No run raises a Python warning.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -57,10 +61,23 @@ def _reject(token):
     raise ValueError(f"{token} is not JSON")
 
 
+def _check_output(out):
+    """Strict JSON, or a CSV whose every field below the header is a finite number."""
+    if out.startswith("t_us,"):
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row), out
+    else:
+        json.loads(out, parse_constant=_reject)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    # a Python warning would print more lines to standard error
+    assert [str(w.message) for w in caught] == [], argv
     return code, out.getvalue(), err.getvalue()
 
 
@@ -77,11 +94,13 @@ def test_any_config_solves_or_fails_with_one_line(doc):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         sweep = ["--axis", "laser_R.detuning", "--range", "2:4", "--points", "3", "--json"]
-        for command in (["steady"], ["dressed"], ["scan", *sweep], ["scan", "--solver", "floquet", *sweep]):
+        evolve = ["evolve", "--method", "eig", "--t-max", "5", "--points", "5"]
+        for command in (["steady"], ["dressed"], ["scan", *sweep], ["scan", "--solver", "floquet", *sweep],
+                        ["floquet", "--json"], evolve, [*evolve, "--fit"]):
             code, out, err = _run([*command, "--config", path])
             assert code in (0, 1, 2), (command, code)
             if code:
                 assert out == ""
                 assert err.count("\n") == 1 and err.startswith("nscheme: "), (command, err)
             else:
-                json.loads(out, parse_constant=_reject)
+                _check_output(out)

@@ -1,0 +1,101 @@
+"""Start-up cost and process-level state of the command line.
+
+Each test runs a fresh interpreter, so what it sees in sys.modules and
+in the cached parser is what a one-shot `nscheme` call sees.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import nscheme
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(nscheme.__file__)))
+HEAVY = ("scipy.integrate", "scipy.signal")
+
+# runs main once per argv in this process and prints [[code, stdout, stderr], ...]
+CALLS = """
+import contextlib, io, json, sys
+from nscheme.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _python(code, *args):
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _loaded(code):
+    """Which of HEAVY are in sys.modules after running code, as a list."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    return json.loads(_python(probe).strip().split("\n")[-1])
+
+
+def test_import_loads_no_scipy_subpackage():
+    assert _loaded("import nscheme") == []
+    assert _loaded("import nscheme.cli") == []
+
+
+def test_rk_propagation_loads_scipy_integrate_on_demand():
+    code = """
+import contextlib, io
+from nscheme.cli import main
+import sys
+before = "scipy.integrate" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["evolve", "--config", "fig3a", "--t-max", "1", "--points", "5", "--method", "rk"]) == 0
+assert not before
+assert out.getvalue().count("\\n") == 6
+"""
+    assert _loaded(code) == ["scipy.integrate"]
+
+
+def test_find_peaks_loads_scipy_signal_on_demand():
+    code = """
+import sys
+from nscheme.scan import ScanSpec, find_peaks, run_scan
+from nscheme.cli import _load_config_arg
+spectrum = run_scan(_load_config_arg("fig3a"),
+                    ScanSpec("laser_R.detuning", 2.5, 3.5, 161, gamma_q_mode="zero"))
+assert "scipy.signal" not in sys.modules
+peaks = find_peaks(spectrum, min_prominence=0.3)
+assert len(peaks) == 1 and abs(peaks[0].location - 3.0) < 0.01
+"""
+    assert "scipy.signal" in _loaded(code)
+
+
+def test_cached_parser_keeps_no_state_between_calls():
+    sweep = ["--axis", "laser_C.detuning", "--range", "4.99:5.01", "--points", "3"]
+    calls = [
+        ["steady"],  # usage error: --config missing
+        ["--version"],
+        ["steady", "--config", "fig3a", "--gamma-q-zero"],
+        ["steady", "--config", "fig3a"],
+        ["floquet", "--config", "fig6_counter", *sweep],
+        ["floquet", "--config", "fig6_counter"],
+    ]
+    in_one_process = json.loads(_python(CALLS, json.dumps(calls)))
+    first_calls = [json.loads(_python(CALLS, json.dumps([argv])))[0] for argv in calls]
+    assert in_one_process == first_calls
+
+    usage = in_one_process[0]
+    assert usage[0] == 1 and usage[1] == ""
+    assert usage[2].startswith("usage: nscheme steady")
+    assert usage[2].endswith("error: the following arguments are required: --config\n")
+    assert in_one_process[1][:2] == [0, f"nscheme {nscheme.__version__}\n"]
+    # the sequence would hide a leak if neighbouring calls printed the same
+    assert in_one_process[2][1] != in_one_process[3][1]
+    assert in_one_process[4][1].startswith("axis_MHz,")
+    assert json.loads(in_one_process[5][1])["order"] == 2
