@@ -9,13 +9,18 @@ into populations or jump statistics), so after the first segment each
 waiting time and channel depends only on one of two fixed source kets
 and that jump's pair of uniforms: the jump record is a Markov renewal
 process. Trajectories are therefore sampled in blocks of uniform
-pairs. Each source inverts a whole block at once: H_eff is only 4x4,
+pairs. Each source inverts many draws at once: H_eff is only 4x4,
 so the amplitudes are 4 exponentials through its eigendecomposition;
 every draw is bracketed on a dense log-spaced survival table, started
 from a cubic interpolation of the inverse and polished with
 safeguarded Newton steps, whose slope -<psi|Gamma|psi> comes from the
-same populations as the channel weights. A scalar pass then chains the
-block by current source and stops at the first waiting time past t_max.
+same populations as the channel weights. All trajectories of a call
+run in lockstep stacks, one row of uniforms each. |S> inverts every
+pair of a stack's block; since a pair's source is fixed by the
+previous pair's channel (P->D leaves |D>), only the pairs that follow a
+P->D jump are inverted again, from |D>, until no source changes. Jump
+times are running sums along each row, and a trajectory stops at its
+first waiting time past t_max.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -34,8 +40,12 @@ from .model import SystemConfig, level_index
 from .steady import steady_state
 
 CHANNELS = ("P->S", "P->D", "Q->S")
+_CHANNEL_NAMES = np.array(CHANNELS, dtype=object)
 #: post-jump source ket of each channel
 _CHANNEL_TARGET = ("S", "D", "S")
+#: the same as an index into the sampler's sources (S, D, first); the
+#: closed channel -1 ends its trajectory and reads the last entry, S
+_TARGET_CODE = np.array([("S", "D").index(key) for key in _CHANNEL_TARGET])
 
 #: accuracy bound on each waiting time, us (the Newton polish stops far below it)
 JUMP_TIME_TOL = 1e-7
@@ -46,6 +56,11 @@ _TABLE_POINTS = 2048
 #: _MAX_BLOCK, so a short trajectory draws few more pairs than it uses
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
+#: trajectories sampled in lockstep; bounds the block arrays to
+#: _STACK x _MAX_BLOCK pairs
+_STACK = 64
+#: draws inverted per Newton pass; the pass holds ~20 arrays of this length
+_INVERT_CHUNK = 4096
 #: Newton polish stops once a step is this small relative to the root;
 #: bisection guarantees progress, _MAX_STEPS only bounds the loop
 _STEP_RTOL = 1e-13
@@ -78,10 +93,12 @@ class TrajectoryRecord:
 class _Source:
     """No-jump evolution from one fixed start ket: amplitudes, survival, block sampling."""
 
-    __slots__ = ("model", "coeffs", "neg_surv", "inv_slope")
+    __slots__ = ("mu", "rates", "decay", "t_table", "coeffs", "neg_surv", "inv_slope")
 
     def __init__(self, model: "_EffectiveModel", psi: np.ndarray):
-        self.model = model
+        # the model's arrays, not the model: the model caches its sources, and
+        # that cycle would keep dead models alive until a full collection
+        self.mu, self.rates, self.decay, self.t_table = model.mu, model.rates, model.decay, model.t_table
         # psi(t) = V diag(exp(-i mu t)) V^-1 psi = coeffs @ exp(-i mu t)
         self.coeffs = (model.v * (model.v_inv @ psi)).T
         pops = self.populations(model.t_table)
@@ -92,15 +109,18 @@ class _Source:
 
     def amplitudes(self, dt: np.ndarray) -> np.ndarray:
         """Unnormalized amplitudes at elapsed times dt, shape (n, 4)."""
+        phase = np.multiply.outer(dt, -1j * self.mu)
         # einsum rather than matmul: a threaded BLAS call on a k=4 product is
         # slower than the loop whenever another process holds a core
-        return np.einsum("nk,kj->nj", np.exp(np.multiply.outer(dt, -1j * self.model.mu)), self.coeffs)
+        return np.einsum("nk,kj->nj", np.exp(phase, out=phase), self.coeffs)
 
     def populations(self, dt: np.ndarray) -> np.ndarray:
         amps = self.amplitudes(dt)
-        return amps.real**2 + amps.imag**2
+        pops = amps.real**2
+        pops += amps.imag**2
+        return pops
 
-    def sample(self, u_wait: np.ndarray, u_channel: np.ndarray) -> tuple[list, list]:
+    def sample(self, u_wait: np.ndarray, u_channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Waiting time and channel index for each pair of uniforms.
 
         The waiting time is where the squared norm first falls to
@@ -112,16 +132,17 @@ class _Source:
         channel = np.full(u_wait.shape, -1)
         # first table point whose survival lies below u
         j = np.searchsorted(self.neg_surv, -u_wait, side="right")
-        hit = np.nonzero(j < self.neg_surv.size)[0]
-        if hit.size:
+        hits = np.nonzero(j < self.neg_surv.size)[0]
+        for start in range(0, hits.size, _INVERT_CHUNK):
+            hit = hits[start:start + _INVERT_CHUNK]
             root, pops = self._invert(u_wait[hit], np.maximum(j[hit], 1))
             wait[hit] = np.maximum(root, 1e-12)
-            w = pops[:, [1, 1, 3]] * self.model.rates
+            w = pops[:, [1, 1, 3]] * self.rates
             total = w.sum(axis=1)
             pick = u_channel[hit] * total
             chosen = (pick >= w[:, 0]).astype(int) + (pick >= w[:, 0] + w[:, 1])
             channel[hit] = np.where(total > 0.0, chosen, -1)
-        return wait.tolist(), channel.tolist()
+        return wait, channel
 
     def _invert(self, u: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Roots of survival(t) = u inside the table brackets [t[j-1], t[j]].
@@ -132,7 +153,7 @@ class _Source:
         is replaced by bisection. Also returns the populations at the
         last evaluation, within one converged step of each root.
         """
-        t = self.model.t_table
+        t = self.t_table
         lo, hi = t[j - 1], t[j]
         s_lo, s_hi = -self.neg_surv[j - 1], -self.neg_surv[j]
         # first guess: cubic Hermite interpolation of the inverse t(s), using
@@ -155,7 +176,7 @@ class _Source:
                 f = pops.sum(axis=1) - u
                 lo = np.where(f > 0.0, x, lo)
                 hi = np.where(f > 0.0, hi, x)
-                step = np.where(np.abs(f) <= floor, 0.0, f / np.einsum("nk,k->n", pops, self.model.decay))
+                step = np.where(np.abs(f) <= floor, 0.0, f / np.einsum("nk,k->n", pops, self.decay))
                 done = np.abs(step) <= _STEP_RTOL * x
                 root[active[done]] = (x + step)[done]
                 pops_at[active[done]] = pops[done]
@@ -217,33 +238,79 @@ def _basis_ket(key: str) -> np.ndarray:
     return psi
 
 
-def _run_jumps(model: _EffectiveModel, source: _Source, t_max: float, rng) -> tuple[list, list]:
-    """Jump times and channel indices of one trajectory starting from source.
+def _sample_records(model: _EffectiveModel, first: _Source, t_max: float, seeds: list):
+    """One TrajectoryRecord per seed, all starting from first, yielded in order.
 
-    Uniforms come from rng in blocks of pairs (waiting time, channel),
-    the same stream as one scalar draw per use. Blocks start small, so
-    short trajectories stay cheap, and double up to _MAX_BLOCK.
+    Trajectories run in lockstep stacks of at most _STACK, so the block
+    arrays stay small however many seeds are asked for.
     """
-    targets = tuple(model.source(key) for key in _CHANNEL_TARGET)
-    times: list[float] = []
-    channels: list[int] = []
-    t_now = 0.0
+    for start in range(0, len(seeds), _STACK):
+        yield from _run_stack(model, first, t_max, seeds[start:start + _STACK])
+
+
+def _run_stack(model: _EffectiveModel, first: _Source, t_max: float, seeds: list) -> list[TrajectoryRecord]:
+    """One trajectory per seed, sampled in lockstep.
+
+    Trajectory k draws its uniforms from SeedSequence(seeds[k]) in blocks
+    of pairs (waiting time, channel): _FIRST_BLOCK pairs, then doubling
+    up to _MAX_BLOCK. Within a block, every pair is first sampled from
+    |S> over the whole stack; a pair's true source follows from the
+    previous pair's channel, so only the pairs whose source differs
+    are sampled again, from |D> or (first pair of the first block only)
+    from first, until no source changes. Jump times are running sums
+    from each trajectory's current time, and a trajectory leaves the
+    stack at its first waiting time past t_max or closed channel.
+    """
+    sources = (model.source("S"), model.source("D"), first)
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    times: list[list] = [[] for _ in seeds]
+    channels: list[list] = [[] for _ in seeds]
+    live = np.arange(len(seeds))
+    t_now = np.zeros(len(seeds))
+    carry = np.full(len(seeds), sources.index(first))
     size = _FIRST_BLOCK
-    while True:
-        u = rng.random(2 * size)
-        drawn: dict[_Source, tuple[list, list]] = {}
-        for i in range(size):
-            block = drawn.get(source)
-            if block is None:
-                block = drawn[source] = source.sample(u[0::2], u[1::2])
-            dt, channel = block[0][i], block[1][i]
-            if dt > t_max - t_now or channel < 0:
-                return times, channels
-            t_now += dt
-            times.append(t_now)
-            channels.append(channel)
-            source = targets[channel]
+    while live.size:
+        u = np.empty((live.size, 2 * size))
+        for row, k in zip(u, live):
+            rngs[k].random(out=row)
+        u_wait, u_channel = u[:, 0::2], u[:, 1::2]
+        s_wait, s_channel = (a.reshape(live.size, size) for a in sources[0].sample(u_wait.ravel(), u_channel.ravel()))
+        wait, channel = s_wait.copy(), s_channel.copy()
+        source = np.zeros((live.size, size), dtype=int)
+        while True:
+            wanted = np.empty_like(source)
+            wanted[:, 0] = carry
+            wanted[:, 1:] = _TARGET_CODE[channel[:, :-1]]
+            redo = wanted != source
+            if not redo.any():
+                break
+            back = redo & (wanted == 0)
+            wait[back], channel[back] = s_wait[back], s_channel[back]
+            for code in (1, 2):
+                sel = redo & (wanted == code)
+                if sel.any():
+                    wait[sel], channel[sel] = sources[code].sample(u_wait[sel], u_channel[sel])
+            source = wanted
+        # np.cumsum adds left to right, the order of a running t_now += dt
+        clock = np.cumsum(np.concatenate((t_now[:, None], wait), axis=1), axis=1)
+        stop = (wait > t_max - clock[:, :-1]) | (channel < 0)
+        ends = np.where(stop.any(axis=1), stop.argmax(axis=1), size)
+        for k, end, row_clock, row_channel in zip(live, ends, clock, channel):
+            times[k].append(row_clock[1:end + 1])
+            channels[k].append(row_channel[:end].astype(np.int8))
+        going = ends == size
+        live, t_now = live[going], clock[going, -1]
+        carry = _TARGET_CODE[channel[going, -1]]
         size = min(2 * size, _MAX_BLOCK)
+    return [
+        TrajectoryRecord(
+            seed=seed,
+            t_max=float(t_max),
+            jump_times=np.concatenate(t),
+            jump_channels=tuple(_CHANNEL_NAMES[np.concatenate(c)].tolist()),
+        )
+        for seed, t, c in zip(seeds, times, channels)
+    ]
 
 
 def _states_on_grid(model: _EffectiveModel, record: TrajectoryRecord, first: _Source, times: np.ndarray) -> np.ndarray:
@@ -274,15 +341,30 @@ def _prepare(config: SystemConfig, psi0, t_max: float) -> tuple[_EffectiveModel,
     return model, model.source(key, psi)
 
 
-def _record(model: _EffectiveModel, first: _Source, t_max: float, seed) -> TrajectoryRecord:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    times, channels = _run_jumps(model, first, t_max, rng)
-    return TrajectoryRecord(
-        seed=seed,
-        t_max=float(t_max),
-        jump_times=np.asarray(times, dtype=float),
-        jump_channels=tuple(CHANNELS[c] for c in channels),
-    )
+def _sample_grid(sample_times, t_max: float) -> np.ndarray:
+    """sample_times as a 1-d float array of finite times in [0, t_max]."""
+    try:
+        grid = np.asarray(sample_times, dtype=float)
+    except (TypeError, ValueError):
+        raise NonPhysicalState("sample times must be real numbers") from None
+    if grid.ndim != 1:
+        raise NonPhysicalState(f"sample times must be a 1-d array, got shape {grid.shape}")
+    if not np.all((grid >= 0.0) & (grid <= t_max)):
+        raise NonPhysicalState(f"sample times must be finite and lie in [0, t_max = {t_max!r}]")
+    return grid
+
+
+def _trajectory_count(n_traj) -> int:
+    """n_traj as an int >= 1; a bool or a non-integer is refused."""
+    try:
+        count = operator.index(n_traj)
+    except TypeError:
+        count = None
+    if count is None or isinstance(n_traj, bool):
+        raise NonPhysicalState(f"trajectory count must be an integer, got {n_traj!r}")
+    if count < 1:
+        raise NonPhysicalState("need at least one trajectory")
+    return count
 
 
 def run_trajectory(config: SystemConfig, psi0, t_max: float, seed, *, sample_times=None) -> TrajectoryRecord:
@@ -291,13 +373,15 @@ def run_trajectory(config: SystemConfig, psi0, t_max: float, seed, *, sample_tim
     psi0 is a level label or a normalized 4-amplitude vector. The
     random stream comes from numpy's SeedSequence of the seed value
     exactly as passed, so an integer and the tuple (base, index) used
-    by ensembles are both reproducible addresses. Motion and laser
-    linewidth are not part of the trajectory model.
+    by ensembles are both reproducible addresses. sample_times, if
+    given, is a 1-d array of finite times in [0, t_max] at which the
+    normalized state is recorded. Motion and laser linewidth are not
+    part of the trajectory model.
     """
     model, first = _prepare(config, psi0, t_max)
-    record = _record(model, first, t_max, seed)
-    if sample_times is not None:
-        grid = np.asarray(sample_times, dtype=float)
+    grid = None if sample_times is None else _sample_grid(sample_times, t_max)
+    (record,) = _sample_records(model, first, t_max, [seed])
+    if grid is not None:
         states = _states_on_grid(model, record, first, grid)
         record = dataclasses.replace(record, sampled_states=[(float(t), s) for t, s in zip(grid, states)])
     return record
@@ -309,7 +393,7 @@ def run_trajectories(config: SystemConfig, psi0, t_max: float, seeds) -> list[Tr
     if not seeds:
         raise NonPhysicalState("need at least one trajectory")
     model, first = _prepare(config, psi0, t_max)
-    return [_record(model, first, t_max, seed) for seed in seeds]
+    return list(_sample_records(model, first, t_max, seeds))
 
 
 def ensemble_populations(config: SystemConfig, psi0, t_grid, n_traj: int, seed: int, *, return_records: bool = False):
@@ -317,11 +401,10 @@ def ensemble_populations(config: SystemConfig, psi0, t_grid, n_traj: int, seed: 
 
     Trajectory i draws its random stream from SeedSequence((seed, i)),
     so the ensemble is reproducible and independent of evaluation
-    order. Returns a PopulationTrace; with return_records=True, a
-    (trace, records) pair.
+    order. n_traj must be an integer >= 1. Returns a PopulationTrace;
+    with return_records=True, a (trace, records) pair.
     """
-    if n_traj < 1:
-        raise NonPhysicalState("need at least one trajectory")
+    n_traj = _trajectory_count(n_traj)
     times = _check_grid(t_grid)
     t_max = float(times[-1])
     model, first = _prepare(config, psi0, t_max)
@@ -329,8 +412,7 @@ def ensemble_populations(config: SystemConfig, psi0, t_grid, n_traj: int, seed: 
     total = np.zeros((times.size, 4))
     total_sq = np.zeros((times.size, 4))
     records = []
-    for i in range(n_traj):
-        record = _record(model, first, t_max, (seed, i))
+    for record in _sample_records(model, first, t_max, [(seed, i) for i in range(n_traj)]):
         pops = np.abs(_states_on_grid(model, record, first, times)) ** 2
         pops /= pops.sum(axis=1, keepdims=True)
         total += pops

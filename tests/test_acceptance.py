@@ -6,7 +6,7 @@ regression values live in the per-module tests; here only the gates are
 asserted and the measured numbers are printed for the log.
 
 The trajectory ensemble (criteria 6a/6b: 500 trajectories, 7.1e6
-photons) dominates the runtime at about 25 s on a 2-core machine;
+photons) dominates the runtime at about 9 s on a 2-core machine;
 everything else finishes in seconds.
 """
 

@@ -19,6 +19,11 @@ from nscheme.mcwf import (
     _basis_ket,
     _CHANNEL_TARGET,
     _EffectiveModel,
+    _FIRST_BLOCK,
+    _MAX_BLOCK,
+    _prepare,
+    _STACK,
+    _states_on_grid,
     bright_dark_statistics,
     default_dark_threshold,
     ensemble_populations,
@@ -111,6 +116,33 @@ def test_trajectory_count_must_be_positive():
         run_trajectories(make_config(), "S", 1.0, [])
     with pytest.raises(NonPhysicalState):
         ensemble_populations(make_config(), "S", np.linspace(0, 1, 2), 0, 0)
+
+
+@pytest.mark.parametrize("n_traj", [2.5, True, False, "3", None, np.float64(2.0)])
+def test_trajectory_count_must_be_an_integer(n_traj):
+    with pytest.raises(NonPhysicalState):
+        ensemble_populations(make_config(), "S", np.linspace(0, 1, 2), n_traj, 0)
+
+
+def test_trajectory_count_accepts_numpy_integers():
+    grid = np.linspace(0, 1, 2)
+    a = ensemble_populations(make_config(), "S", grid, np.int64(2), 0)
+    b = ensemble_populations(make_config(), "S", grid, 2, 0)
+    assert np.array_equal(a.populations, b.populations)
+
+
+@pytest.mark.parametrize("sample_times", [
+    pytest.param([-0.5, 1.0], id="below-zero"),
+    pytest.param([1.0, 20.5], id="above-t_max"),
+    pytest.param([1.0, float("nan")], id="nan"),
+    pytest.param([0.0, float("inf")], id="inf"),
+    pytest.param([[0.0, 1.0], [2.0, 3.0]], id="2-d"),
+    pytest.param(5.0, id="scalar"),
+    pytest.param(["a", "b"], id="not-numbers"),
+])
+def test_sample_times_must_lie_in_the_record(sample_times):
+    with pytest.raises(NonPhysicalState):
+        run_trajectory(make_config(), "S", 20.0, 5, sample_times=sample_times)
 
 
 def test_ensemble_tracks_master_equation():
@@ -298,3 +330,107 @@ def test_block_sampler_matches_oracle_over_several_blocks():
 def test_block_sampler_matches_oracle_on_one_jump():
     rec = _assert_matches_oracle(make_config(ob=0.0, orr=0.0, oc=0.0, gq=0.05), "Q", 400.0, 7)
     assert rec.jump_channels == ("Q->S",)
+
+
+# -- oracle: the per-jump chain the stacked sampler replaced ---------------
+
+def _chain_record(model, source, t_max, seed):
+    """One trajectory chained jump by jump from the sampler's own blocks.
+
+    Each block of uniform pairs is inverted whole per source, then a
+    scalar pass walks it, adding each waiting time to a running clock.
+    """
+    targets = tuple(model.source(key) for key in _CHANNEL_TARGET)
+    rng = default_rng(SeedSequence(seed))
+    times, channels = [], []
+    t_now, size = 0.0, _FIRST_BLOCK
+    while True:
+        u = rng.random(2 * size)
+        drawn = {}
+        for i in range(size):
+            block = drawn.get(source)
+            if block is None:
+                block = drawn[source] = tuple(a.tolist() for a in source.sample(u[0::2], u[1::2]))
+            dt, channel = block[0][i], block[1][i]
+            if dt > t_max - t_now or channel < 0:
+                return TrajectoryRecord(seed=seed, t_max=float(t_max), jump_times=np.asarray(times, dtype=float),
+                                        jump_channels=tuple(CHANNELS[c] for c in channels))
+            t_now += dt
+            times.append(t_now)
+            channels.append(channel)
+            source = targets[channel]
+        size = min(2 * size, _MAX_BLOCK)
+
+
+def _assert_records_equal(records, expected):
+    assert len(records) == len(expected)
+    for rec, ref in zip(records, expected):
+        assert rec.seed == ref.seed
+        assert np.array_equal(rec.jump_times, ref.jump_times)
+        assert rec.jump_channels == ref.jump_channels
+
+
+# a normalized superposition of S and Q, sampled from its own source
+_MIXED = np.array([0.6, 0.0, 0.0, 0.8j])
+
+
+@pytest.mark.parametrize("psi0", ["S", "P", "D", "Q", _MIXED], ids=["S", "P", "D", "Q", "vector"])
+@pytest.mark.parametrize("t_max", [2.0, 600.0])
+def test_stacked_sampler_equals_chain(psi0, t_max):
+    # a fast metastable decay, so that starts in Q jump within t_max
+    config = make_config(gq=0.05)
+    model, first = _prepare(config, psi0, t_max)
+    seeds = [(3, i) for i in range(3)]
+    expected = [_chain_record(model, first, t_max, seed) for seed in seeds]
+    _assert_records_equal(run_trajectories(config, psi0, t_max, seeds), expected)
+    sizes = [rec.jump_times.size for rec in expected]
+    if t_max < 10.0:
+        assert max(sizes) < _FIRST_BLOCK
+    else:
+        # past six blocks: 32 + 64 + ... + 1024 pairs
+        assert min(sizes) > _FIRST_BLOCK * (2 ** 6 - 1)
+
+
+def test_stacked_sampler_equals_chain_when_sources_cascade():
+    # A strong C drive and a fast Q decay let a pair re-sampled from |D>
+    # pick another channel than it did from |S>; that moves the source of
+    # the next pair, so blocks take several rounds to settle.
+    config = make_config(oc=5.0, gq=5.0)
+    model, first = _prepare(config, "S", 100.0)
+    seeds = [(1, i) for i in range(3)]
+    expected = [_chain_record(model, first, 100.0, seed) for seed in seeds]
+    _assert_records_equal(run_trajectories(config, "S", 100.0, seeds), expected)
+    assert all("Q->S" in rec.jump_channels for rec in expected)
+
+
+@pytest.mark.parametrize("n_traj", [1, 70])
+def test_stacked_sampler_equals_chain_per_trajectory_count(n_traj):
+    config = make_config()
+    model, first = _prepare(config, _MIXED, 60.0)
+    seeds = [(11, i) for i in range(n_traj)]
+    expected = [_chain_record(model, first, 60.0, seed) for seed in seeds]
+    assert n_traj == 1 or n_traj > _STACK
+    _assert_records_equal(run_trajectories(config, _MIXED, 60.0, seeds), expected)
+    _assert_records_equal([run_trajectory(config, _MIXED, 60.0, seeds[0])], expected[:1])
+
+
+def test_ensemble_equals_chain_built_ensemble():
+    config = make_config()  # fig3a
+    grid = np.linspace(0.0, 300.0, 31)
+    n_traj, seed = 70, 4
+    trace, records = ensemble_populations(config, "S", grid, n_traj, seed, return_records=True)
+
+    model, first = _prepare(config, "S", float(grid[-1]))
+    expected = [_chain_record(model, first, float(grid[-1]), (seed, i)) for i in range(n_traj)]
+    _assert_records_equal(records, expected)
+    total = np.zeros((grid.size, 4))
+    total_sq = np.zeros((grid.size, 4))
+    for record in expected:
+        pops = np.abs(_states_on_grid(model, record, first, grid)) ** 2
+        pops /= pops.sum(axis=1, keepdims=True)
+        total += pops
+        total_sq += pops**2
+    mean = total / n_traj
+    var = np.maximum(total_sq / n_traj - mean**2, 0.0) * n_traj / (n_traj - 1)
+    assert np.array_equal(trace.populations, mean)
+    assert np.array_equal(trace.standard_errors, np.sqrt(var / n_traj))
