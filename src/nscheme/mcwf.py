@@ -18,9 +18,12 @@ same populations as the channel weights. All trajectories of a call
 run in lockstep stacks, one row of uniforms each. |S> inverts every
 pair of a stack's block; since a pair's source is fixed by the
 previous pair's channel (P->D leaves |D>), only the pairs that follow a
-P->D jump are inverted again, from |D>, until no source changes. Jump
-times are running sums along each row, and a trajectory stops at its
-first waiting time past t_max.
+P->D jump are inverted again, from |D>, for a few rounds until no
+source changes. A block that needs more rounds (sources that change
+from pair to pair) inverts |D> over the rest of its unsettled rows and
+composes every pair's source map in log2(block) steps, so no source
+inverts a pair twice. Jump times are running sums along each row, and
+a trajectory stops at its first waiting time past t_max.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ _MAX_BLOCK = 1024
 #: trajectories sampled in lockstep; bounds the block arrays to
 #: _STACK x _MAX_BLOCK pairs
 _STACK = 64
+#: rounds of re-sampling changed sources before a block falls back to
+#: inverting |D> over each unsettled row and composing the sources
+_ROUNDS = 4
 #: draws inverted per Newton pass; the pass holds ~20 arrays of this length
 _INVERT_CHUNK = 4096
 #: Newton polish stops once a step is this small relative to the root;
@@ -104,7 +110,9 @@ class _Source:
         pops = self.populations(model.t_table)
         # survival is non-increasing, so its negation is sorted for searchsorted
         self.neg_surv = -pops.sum(axis=1)
-        with np.errstate(divide="ignore"):
+        # a vanishing or subnormal decay rate gives an infinite slope; _invert
+        # then starts from the linear guess
+        with np.errstate(divide="ignore", over="ignore"):
             self.inv_slope = -1.0 / np.einsum("nk,k->n", pops, model.decay)
 
     def amplitudes(self, dt: np.ndarray) -> np.ndarray:
@@ -253,13 +261,10 @@ def _run_stack(model: _EffectiveModel, first: _Source, t_max: float, seeds: list
 
     Trajectory k draws its uniforms from SeedSequence(seeds[k]) in blocks
     of pairs (waiting time, channel): _FIRST_BLOCK pairs, then doubling
-    up to _MAX_BLOCK. Within a block, every pair is first sampled from
-    |S> over the whole stack; a pair's true source follows from the
-    previous pair's channel, so only the pairs whose source differs
-    are sampled again, from |D> or (first pair of the first block only)
-    from first, until no source changes. Jump times are running sums
-    from each trajectory's current time, and a trajectory leaves the
-    stack at its first waiting time past t_max or closed channel.
+    up to _MAX_BLOCK; _sample_block samples each block from the pairs'
+    true sources. Jump times are running sums from each trajectory's
+    current time, and a trajectory leaves the stack at its first waiting
+    time past t_max or closed channel.
     """
     sources = (model.source("S"), model.source("D"), first)
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
@@ -273,24 +278,7 @@ def _run_stack(model: _EffectiveModel, first: _Source, t_max: float, seeds: list
         u = np.empty((live.size, 2 * size))
         for row, k in zip(u, live):
             rngs[k].random(out=row)
-        u_wait, u_channel = u[:, 0::2], u[:, 1::2]
-        s_wait, s_channel = (a.reshape(live.size, size) for a in sources[0].sample(u_wait.ravel(), u_channel.ravel()))
-        wait, channel = s_wait.copy(), s_channel.copy()
-        source = np.zeros((live.size, size), dtype=int)
-        while True:
-            wanted = np.empty_like(source)
-            wanted[:, 0] = carry
-            wanted[:, 1:] = _TARGET_CODE[channel[:, :-1]]
-            redo = wanted != source
-            if not redo.any():
-                break
-            back = redo & (wanted == 0)
-            wait[back], channel[back] = s_wait[back], s_channel[back]
-            for code in (1, 2):
-                sel = redo & (wanted == code)
-                if sel.any():
-                    wait[sel], channel[sel] = sources[code].sample(u_wait[sel], u_channel[sel])
-            source = wanted
+        wait, channel = _sample_block(sources, carry, u[:, 0::2], u[:, 1::2])
         # np.cumsum adds left to right, the order of a running t_now += dt
         clock = np.cumsum(np.concatenate((t_now[:, None], wait), axis=1), axis=1)
         stop = (wait > t_max - clock[:, :-1]) | (channel < 0)
@@ -311,6 +299,82 @@ def _run_stack(model: _EffectiveModel, first: _Source, t_max: float, seeds: list
         )
         for seed, t, c in zip(seeds, times, channels)
     ]
+
+
+def _sample_block(sources, carry: np.ndarray, u_wait: np.ndarray, u_channel: np.ndarray):
+    """Waiting times and channels of one stacked block, each pair from its true source.
+
+    Row r's first pair starts from sources[carry[r]] (S, D or the start
+    ket); every later pair from the target of the previous pair's
+    channel, so a pair follows a P->D jump exactly when it is D-sourced.
+    |S> inverts every pair. Up to _ROUNDS rounds then take the pairs
+    whose source changed from |D>, which inverts each pair at most once
+    (its draws are kept), until no source changes. A block still
+    unsettled after that, which takes many source changes in a row,
+    inverts |D> over the rest of each unsettled row and reads every
+    pair's source off _compose_sources. No source inverts a pair twice,
+    so a block costs at most one |S> and one |D> inversion per pair.
+    """
+    rows, size = u_wait.shape
+    s_wait, s_channel = (a.reshape(rows, size) for a in sources[0].sample(u_wait.ravel(), u_channel.ravel()))
+    wait, channel = s_wait.copy(), s_channel.copy()
+    for code in (1, 2):
+        sel = carry == code
+        if sel.any():
+            wait[sel, 0], channel[sel, 0] = sources[code].sample(u_wait[sel, 0], u_channel[sel, 0])
+    d_wait, d_channel = np.zeros_like(wait), np.zeros_like(channel)
+    # pairs inverted from |D> so far, and the pairs (after the first) taken from |D>
+    has_d = np.zeros((rows, size), dtype=bool)
+    is_d = np.zeros((rows, size), dtype=bool)
+    for attempt in range(_ROUNDS + 1):
+        wanted = np.zeros_like(is_d)
+        wanted[:, 1:] = _TARGET_CODE[channel[:, :-1]] == 1
+        changed = wanted != is_d
+        if not changed.any():
+            break
+        if attempt < _ROUNDS:
+            need = wanted
+        else:
+            # a row is settled up to its first changed source; its tail is not
+            first = np.where(changed.any(axis=1), changed.argmax(axis=1), size)
+            need = tail = np.arange(size) >= first[:, None]
+        need = need & ~has_d
+        if need.any():
+            d_wait[need], d_channel[need] = sources[1].sample(u_wait[need], u_channel[need])
+            has_d |= need
+        if attempt == _ROUNDS:
+            wanted = _compose_sources(s_channel, d_channel, wanted, tail)
+        is_d = wanted
+        wait[:, 1:] = np.where(is_d[:, 1:], d_wait[:, 1:], s_wait[:, 1:])
+        channel[:, 1:] = np.where(is_d[:, 1:], d_channel[:, 1:], s_channel[:, 1:])
+    return wait, channel
+
+
+def _compose_sources(s_channel: np.ndarray, d_channel: np.ndarray, wanted: np.ndarray, tail: np.ndarray):
+    """Which pairs are D-sourced, from every pair's source map.
+
+    Pair p maps its own source (S or D) to the next pair's: the target of
+    the channel that source gives it. Before a row's tail the next
+    source is already known (wanted), so those maps are constant; in the
+    tail both channels are known. An inclusive scan composes the maps in
+    log2(size) doubling steps; pair 0's map is constant, so the prefix
+    up to pair p gives the source of pair p + 1.
+    """
+    # wanted[p + 1] in column p; the last pair's map is never read
+    known = np.roll(wanted, -1, axis=1)
+    from_s = np.where(tail, _TARGET_CODE[s_channel] == 1, known)
+    from_d = np.where(tail, _TARGET_CODE[d_channel] == 1, known)
+    step = 1
+    while step < wanted.shape[1]:
+        # prefix(p) = map(p .. p - step + 1) after prefix(p - step)
+        from_s[:, step:], from_d[:, step:] = (
+            np.where(from_s[:, :-step], from_d[:, step:], from_s[:, step:]),
+            np.where(from_d[:, :-step], from_d[:, step:], from_s[:, step:]),
+        )
+        step *= 2
+    is_d = np.zeros_like(wanted)
+    is_d[:, 1:] = from_s[:, :-1]
+    return is_d
 
 
 def _states_on_grid(model: _EffectiveModel, record: TrajectoryRecord, first: _Source, times: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Quantum-jump trajectories: determinism, analytics, segmentation."""
 
+import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import make_config, sup_of, with_linewidths
 from nscheme.dynamics import evolve
 from nscheme.errors import (LinewidthUnsupported, MotionUnsupported, NoJumps, NonPhysicalState,
                             ZeroFluorescence)
+from nscheme import mcwf
 from nscheme.mcwf import (
     CHANNELS,
     JUMP_TIME_TOL,
@@ -22,7 +25,9 @@ from nscheme.mcwf import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
     _prepare,
+    _sample_block,
     _STACK,
+    _TARGET_CODE,
     _states_on_grid,
     bright_dark_statistics,
     default_dark_threshold,
@@ -401,6 +406,68 @@ def test_stacked_sampler_equals_chain_when_sources_cascade():
     expected = [_chain_record(model, first, 100.0, seed) for seed in seeds]
     _assert_records_equal(run_trajectories(config, "S", 100.0, seeds), expected)
     assert all("Q->S" in rec.jump_channels for rec in expected)
+
+
+def _alternating_config():
+    # Every S-sourced pair jumps P->D; D is dark (no R drive), so every
+    # D-sourced pair closes and hands the next pair back to S: within a
+    # block the sources alternate from one pair to the next.
+    config = make_config(orr=0.0, oc=0.0)
+    return dataclasses.replace(config, atom=dataclasses.replace(config.atom, beta_ps=0.0, beta_pd=1.0))
+
+
+def test_block_sampler_settles_alternating_sources_at_one_inversion_per_pair(monkeypatch):
+    model, first = _prepare(_alternating_config(), _MIXED, 50.0)
+    sources = (model.source("S"), model.source("D"), first)
+    rows, size = 4, _MAX_BLOCK
+    u = default_rng(SeedSequence(9)).random((rows, 2 * size))
+    u_wait, u_channel = u[:, 0::2], u[:, 1::2]
+    carry = np.array([0, 1, 2, 0])
+    # oracle: every source inverts the whole block, a scalar walk picks pairs
+    drawn = [[a.reshape(rows, size) for a in src.sample(u_wait.ravel(), u_channel.ravel())] for src in sources]
+    expected_wait, expected_channel = np.empty((rows, size)), np.empty((rows, size), dtype=int)
+    for r in range(rows):
+        code = carry[r]
+        for p in range(size):
+            expected_wait[r, p], expected_channel[r, p] = drawn[code][0][r, p], drawn[code][1][r, p]
+            code = _TARGET_CODE[expected_channel[r, p]]
+
+    draws = {id(src): 0 for src in sources}
+    sample = mcwf._Source.sample
+
+    def counted(self, u_wait, u_channel):
+        draws[id(self)] += u_wait.size
+        return sample(self, u_wait, u_channel)
+
+    monkeypatch.setattr(mcwf._Source, "sample", counted)
+    wait, channel = _sample_block(sources, carry, u_wait, u_channel)
+    assert np.array_equal(wait, expected_wait)
+    assert np.array_equal(channel, expected_channel)
+    # the sources really alternate, so round-by-round settling would take
+    # one round per pair
+    assert np.count_nonzero(np.diff(_TARGET_CODE[channel[:, 1:]], axis=1)) > rows * (size - 4)
+    # no pair is inverted twice by a source: linear in the block, not quadratic
+    assert draws[id(sources[0])] == rows * size
+    assert draws[id(sources[1])] <= rows * size
+    assert draws[id(sources[2])] == np.count_nonzero(carry == 2)
+
+
+def test_stacked_sampler_equals_chain_when_sources_alternate():
+    config = _alternating_config()
+    model, first = _prepare(config, "S", 50.0)
+    seeds = [(5, i) for i in range(3)]
+    expected = [_chain_record(model, first, 50.0, seed) for seed in seeds]
+    _assert_records_equal(run_trajectories(config, "S", 50.0, seeds), expected)
+    assert all(rec.jump_channels == ("P->D",) for rec in expected)
+
+
+def test_sources_build_without_warnings():
+    # a decay rate that underflows at the end of a long survival table
+    # used to overflow the inverse slope with a RuntimeWarning
+    model, _ = _prepare(make_config(oc=5.0, gq=5.0), "S", 3000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model.source("D")
 
 
 @pytest.mark.parametrize("n_traj", [1, 70])
