@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -55,6 +56,13 @@ def _load_config_arg(value: str) -> SystemConfig:
             return load_config(path)
     raise ConfigError(
         f"config {value!r} is neither a file nor a preset (presets: {', '.join(PRESETS)})")
+
+
+def _span(value: float, option: str) -> float:
+    """A time-span option's value, which must be finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{option} must be finite and positive, got {value!r}")
+    return value
 
 
 def _parse_range(text) -> tuple:
@@ -130,8 +138,9 @@ def _cmd_evolve(args) -> int:
     config = _load_config_arg(args.config)
     if args.gamma_q_zero:
         config = with_gamma_q(config, 0.0)
+    t_max = _span(args.t_max, "--t-max")
     sup = build_superoperator(build_hamiltonian(config).h_total, config)
-    times = np.linspace(0.0, args.t_max, args.points)
+    times = np.linspace(0.0, t_max, args.points)
     trace = evolve(sup, pure_state(args.initial), times, method=args.method)
     with _output(args.out) as fh:
         if args.fit:
@@ -171,8 +180,9 @@ def _cmd_traj(args) -> int:
 
 def _cmd_g2(args) -> int:
     config = _load_config_arg(args.config)
+    tau_max = _span(args.tau_max, "--tau-max")
     rho, _, sup = _steady_populations(config)
-    tau = np.linspace(0.0, args.tau_max, args.points)
+    tau = np.linspace(0.0, tau_max, args.points)
     values = g2(sup, rho, tau, config, channel=args.channel)
     with _output(args.out) as fh:
         fh.write("tau_us,g2\n")

@@ -42,11 +42,6 @@ class PerturbativeReport:
     q_linewidth_scale: float
     warning: str | None = None
 
-    @property
-    def populations_nc(self) -> tuple[float, float, float]:
-        """(P_Q, P_D, P_S) of the trap state."""
-        return (self.population_q, self.population_d, self.population_s)
-
 
 def three_photon_report(config: SystemConfig) -> PerturbativeReport:
     """Perturbative trap-state report; requires exact three-photon resonance.

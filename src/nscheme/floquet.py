@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
-from .liouvillian import build_hamiltonian, commutator_superoperator, superoperator_stack
+from .liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
 from .model import SystemConfig, level_index
 from .steady import bordered_solve
 
@@ -102,13 +102,13 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
         raise MotionDisabled("the Floquet expansion needs motion enabled")
     if order < 1:
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
-    parts = [build_hamiltonian(c) for c in configs]
     shift = -1j * np.array([cfg.motion.trap_frequency for cfg in configs])[:, None, None] * _EYE16
 
     # non-finite values of an overflowing point stay in that point and fail its gates
     with np.errstate(all="ignore"):
-        m0 = superoperator_stack(np.stack([p.h_total for p in parts]), configs)
-        c = commutator_superoperator(np.stack([p.h_side for p in parts]))
+        parts = hamiltonian_stack(configs)
+        m0 = superoperator_stack(parts.h_total, configs)
+        c = commutator_superoperator(parts.h_side)
         upper = _fraction(m0, c, shift, order)
         lower = _fraction(m0, c, -shift, order)
         x0 = bordered_solve(m0 + c @ upper[0] + c @ lower[0], 4)

@@ -11,6 +11,8 @@ gamma_p with branching beta_ps to S and beta_pd to D; Q decays at
 gamma_q to S only), minus the laser-linewidth dephasing rates on the
 diagonal. Multi-photon coherences dephase at the summed linewidths of
 the lasers involved; with every linewidth zero the last term vanishes.
+Every input of the generator (Hamiltonian, jump rates, dephasing) is
+built as a stack over points; a single point is a stack of one.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class HamiltonianParts:
 
     h_side multiplies both exp(+i nu t) and exp(-i nu t) in the
     interaction Hamiltonian (the motion is a cosine) and vanishes with
-    motion disabled. All 4x4, rad/us.
+    motion disabled. 4x4, or (k, 4, 4) stacks, in rad/us.
     """
 
     h0: np.ndarray
@@ -67,38 +69,38 @@ class HamiltonianParts:
         return self.h0 + self.h_carrier
 
 
-def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
-    """Rotating-frame Hamiltonian of the three-laser N scheme.
+def hamiltonian_stack(configs) -> HamiltonianParts:
+    """Rotating-frame Hamiltonians of the three-laser N scheme, one per config.
 
     h0 = diag(0, -Delta_B, Delta_R - Delta_B, -Delta_C); the carrier
     couples S-P, D-P and S-Q with half the respective Rabi
     frequencies. With motion enabled, first order in the modulation
     indices eta gives h_side = sum_j i eta_j (Omega_j/2) x
-    (coupling_j) + h.c.
+    (coupling_j) + h.c. Each part is a (k, 4, 4) stack.
     """
-    db = config.laser_b.detuning
-    dr = config.laser_r.detuning
-    dc = config.laser_c.detuning
+    lasers = [(c.laser_b, c.laser_r, c.laser_c) for c in configs]
+    db, dr, dc = np.array([[l.detuning for l in point] for point in lasers]).T
+    rabi = np.array([[l.rabi for l in point] for point in lasers])
+    eta = np.array([lamb_dicke_parameters(c)[:3] if c.motion.enabled else (0.0, 0.0, 0.0) for c in configs])
 
-    h0 = np.diag([0.0, -db, dr - db, -dc]).astype(complex)
+    h0 = np.zeros((len(configs), 4, 4), dtype=complex)
+    h0[:, _P, _P], h0[:, _D, _D], h0[:, _Q, _Q] = -db, dr - db, -dc
+    with np.errstate(all="ignore"):  # an eta Omega past the float range is inf, as in Python
+        h_side = _couplings(1j * eta * rabi / 2.0)
+    return HamiltonianParts(h0=h0, h_carrier=_couplings(rabi / 2.0), h_side=h_side)
 
-    h_carrier = np.zeros((4, 4), dtype=complex)
-    h_carrier[_P, _S] = config.laser_b.rabi / 2.0
-    h_carrier[_P, _D] = config.laser_r.rabi / 2.0
-    h_carrier[_Q, _S] = config.laser_c.rabi / 2.0
-    h_carrier = h_carrier + h_carrier.conj().T
 
-    if config.motion.enabled:
-        eta = lamb_dicke_parameters(config)
-        h_side = np.zeros((4, 4), dtype=complex)
-        h_side[_P, _S] = 1j * eta.eta_b * config.laser_b.rabi / 2.0
-        h_side[_P, _D] = 1j * eta.eta_r * config.laser_r.rabi / 2.0
-        h_side[_Q, _S] = 1j * eta.eta_c * config.laser_c.rabi / 2.0
-        h_side = h_side + h_side.conj().T
-    else:
-        h_side = np.zeros((4, 4), dtype=complex)
+def _couplings(values: np.ndarray) -> np.ndarray:
+    """Hermitian (k, 4, 4) stack with values (k, 3) on the S-P, D-P and S-Q couplings."""
+    h = np.zeros((len(values), 4, 4), dtype=complex)
+    h[:, [_P, _P, _Q], [_S, _D, _S]] = values
+    return h + np.swapaxes(h, -1, -2).conj()
 
-    return HamiltonianParts(h0=h0, h_carrier=h_carrier, h_side=h_side)
+
+def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
+    """hamiltonian_stack for one point: 4x4 parts."""
+    parts = hamiltonian_stack([config])
+    return HamiltonianParts(h0=parts.h0[0], h_carrier=parts.h_carrier[0], h_side=parts.h_side[0])
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
@@ -127,38 +129,38 @@ def lindblad_dissipator(jump_ops: list[tuple[float, np.ndarray]]) -> np.ndarray:
     return m
 
 
+def _decay_stack(configs) -> tuple[list, np.ndarray]:
+    """(rates (k,), operator) of the P->S, P->D, Q->S decays, and dephasing (k, 4, 4).
+
+    Dephasing entry [i, a, b] is the extra decay of rho_ab at point i:
+    one-photon coherences decay at the linewidth of the laser driving
+    them, multi-photon coherences at the sum over the connecting path:
+    S-D at b_B + b_R, Q-P at b_B + b_C, Q-D at b_B + b_R + b_C.
+    """
+    rates = np.array([(c.atom.beta_ps * c.atom.gamma_p, c.atom.beta_pd * c.atom.gamma_p, c.atom.gamma_q)
+                      for c in configs])
+    ops = np.zeros((3, 4, 4))
+    ops[[0, 1, 2], [_S, _D, _S], [_P, _P, _Q]] = 1.0
+    b_b, b_r, b_c = np.array([(c.laser_b.linewidth, c.laser_r.linewidth, c.laser_c.linewidth)
+                              for c in configs]).T
+    dephasing = np.zeros((len(configs), 4, 4))
+    dephasing[:, _P, _S] = b_b
+    dephasing[:, _P, _D] = b_r
+    dephasing[:, _Q, _S] = b_c
+    dephasing[:, _S, _D] = b_b + b_r
+    dephasing[:, _Q, _P] = b_b + b_c
+    dephasing[:, _Q, _D] = b_b + b_r + b_c
+    return list(zip(rates.T, ops)), dephasing + np.swapaxes(dephasing, -1, -2)
+
+
 def jump_operators(config: SystemConfig) -> list[tuple[float, np.ndarray]]:
     """(rate, operator) pairs of the three decay channels."""
-    atom = config.atom
-    l_ps = np.zeros((4, 4)); l_ps[_S, _P] = 1.0
-    l_pd = np.zeros((4, 4)); l_pd[_D, _P] = 1.0
-    l_qs = np.zeros((4, 4)); l_qs[_S, _Q] = 1.0
-    return [
-        (atom.beta_ps * atom.gamma_p, l_ps),
-        (atom.beta_pd * atom.gamma_p, l_pd),
-        (atom.gamma_q, l_qs),
-    ]
+    return [(float(rate[0]), op) for rate, op in _decay_stack([config])[0]]
 
 
 def dephasing_rates(config: SystemConfig) -> np.ndarray:
-    """Symmetric matrix of coherence decay rates from laser linewidths.
-
-    Entry (i, j) is the extra decay of rho_ij. One-photon coherences
-    decay at the linewidth of the laser driving them, multi-photon
-    coherences at the sum over the connecting path: S-D at b_B + b_R,
-    Q-P at b_B + b_C, Q-D at b_B + b_R + b_C.
-    """
-    b_b = config.laser_b.linewidth
-    b_r = config.laser_r.linewidth
-    b_c = config.laser_c.linewidth
-    rates = np.zeros((4, 4))
-    rates[_P, _S] = b_b
-    rates[_P, _D] = b_r
-    rates[_Q, _S] = b_c
-    rates[_S, _D] = b_b + b_r
-    rates[_Q, _P] = b_b + b_c
-    rates[_Q, _D] = b_b + b_r + b_c
-    return rates + rates.T
+    """Symmetric 4x4 matrix of coherence decay rates from laser linewidths."""
+    return _decay_stack([config])[1][0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -194,16 +196,14 @@ class Superoperator:
 def superoperator_stack(h: np.ndarray, configs) -> np.ndarray:
     """Generators of a stack of points, (k, 16, 16), one per config.
 
-    h is (k, 4, 4). Point i is commutator_superoperator(h[i]) +
-    lindblad_dissipator(jump_operators(configs[i])), with
-    dephasing_rates(configs[i]) subtracted from the diagonal entries
-    of the coherences. Every generator, single or swept, is built here.
+    h is (k, 4, 4), typically hamiltonian_stack(configs).h_total. Point
+    i is commutator_superoperator(h[i]) plus the dissipator of the
+    decay channels at configs[i]'s rates, minus its dephasing rates on
+    the coherences' diagonal entries. The rates and dephasing are built
+    as stacks too; every generator, single or swept, is built here.
     """
-    ops = [jump_operators(c) for c in configs]
-    rates = np.array([[rate for rate, _ in point] for point in ops])
-    channels = [(rates[:, k], op) for k, (_, op) in enumerate(ops[0])]
+    channels, dephasing = _decay_stack(configs)
     m = commutator_superoperator(h) + lindblad_dissipator(channels)
-    dephasing = np.stack([dephasing_rates(c) for c in configs])
     diag = np.arange(16)
     m[:, diag, diag] -= np.swapaxes(dephasing, -1, -2).reshape(len(configs), 16)
     return m

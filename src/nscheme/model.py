@@ -143,6 +143,8 @@ class MotionSpec:
     amplitude: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise ConfigError(f"MotionSpec.enabled must be True or False, got {self.enabled!r}")
         _require_finite(self)
         if self.enabled and self.trap_frequency <= 0:
             raise NegativeRate(f"trap_frequency must be > 0, got {self.trap_frequency}")

@@ -18,6 +18,7 @@ module costs numpy alone.
 
 import dataclasses
 import json
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, SolverError, TooCoarse
 from .floquet import DEFAULT_ORDER, solve_floquet_stack
-from .liouvillian import build_hamiltonian, superoperator_stack
+from .liouvillian import hamiltonian_stack, superoperator_stack
 from .model import (FREQUENCY_FIELDS, SystemConfig, config_hash, from_mhz,
                     level_index, replace_param, with_gamma_q)
 from .steady import residuals, steady_states
@@ -59,6 +60,8 @@ class ScanSpec:
             raise ConfigError(f"axis must be a section.field path, got {self.axis!r}")
         if self.points < 2:
             raise ConfigError(f"a scan needs at least 2 points, got {self.points}")
+        if not math.isfinite(float(self.stop) - float(self.start)):
+            raise ConfigError(f"axis range and its width must be finite, got [{self.start}, {self.stop}]")
         if not (float(self.start) < float(self.stop)):
             raise ConfigError(f"empty axis range [{self.start}, {self.stop}]")
         if self.solver not in _SOLVERS:
@@ -137,7 +140,7 @@ def _solve_block(configs, spec: ScanSpec):
             blocks, res, pairing, errors = solve_floquet_stack(configs, spec.floquet_order)
             rho = blocks[:, spec.floquet_order]
         else:
-            m = superoperator_stack(np.stack([build_hamiltonian(c).h_total for c in configs]), configs)
+            m = superoperator_stack(hamiltonian_stack(configs).h_total, configs)
             rho, errors = steady_states(m)
             res, pairing = residuals(m, rho), np.zeros(len(configs))
     except SolverError as exc:

@@ -388,6 +388,15 @@ def test_failed_floquet_points_warn_nothing(tmp_path, capsys):
     assert single == (2, "", "nscheme: NoConvergence: Floquet solution overflowed\n")
     assert sweep[0] == 0 and sweep[2] == "nscheme: 3 of 3 points flagged\n"
     assert [str(w.message) for w in caught] == []
+    # the carrier solvers build the overflowing sideband coupling too, but never read it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        steady = run(capsys, "steady", "--config", str(path))
+        carrier = run(capsys, "scan", "--config", str(path), "--axis", "laser_R.detuning",
+                      "--range", "2:4", "--points", "3")
+    assert steady[0] == 2 and steady[2].startswith("nscheme: DegenerateKernel: ")
+    assert carrier[0] == 0 and carrier[2] == "nscheme: 3 of 3 points flagged\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_evolve_overflow_exits_two_without_warnings(tmp_path, capsys):
@@ -399,6 +408,32 @@ def test_evolve_overflow_exits_two_without_warnings(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "nscheme: NoConvergence: eigen-propagation overflowed\n"
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("evolve", "--t-max", "inf"), "--t-max must be finite and positive, got inf"),
+    (("evolve", "--t-max", "nan"), "--t-max must be finite and positive, got nan"),
+    (("g2", "--tau-max", "inf"), "--tau-max must be finite and positive, got inf"),
+    (("g2", "--tau-max", "0"), "--tau-max must be finite and positive, got 0.0"),
+    (("scan", "--axis", "laser_R.detuning", "--range", "2:inf"),
+     "axis range and its width must be finite, got [2.0, inf]"),
+])
+def test_non_finite_time_or_axis_end_exits_one_without_warnings(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, argv[0], "--config", "fig3a", *argv[1:], "--points", "3")
+    assert result == (1, "", f"nscheme: ConfigError: {message}\n")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_scan_over_motion_enabled_is_refused(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a point was solved before the sweep was validated")
+
+    monkeypatch.setattr(scan, "steady_states", never)
+    result = run(capsys, "scan", "--config", "fig3a", "--axis", "motion.enabled",
+                 "--range", "0:1", "--points", "3")
+    assert result == (1, "", "nscheme: ConfigError: MotionSpec.enabled must be True or False, got 0.0\n")
 
 
 def test_scan_rejects_any_invalid_point_before_solving(capsys, monkeypatch):

@@ -12,13 +12,16 @@ from nscheme.liouvillian import (
     build_superoperator,
     commutator_superoperator,
     dephasing_rates,
+    hamiltonian_stack,
     jump_operators,
     lindblad_dissipator,
+    superoperator_stack,
     trace_defect,
     unvec,
     vec,
 )
 from nscheme.model import from_mhz, pure_state
+from nscheme.scan import ScanSpec, _point_config
 
 S, P, D, Q = range(4)
 
@@ -186,3 +189,19 @@ def test_dephasing_damps_only_coherences():
     for i in range(4):
         assert diff[i + 4 * i, i + 4 * i] == 0.0
     assert diff[1 + 4 * 0, 1 + 4 * 0].real < 0.0
+
+
+@pytest.mark.parametrize("base, spec", [
+    (with_linewidths(make_config(), 0.01),
+     ScanSpec(axis="laser_R.detuning", start=2.0, stop=4.0, points=41, gamma_q_mode="zero")),
+    (make_config(motion=True, counter=True),
+     ScanSpec(axis="laser_B.wavelength_nm", start=380.0, stop=420.0, points=41, solver="floquet")),
+])
+def test_stacked_builders_equal_per_point_builds(base, spec):
+    configs = [_point_config(base, spec.axis, float(v), spec.gamma_q_mode) for v in spec.values_mhz]
+    parts = hamiltonian_stack(configs)
+    m = superoperator_stack(parts.h_total, configs)
+    for i, c in enumerate(configs):
+        single = build_hamiltonian(c)
+        assert m[i].tobytes() == build_superoperator(single.h_total, c).matrix.tobytes()
+        assert parts.h_side[i].tobytes() == single.h_side.tobytes()

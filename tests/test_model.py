@@ -24,6 +24,7 @@ from nscheme.model import (
     AtomSpec,
     DensityMatrix,
     LaserDrive,
+    MotionSpec,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -154,6 +155,9 @@ def test_validation_errors():
         AtomSpec(beta_ps=0.9, beta_pd=0.2)
     with pytest.raises(NegativeRate):
         AtomSpec(gamma_p=0.0)
+    for enabled in (0.5, 1, 0.0, "yes", np.True_):
+        with pytest.raises(ConfigError, match="MotionSpec.enabled must be True or False"):
+            MotionSpec(enabled=enabled)
 
 
 @pytest.mark.parametrize("section, field", [("laser_b", "rabi"), ("laser_r", "detuning"),

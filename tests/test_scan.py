@@ -37,6 +37,9 @@ def test_scan_spec_validation():
         ScanSpec(**{**good, "floquet_order": 0})
     with pytest.raises(ConfigError):
         ScanSpec(axis="atom.gamma_Q", start=0.0, stop=1.0, points=3, gamma_q_mode="zero")
+    for start, stop in [(2.0, np.inf), (-np.inf, 2.0), (np.nan, 2.0), (2.0, np.nan), (-1.7e308, 1.7e308)]:
+        with pytest.raises(ConfigError, match="axis range and its width must be finite"):
+            ScanSpec(**{**good, "start": start, "stop": stop})
 
 
 def test_scan_values_and_unknown_axis():
