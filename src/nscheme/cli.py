@@ -377,7 +377,7 @@ def main(argv=None) -> int:
         print(f"nscheme: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"nscheme: {exc}", file=sys.stderr)
+        print(f"nscheme: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

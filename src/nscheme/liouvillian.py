@@ -129,8 +129,17 @@ def lindblad_dissipator(jump_ops: list[tuple[float, np.ndarray]]) -> np.ndarray:
     return m
 
 
-def _decay_stack(configs) -> tuple[list, np.ndarray]:
-    """(rates (k,), operator) of the P->S, P->D, Q->S decays, and dephasing (k, 4, 4).
+# the P->S, P->D and Q->S jump operators, in the order of _decay_stack's rate columns
+_DECAY_OPS = np.zeros((3, 4, 4))
+_DECAY_OPS[[0, 1, 2], [_S, _D, _S], [_P, _P, _Q]] = 1.0
+_DECAY_OPS.setflags(write=False)
+# their dissipators at unit rate; a channel's dissipator is its rate times its basis entry
+_DISSIPATOR_BASIS = np.stack([lindblad_dissipator([(1.0, op)]).real for op in _DECAY_OPS])
+_DISSIPATOR_BASIS.setflags(write=False)
+
+
+def _decay_stack(configs) -> tuple[np.ndarray, np.ndarray]:
+    """Rates (k, 3) of the P->S, P->D, Q->S decays, and dephasing (k, 4, 4).
 
     Dephasing entry [i, a, b] is the extra decay of rho_ab at point i:
     one-photon coherences decay at the linewidth of the laser driving
@@ -139,8 +148,6 @@ def _decay_stack(configs) -> tuple[list, np.ndarray]:
     """
     rates = np.array([(c.atom.beta_ps * c.atom.gamma_p, c.atom.beta_pd * c.atom.gamma_p, c.atom.gamma_q)
                       for c in configs])
-    ops = np.zeros((3, 4, 4))
-    ops[[0, 1, 2], [_S, _D, _S], [_P, _P, _Q]] = 1.0
     b_b, b_r, b_c = np.array([(c.laser_b.linewidth, c.laser_r.linewidth, c.laser_c.linewidth)
                               for c in configs]).T
     dephasing = np.zeros((len(configs), 4, 4))
@@ -150,12 +157,12 @@ def _decay_stack(configs) -> tuple[list, np.ndarray]:
     dephasing[:, _S, _D] = b_b + b_r
     dephasing[:, _Q, _P] = b_b + b_c
     dephasing[:, _Q, _D] = b_b + b_r + b_c
-    return list(zip(rates.T, ops)), dephasing + np.swapaxes(dephasing, -1, -2)
+    return rates, dephasing + np.swapaxes(dephasing, -1, -2)
 
 
 def jump_operators(config: SystemConfig) -> list[tuple[float, np.ndarray]]:
     """(rate, operator) pairs of the three decay channels."""
-    return [(float(rate[0]), op) for rate, op in _decay_stack([config])[0]]
+    return [(float(rate), op) for rate, op in zip(_decay_stack([config])[0][0], _DECAY_OPS)]
 
 
 def dephasing_rates(config: SystemConfig) -> np.ndarray:
@@ -201,9 +208,15 @@ def superoperator_stack(h: np.ndarray, configs) -> np.ndarray:
     decay channels at configs[i]'s rates, minus its dephasing rates on
     the coherences' diagonal entries. The rates and dephasing are built
     as stacks too; every generator, single or swept, is built here.
+    The dissipator sums the channels' rates times their unit-rate
+    dissipators in channel order, which is lindblad_dissipator's sum
+    to the bit.
     """
-    channels, dephasing = _decay_stack(configs)
-    m = commutator_superoperator(h) + lindblad_dissipator(channels)
+    rates, dephasing = _decay_stack(configs)
+    dissipator = np.zeros((len(configs), 16, 16))
+    for rate, basis in zip(rates.T, _DISSIPATOR_BASIS):
+        dissipator += rate[:, None, None] * basis
+    m = commutator_superoperator(h) + dissipator
     diag = np.arange(16)
     m[:, diag, diag] -= np.swapaxes(dephasing, -1, -2).reshape(len(configs), 16)
     return m

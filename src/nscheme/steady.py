@@ -1,19 +1,27 @@
 """Steady states of the Lindblad generator.
 
-The kernel of the generator is found by replacing one redundant
-diagonal-element row with the trace constraint and solving the dense
-bordered system. Uniqueness is checked first through the relative gap
-of the second-smallest singular value (threshold 1e-8); when the gap
-check fails, levels that receive no population or coherence inflow
-("unfed" levels, e.g. Q when Omega_C = 0) are removed and the reduced
-block is solved with the removed levels empty, which is the
-physically prepared branch. A degenerate kernel that no such
-reduction explains raises DegenerateKernel.
+The kernel of a generator M is found by replacing its first
+diagonal-element row with the trace row and solving this bordered
+system A x = e_0 by LU, followed by one step of iterative refinement.
+The kernel must be unique: the relative gap sigma_{n^2-1} / sigma_1 of
+M's singular values must reach GAP_THRESHOLD (1e-8).
+
+Uniqueness is certified first, from the bordered solve itself: the
+same stacked solve that gives x also gives A^-1, and since A differs
+from M in one row, GAP_THRESHOLD ||M||_F ||A^-1||_F <= 1 proves the
+gap (interlacing; see _certified). Such a point is accepted without
+an SVD. Only the uncertified points, or every point of a stack that
+holds an exactly singular A, have their singular values computed, and
+the gap decides them. Below the gap, levels that receive no population
+or coherence inflow ("unfed" levels, e.g. Q when Omega_C = 0) are
+removed and the reduced block is solved with the removed levels empty,
+which is the physically prepared branch. A degenerate kernel that no
+such reduction explains raises DegenerateKernel.
 
 Every step runs on a stack of generators, one generator being a stack
 of one, and each point keeps its own verdict. Only a LAPACK failure of
-a stacked call raises for the whole stack, as the SolverError that
-step maps it to.
+a stacked SVD or refinement raises for the whole stack, as the
+SolverError that step maps it to.
 """
 
 from __future__ import annotations
@@ -80,18 +88,42 @@ def bordered_solve(m: np.ndarray, n: int) -> np.ndarray:
     The first diagonal-element row is replaced by the trace row, and
     one step of iterative refinement follows the solve.
     """
+    return _refined(*_bordered(m, n))
+
+
+def _bordered(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bordered matrices A of a stack of generators, and the right-hand side e_0."""
     a = np.array(m, dtype=complex)
     diag_idx = [i + n * i for i in range(n)]
     a[:, diag_idx[0], :] = 0.0
     a[:, diag_idx[0], diag_idx] = 1.0
     b = np.zeros((n * n, 1), dtype=complex)
     b[diag_idx[0]] = 1.0
+    return a, b
+
+
+def _refined(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Solutions (k, n^2) of A x = b after one refinement step; x is the first solve, if made."""
     try:
-        x = np.linalg.solve(a, b)
+        if x is None:
+            x = np.linalg.solve(a, b)
         x += np.linalg.solve(a, b - a @ x)
     except np.linalg.LinAlgError as exc:
         raise DegenerateKernel(f"bordered system singular: {exc}") from None
     return x[..., 0]
+
+
+def _certified(m: np.ndarray, a_inv: np.ndarray, n: int) -> np.ndarray:
+    """Points whose relative singular-value gap provably reaches GAP_THRESHOLD.
+
+    A differs from M in one row, so by interlacing sigma_{n^2-1}(M) >=
+    sigma_min(A) >= 1 / ||A^-1||_F; and ||M||_F / n <= sigma_1(M) <=
+    ||M||_F. A point with GAP_THRESHOLD ||M||_F ||A^-1||_F <= 1 and
+    ||M||_F >= n 1e-300 thus passes the SVD gap test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm leaves its point uncertified
+        norm_m = np.linalg.norm(m, axis=(1, 2))
+        return (norm_m >= n * 1e-300) & (GAP_THRESHOLD * norm_m * np.linalg.norm(a_inv, axis=(1, 2)) <= 1.0)
 
 
 def _steady_vec(m: np.ndarray, n: int) -> np.ndarray:
@@ -102,25 +134,36 @@ def _steady_vec(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _steady_vecs(m: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    a, b = _bordered(m, n)
     try:
-        sing = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"singular values of the generator: {exc}") from None
+        # column 0 is the first bordered solve, the other columns are A^-1
+        first = np.linalg.solve(a, np.concatenate([b, np.eye(n * n)], axis=1))
+    except np.linalg.LinAlgError:
+        first = None  # an exactly singular A: the SVD decides every point of the stack
+    gapped = np.zeros(len(m), dtype=bool) if first is None else _certified(m, first[..., 1:], n)
+    uncertified = np.flatnonzero(~gapped)
+    sing = np.empty((0, n * n))
+    if uncertified.size:
+        try:
+            sing = np.linalg.svd(m[uncertified], compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"singular values of the generator: {exc}") from None
+        gapped[uncertified] = (sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
     x = np.full((len(m), n * n), np.nan, dtype=complex)
     errors = [None] * len(m)
-    gapped = (sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
     if gapped.any():
-        sol = bordered_solve(m[gapped], n)
+        sol = _refined(a[gapped], b, None if first is None else first[gapped, :, :1])
         x[gapped] = sol / sol[:, [i + n * i for i in range(n)]].sum(axis=1, keepdims=True)
         defects = np.abs(m[gapped] @ x[gapped, :, None]).max(axis=(1, 2))
         for i, defect in zip(np.flatnonzero(gapped), defects):
             if defect > RESIDUAL_TOL:
                 errors[i] = NoConvergence(f"stationarity defect {defect:.2e} exceeds {RESIDUAL_TOL:.0e}")
-    for i in np.flatnonzero(~gapped):
-        try:
-            x[i] = _reduced_vec(m[i], n, sing[i])
-        except SolverError as exc:
-            errors[i] = exc
+    for i, sing_i in zip(uncertified, sing):
+        if not gapped[i]:
+            try:
+                x[i] = _reduced_vec(m[i], n, sing_i)
+            except SolverError as exc:
+                errors[i] = exc
     return x, errors
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence
+from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, SolverError
 from nscheme.floquet import FLOQUET_RESIDUAL_TOL
 from nscheme.liouvillian import build_hamiltonian, build_superoperator, commutator_superoperator
 from nscheme.model import (
@@ -15,6 +15,7 @@ from nscheme.model import (
     SystemConfig,
     from_mhz,
 )
+from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _physical, _unfed_levels, bordered_solve
 
 # oscillation amplitude giving |eta_B| = 0.1 at 397 nm
 OSC_AMPLITUDE_NM = 12.636902481496492
@@ -124,3 +125,57 @@ def solve_floquet_blocks(gen, order):
     if defect > FLOQUET_RESIDUAL_TOL:
         raise NoConvergence(f"Floquet residual {defect:.3e} exceeds {FLOQUET_RESIDUAL_TOL:.0e}")
     return x, defect
+
+
+def svd_gated_steady_states(matrices):
+    """steady.steady_states with every point's uniqueness decided by its singular values.
+
+    Reference for the production route, which skips the SVD on the
+    points its bordered-solve certificate accepts.
+    """
+    x, errors = svd_gated_steady_vecs(matrices, 4)
+    return _physical(np.swapaxes(x.reshape(-1, 4, 4), -1, -2), errors)
+
+
+def svd_gated_steady_vecs(m, n):
+    """Kernel vectors (k, n^2) and per-point errors, gated by the SVD gap of every point."""
+    try:
+        sing = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular values of the generator: {exc}") from None
+    x = np.full((len(m), n * n), np.nan, dtype=complex)
+    errors = [None] * len(m)
+    gapped = (sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
+    if gapped.any():
+        sol = bordered_solve(m[gapped], n)
+        x[gapped] = sol / sol[:, [i + n * i for i in range(n)]].sum(axis=1, keepdims=True)
+        defects = np.abs(m[gapped] @ x[gapped, :, None]).max(axis=(1, 2))
+        for i, defect in zip(np.flatnonzero(gapped), defects):
+            if defect > RESIDUAL_TOL:
+                errors[i] = NoConvergence(f"stationarity defect {defect:.2e} exceeds {RESIDUAL_TOL:.0e}")
+    for i in np.flatnonzero(~gapped):
+        try:
+            x[i] = _svd_gated_reduced_vec(m[i], n, sing[i])
+        except SolverError as exc:
+            errors[i] = exc
+    return x, errors
+
+
+def _svd_gated_reduced_vec(m, n, sing):
+    """Kernel below the gap: unfed levels stay empty, the rest is solved by the same route."""
+    if sing[0] < 1e-300:
+        raise DegenerateKernel("generator is identically zero")
+    unfed = _unfed_levels(m, n, sing[0])
+    kept = [l for l in range(n) if l not in unfed]
+    if not unfed or len(kept) < 2:
+        raise DegenerateKernel(
+            f"kernel is degenerate (relative gap {sing[-2] / sing[0]:.2e}) "
+            "and no decoupled level explains it"
+        )
+    sub_idx = [kept[i] + n * kept[j] for j in range(len(kept)) for i in range(len(kept))]
+    sub, errors = svd_gated_steady_vecs(m[np.ix_(sub_idx, sub_idx)][None], len(kept))
+    if errors[0] is not None:
+        raise errors[0]
+    x = np.zeros(n * n, dtype=complex)
+    x[sub_idx] = sub[0]
+    return x

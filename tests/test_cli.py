@@ -269,6 +269,13 @@ def test_solver_failure_exits_two(tmp_path, capsys):
     assert "TruncationNotConverged" in err
 
 
+def test_unwritable_out_path_names_the_error_type(tmp_path, capsys):
+    code, out, err = run(capsys, "steady", "--config", "fig3a", "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("nscheme: FileNotFoundError: [Errno 2] "), err
+
+
 def test_out_file_writes(tmp_path):
     out = tmp_path / "pops.json"
     assert main(["steady", "--config", "fig3a", "--out", str(out)]) == 0

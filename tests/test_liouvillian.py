@@ -205,3 +205,34 @@ def test_stacked_builders_equal_per_point_builds(base, spec):
         single = build_hamiltonian(c)
         assert m[i].tobytes() == build_superoperator(single.h_total, c).matrix.tobytes()
         assert parts.h_side[i].tobytes() == single.h_side.tobytes()
+
+
+def _random_configs(rng, k):
+    """Random carrier configs with zero, signed-zero and 1e300 rates and nonzero linewidths."""
+    base = make_config()
+    configs = []
+    for _ in range(k):
+        lasers = [dataclasses.replace(laser, rabi=rng.uniform(0.0, 50.0), detuning=rng.uniform(-50.0, 50.0),
+                                      linewidth=rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+                  for laser in (base.laser_b, base.laser_r, base.laser_c)]
+        beta_ps = rng.uniform()
+        atom = dataclasses.replace(base.atom, beta_ps=beta_ps, beta_pd=1.0 - beta_ps,
+                                   gamma_p=rng.choice([1e300, rng.uniform(1e-3, 100.0)]),
+                                   gamma_q=rng.choice([0.0, -0.0, 1e300, rng.uniform(0.0, 1.0)]))
+        configs.append(dataclasses.replace(base, laser_b=lasers[0], laser_r=lasers[1], laser_c=lasers[2],
+                                           atom=atom))
+    return configs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_superoperator_stack_is_the_generic_sum_to_the_bit(seed):
+    configs = _random_configs(np.random.default_rng(seed), 64)
+    h = hamiltonian_stack(configs).h_total
+    ops = [op for _, op in jump_operators(configs[0])]
+    channels = [(np.array([jump_operators(c)[j][0] for c in configs]), ops[j]) for j in range(3)]
+    want = commutator_superoperator(h) + lindblad_dissipator(channels)
+    diag = np.arange(16)
+    want[:, diag, diag] -= np.stack([dephasing_rates(c).T.reshape(16) for c in configs])
+    got = superoperator_stack(h, configs)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import make_config, sup_of, two_plus_one
-from nscheme.errors import DegenerateKernel
-from nscheme.liouvillian import build_hamiltonian
-from nscheme.model import from_mhz
-from nscheme.steady import residual, steady_state, steady_state_of_matrix
+from conftest import make_config, sup_of, svd_gated_steady_states, two_plus_one
+from nscheme import scan
+from nscheme.cli import _load_config_arg
+from nscheme.errors import ConfigError, DegenerateKernel, SolverError
+from nscheme.liouvillian import build_hamiltonian, hamiltonian_stack, superoperator_stack
+from nscheme.model import config_from_dict, from_mhz
+from nscheme.scan import ScanSpec, run_scan
+from nscheme.steady import (GAP_THRESHOLD, _certified, residual, steady_state, steady_state_of_matrix,
+                            steady_states)
+from test_properties import config_dicts
 
 # three-photon working point, solved once and pinned
 PQ_THREE_PHOTON_PHYS = 0.9969903851363362
@@ -91,3 +97,151 @@ def test_detuning_continuity():
     a = steady_state(sup_of(make_config(dr=3.0))).populations
     b = steady_state(sup_of(make_config(dr=3.0 + 1e-6))).populations
     assert np.abs(a - b).max() < 1e-3
+
+
+# -- the certificate and its SVD-gated oracle -------------------------------
+
+def _spectrum_arrays(config, spec):
+    sp = run_scan(config, spec)
+    return sp.populations, sp.residuals, sp.flags
+
+
+def _assert_same_as_oracle(monkeypatch, config, spec):
+    got = _spectrum_arrays(config, spec)
+    with monkeypatch.context() as m:
+        m.setattr(scan, "steady_states", svd_gated_steady_states)
+        want = _spectrum_arrays(config, spec)
+    assert got[2] == want[2]
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1], equal_nan=True)
+    return got
+
+
+def test_certified_route_matches_svd_gated_oracle_on_flagged_sweep(monkeypatch):
+    # 13 blocks; the 10 points below the gap stay DegenerateKernel
+    spec = ScanSpec(axis="laser_C.rabi", start=0.0, stop=0.2, points=801)
+    _, _, flags = _assert_same_as_oracle(monkeypatch, _load_config_arg("fig3a"), spec)
+    assert flags.count("DegenerateKernel") == 10
+
+
+def test_certified_route_matches_svd_gated_oracle_on_overflowing_rabi(monkeypatch):
+    spec = ScanSpec(axis="laser_B.rabi", start=10.0, stop=1e301, points=3)
+    _assert_same_as_oracle(monkeypatch, _load_config_arg("fig3a"), spec)
+
+
+DEGENERATE_CONFIGS = [
+    make_config(ob=0.0, orr=0.0, oc=0.0, gq=0.0),   # nothing fixes the kernel
+    make_config(db=8.0, dr=3.0, oc=0.0, gq=0.0),     # Q unfed
+    make_config(db=8.0, dr=8.0, oc=0.0, gq=0.0),     # dark state
+    make_config(orr=0.0, oc=0.0, gq=0.0),            # test_scan's flagged sweep base
+    make_config(),
+]
+
+
+def _bordered_matrices(m):
+    """The generators with their first row replaced by the trace row."""
+    a = np.array(m)
+    a[:, 0, :] = 0.0
+    a[:, 0, [0, 5, 10, 15]] = 1.0
+    return a
+
+
+def _outcome(solver, m):
+    try:
+        rho, errors = solver(m)
+    except SolverError as exc:
+        return type(exc).__name__
+    return rho, [None if e is None else (type(e).__name__, str(e)) for e in errors]
+
+
+def _assert_same_as_oracle_on_stack(m):
+    got, want = _outcome(steady_states, m), _outcome(svd_gated_steady_states, m)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("stack", [[c] for c in DEGENERATE_CONFIGS] + [DEGENERATE_CONFIGS])
+def test_certified_route_matches_svd_gated_oracle_on_degenerate_configs(stack):
+    _assert_same_as_oracle_on_stack(superoperator_stack(hamiltonian_stack(stack).h_total, stack))
+
+
+def test_exactly_singular_bordered_block_is_decided_by_the_svd(monkeypatch):
+    # gamma_Q = 0 and Omega_C = 0 at the first point: the bordered matrix is exactly singular
+    config = _load_config_arg("fig3a")
+    spec = ScanSpec(axis="laser_C.rabi", start=0.0, stop=0.2, points=129, gamma_q_mode="zero")
+    first = scan._point_config(config, spec.axis, 0.0, spec.gamma_q_mode)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(_bordered_matrices(sup_of(first).matrix[None]))
+
+    calls = []
+    solve_block = scan._solve_block
+
+    def counted(configs, s):
+        calls.append(len(configs))
+        return solve_block(configs, s)
+
+    monkeypatch.setattr(scan, "_solve_block", counted)
+    _, _, flags = _assert_same_as_oracle(monkeypatch, config, spec)
+    assert calls == [64, 64, 1] * 2  # production and oracle runs, no point-by-point rerun
+    assert flags[0] == ""
+
+
+def _svd_spy(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def _uncertified(config, spec):
+    """Indices of the points whose Frobenius-norm certificate fails, from np.linalg.inv."""
+    configs = [scan._point_config(config, spec.axis, float(v), spec.gamma_q_mode) for v in spec.values_mhz]
+    m = superoperator_stack(hamiltonian_stack(configs).h_total, configs)
+    bound = np.linalg.norm(m, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(_bordered_matrices(m)), axis=(1, 2))
+    return m, np.flatnonzero(GAP_THRESHOLD * bound > 1.0)
+
+
+def test_certified_sweep_runs_no_svd(monkeypatch):
+    seen = _svd_spy(monkeypatch)
+    sp = run_scan(_load_config_arg("fig3a"), ScanSpec(axis="laser_R.detuning", start=2.0, stop=4.0, points=801))
+    assert sp.n_failed == 0
+    assert seen == []
+
+
+def test_svd_runs_only_on_uncertified_points(monkeypatch):
+    config = _load_config_arg("fig3a")
+    spec = ScanSpec(axis="laser_C.rabi", start=0.0, stop=0.2, points=801)
+    m, uncertified = _uncertified(config, spec)
+    assert 10 < uncertified.size < 64  # the flagged points and a few gapped neighbours
+    seen = _svd_spy(monkeypatch)
+    sp = run_scan(config, spec)
+    assert sp.n_failed == 10
+    assert np.array_equal(np.concatenate(seen), m[uncertified])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=config_dicts())
+def test_certified_points_pass_the_svd_gap(doc):
+    try:
+        config = config_from_dict(doc)
+    except ConfigError:
+        assume(False)
+    m = sup_of(config).matrix[None]
+    try:
+        a_inv = np.linalg.inv(_bordered_matrices(m))
+    except np.linalg.LinAlgError:
+        a_inv = None
+    if a_inv is not None and _certified(m, a_inv, 4)[0]:
+        sing = np.linalg.svd(m[0], compute_uv=False)
+        assert sing[0] >= 1e-300
+        assert sing[-2] / sing[0] >= GAP_THRESHOLD
+    _assert_same_as_oracle_on_stack(m)
