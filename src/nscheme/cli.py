@@ -185,9 +185,7 @@ def _cmd_g2(args) -> int:
     tau = np.linspace(0.0, tau_max, args.points)
     values = g2(sup, rho, tau, config, channel=args.channel)
     with _output(args.out) as fh:
-        fh.write("tau_us,g2\n")
-        for t, v in zip(tau, values):
-            fh.write("%.12g,%.12g\n" % (t, v))
+        fh.write("tau_us,g2\n" + "".join(["%.12g,%.12g\n" % row for row in zip(tau.tolist(), values.tolist())]))
     return 0
 
 

@@ -64,9 +64,8 @@ class PopulationTrace:
 
     def to_csv(self, stream) -> None:
         """Write `t_us,P_S,P_P,P_D,P_Q` rows at 12 significant digits."""
-        stream.write("t_us,P_S,P_P,P_D,P_Q\n")
-        for t, row in zip(self.times, self.populations):
-            stream.write("%.12g,%.12g,%.12g,%.12g,%.12g\n" % (t, *row))
+        rows = zip(self.times.tolist(), *self.populations.T.tolist())
+        stream.write("t_us,P_S,P_P,P_D,P_Q\n" + "".join(["%.12g,%.12g,%.12g,%.12g,%.12g\n" % row for row in rows]))
 
 
 def _as_matrix(rho0) -> np.ndarray:

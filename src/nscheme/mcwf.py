@@ -13,17 +13,23 @@ pairs. Each source inverts many draws at once: H_eff is only 4x4,
 so the amplitudes are 4 exponentials through its eigendecomposition;
 every draw is bracketed on a dense log-spaced survival table, started
 from a cubic interpolation of the inverse and polished with
-safeguarded Newton steps, whose slope -<psi|Gamma|psi> comes from the
-same populations as the channel weights. All trajectories of a call
-run in lockstep stacks, one row of uniforms each. |S> inverts every
-pair of a stack's block; since a pair's source is fixed by the
-previous pair's channel (P->D leaves |D>), only the pairs that follow a
-P->D jump are inverted again, from |D>, for a few rounds until no
-source changes. A block that needs more rounds (sources that change
-from pair to pair) inverts |D> over the rest of its unsettled rows and
-composes every pair's source map in log2(block) steps, so no source
-inverts a pair twice. Jump times are running sums along each row, and
-a trajectory stops at its first waiting time past t_max.
+safeguarded Newton steps. One exponential per step gives the
+populations, whose decay-weighted sum -<psi|Gamma|psi> is the slope,
+and their time derivatives, which give the curvature: a step whose
+next correction (curvature over twice the slope, times the step
+squared) is negligible is accepted as the root, which most draws
+reach after one evaluation, and the channel weights come from the
+populations extrapolated along that step to the root. All
+trajectories of a call run in lockstep stacks, one row of uniforms
+each. |S> inverts every pair of a stack's block; since a pair's
+source is fixed by the previous pair's channel (P->D leaves |D>), only
+the pairs that follow a P->D jump are inverted again, from |D>, for a
+few rounds until no source changes. A block that needs more rounds
+(sources that change from pair to pair) inverts |D> over the rest of
+its unsettled rows and composes every pair's source map in
+log2(block) steps, so no source inverts a pair twice. Jump times are
+running sums along each row, and a trajectory stops at its first
+waiting time past t_max.
 """
 
 from __future__ import annotations
@@ -67,7 +73,9 @@ _STACK = 64
 _ROUNDS = 4
 #: draws inverted per Newton pass; the pass holds ~20 arrays of this length
 _INVERT_CHUNK = 4096
-#: Newton polish stops once a step is this small relative to the root;
+#: Newton polish accepts a step once the step, or the correction that
+#: the curvature predicts after it, is this small relative to the root
+#: (and that correction's survival residual this small relative to u);
 #: bisection guarantees progress, _MAX_STEPS only bounds the loop
 _STEP_RTOL = 1e-13
 _MAX_STEPS = 100
@@ -99,7 +107,7 @@ class TrajectoryRecord:
 class _Source:
     """No-jump evolution from one fixed start ket: amplitudes, survival, block sampling."""
 
-    __slots__ = ("mu", "rates", "decay", "t_table", "coeffs", "neg_surv", "inv_slope")
+    __slots__ = ("mu", "rates", "decay", "t_table", "coeffs", "coeffs_dot", "neg_surv", "inv_slope")
 
     def __init__(self, model: "_EffectiveModel", psi: np.ndarray):
         # the model's arrays, not the model: the model caches its sources, and
@@ -107,6 +115,9 @@ class _Source:
         self.mu, self.rates, self.decay, self.t_table = model.mu, model.rates, model.decay, model.t_table
         # psi(t) = V diag(exp(-i mu t)) V^-1 psi = coeffs @ exp(-i mu t)
         self.coeffs = (model.v * (model.v_inv @ psi)).T
+        # d/dt of the decaying amplitudes, P and Q (the odd levels):
+        # (-i mu exp(-i mu t)) @ coeffs_dot
+        self.coeffs_dot = (-1j * self.mu)[:, None] * self.coeffs[:, 1::2]
         pops = self.populations(model.t_table)
         # survival is non-increasing, so its negation is sorted for searchsorted
         self.neg_surv = -pops.sum(axis=1)
@@ -128,6 +139,20 @@ class _Source:
         pops += amps.imag**2
         return pops
 
+    def populations_and_derivatives(self, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Populations at elapsed times dt, (n, 4), and the time derivatives
+        of the decaying ones, P and Q, (n, 2); one exponential serves both."""
+        rotor = np.exp(np.multiply.outer(dt, -1j * self.mu))
+        amps = np.einsum("nk,kj->nj", rotor, self.coeffs)
+        amps_dot = np.einsum("nk,kj->nj", rotor, self.coeffs_dot)
+        pops = amps.real**2
+        pops += amps.imag**2
+        decaying = amps[:, 1::2]
+        dpops = decaying.real * amps_dot.real
+        dpops += decaying.imag * amps_dot.imag
+        dpops *= 2.0
+        return pops, dpops
+
     def sample(self, u_wait: np.ndarray, u_channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Waiting time and channel index for each pair of uniforms.
 
@@ -143,9 +168,9 @@ class _Source:
         hits = np.nonzero(j < self.neg_surv.size)[0]
         for start in range(0, hits.size, _INVERT_CHUNK):
             hit = hits[start:start + _INVERT_CHUNK]
-            root, pops = self._invert(u_wait[hit], np.maximum(j[hit], 1))
+            root, decaying = self._invert(u_wait[hit], np.maximum(j[hit], 1))
             wait[hit] = np.maximum(root, 1e-12)
-            w = pops[:, [1, 1, 3]] * self.rates
+            w = decaying[:, [0, 0, 1]] * self.rates
             total = w.sum(axis=1)
             pick = u_channel[hit] * total
             chosen = (pick >= w[:, 0]).astype(int) + (pick >= w[:, 0] + w[:, 1])
@@ -155,11 +180,18 @@ class _Source:
     def _invert(self, u: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Roots of survival(t) = u inside the table brackets [t[j-1], t[j]].
 
-        Newton steps on the exact survival, whose slope is minus the
-        decay rate -(gamma_P p_P + gamma_Q p_Q); a step that leaves the
-        bracket, which shrinks around the root on every evaluation,
-        is replaced by bisection. Also returns the populations at the
-        last evaluation, within one converged step of each root.
+        Newton steps on the exact survival f, whose slope f' is minus the
+        decay rate -(gamma_P p_P + gamma_Q p_Q) and whose curvature f''
+        comes from the populations' time derivatives. A step is accepted
+        as the root once it is below _STEP_RTOL of the root, or once it
+        lands inside the bracket with Newton's next correction, about
+        |f''/(2 f')| step^2, that small and the survival residual it
+        leaves, about |f''| step^2 / 2, below _STEP_RTOL of u; most
+        draws accept their first step. A step that leaves the bracket,
+        which shrinks around the root on every evaluation, is replaced
+        by bisection. Also returns the P and Q populations at each root,
+        extrapolated along the accepted step from the last evaluation
+        and clipped at 0, shape (n, 2).
         """
         t = self.t_table
         lo, hi = t[j - 1], t[j]
@@ -175,31 +207,40 @@ class _Source:
         inside = (cubic > lo) & (cubic < hi)
         x[inside] = cubic[inside]
         root = np.empty(u.size)
-        pops_at = np.empty((u.size, 4))
+        decaying_at = np.empty((u.size, 2))
         active = np.arange(u.size)
         floor = 4.0 * np.finfo(float).eps * u
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a vanishing decay rate gives an infinite or NaN step, whose square
+        # may overflow; such a step is never accepted and bisection replaces it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_MAX_STEPS):
-                pops = self.populations(x)
+                pops, dpops = self.populations_and_derivatives(x)
                 f = pops.sum(axis=1) - u
                 lo = np.where(f > 0.0, x, lo)
                 hi = np.where(f > 0.0, hi, x)
-                step = np.where(np.abs(f) <= floor, 0.0, f / np.einsum("nk,k->n", pops, self.decay))
-                done = np.abs(step) <= _STEP_RTOL * x
-                root[active[done]] = (x + step)[done]
-                pops_at[active[done]] = pops[done]
+                decay_rate = np.einsum("nk,k->n", pops, self.decay)
+                step = np.where(np.abs(f) <= floor, 0.0, f / decay_rate)
+                # survival residual that the step leaves, |f''| step^2 / 2, and
+                # the distance to the root that it means, residual / |f'|
+                residual = np.abs(0.5 * np.einsum("nk,k->n", dpops, self.decay[1::2])) * step * step
+                x_next = x + step
+                tol = _STEP_RTOL * x
+                done = (np.abs(step) <= tol) | (
+                    (residual <= _STEP_RTOL * u) & (residual <= tol * decay_rate) & (x_next > lo) & (x_next < hi))
+                # every active row is written; a later pass overwrites those not done
+                root[active] = x_next
+                decaying_at[active] = np.maximum(pops[:, 1::2] + step[:, None] * dpops, 0.0)
                 keep = ~done
                 if not keep.any():
-                    return root, pops_at
-                x, step, lo, hi = x[keep], step[keep], lo[keep], hi[keep]
+                    return root, decaying_at
+                x, lo, hi = x_next[keep], lo[keep], hi[keep]
                 u, floor, active = u[keep], floor[keep], active[keep]
-                x = x + step
                 outside = ~((x > lo) & (x < hi))
                 x[outside] = 0.5 * (lo[outside] + hi[outside])
         # bracket collapsed to rounding before a step fell below tolerance
         root[active] = x
-        pops_at[active] = self.populations(x)
-        return root, pops_at
+        decaying_at[active] = self.populations(x)[:, 1::2]
+        return root, decaying_at
 
 
 class _EffectiveModel:
@@ -572,11 +613,11 @@ def bright_dark_statistics(records, dark_threshold: float) -> BrightDarkStats:
 
 
 def photon_records_to_csv(records, stream) -> None:
-    """`trajectory_id,jump_time_us,channel` rows, one per photon."""
+    """`trajectory_id,jump_time_us,channel` rows, one per photon, one write per trajectory."""
     stream.write("trajectory_id,jump_time_us,channel\n")
     for i, record in enumerate(records):
-        for t, ch in zip(record.jump_times, record.jump_channels):
-            stream.write("%d,%.12g,%s\n" % (i, t, ch))
+        row = f"{i},%.12g,%s\n"
+        stream.write("".join([row % jump for jump in zip(record.jump_times.tolist(), record.jump_channels)]))
 
 
 def statistics_to_json(stats: BrightDarkStats) -> str:

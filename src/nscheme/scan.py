@@ -102,25 +102,23 @@ class Spectrum:
         return sum(1 for f in self.flags if f)
 
     def to_csv(self, stream) -> None:
-        stream.write("axis_MHz,P_S,P_P,P_D,P_Q,residual,flag\n")
-        for i in range(self.axis_mhz.size):
-            nums = [self.axis_mhz[i], *self.populations[i], self.residuals[i]]
-            stream.write(",".join("%.12g" % v for v in nums) + f",{self.flags[i]}\n")
+        rows = zip(self.axis_mhz.tolist(), *self.populations.T.tolist(), self.residuals.tolist(), self.flags)
+        stream.write("axis_MHz,P_S,P_P,P_D,P_Q,residual,flag\n"
+                     + "".join(["%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % row for row in rows]))
 
     def to_json(self, stream) -> None:
         json.dump(self.as_dict(), stream, indent=2)
         stream.write("\n")
 
     def as_dict(self) -> dict:
-        def column(j):
-            col = self.populations[:, j]
-            return [None if np.isnan(v) else float(v) for v in col]
+        def column(values):
+            return [None if math.isnan(v) else v for v in values.tolist()]
 
         return {
             "metadata": dict(self.metadata),
-            "axis_MHz": [float(v) for v in self.axis_mhz],
-            "populations": {lbl: column(j) for j, lbl in enumerate("SPDQ")},
-            "residuals": [None if np.isnan(v) else float(v) for v in self.residuals],
+            "axis_MHz": self.axis_mhz.tolist(),
+            "populations": {lbl: column(col) for lbl, col in zip("SPDQ", self.populations.T)},
+            "residuals": column(self.residuals),
             "flags": list(self.flags),
         }
 

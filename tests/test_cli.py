@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import make_config, with_linewidths
-from nscheme import __version__, scan
+from nscheme import __version__, cli, scan
 from nscheme.cli import main
+from nscheme.dynamics import PopulationTrace
 from nscheme.liouvillian import build_hamiltonian, build_superoperator
-from nscheme.mcwf import default_dark_threshold, photon_records_to_csv, run_trajectory
+from nscheme.mcwf import TrajectoryRecord, default_dark_threshold, photon_records_to_csv, run_trajectory
 from nscheme.model import config_to_dict, lamb_dicke_parameters, load_config
-from nscheme.scan import ScanSpec, run_scan
+from nscheme.scan import ScanSpec, Spectrum, run_scan
 from nscheme.steady import steady_state
 
 PRESETS = ("fig3a", "fig3e", "fig4a", "fig4d", "fig6_co", "fig6_counter")
@@ -491,3 +492,63 @@ def test_linewidths_dephase_every_entry_point(tmp_path, capsys):
     # the dark threshold solves the same config with the C drive off: scan point 0
     bright_rate = config.atom.gamma_p * spectrum.population("P")[0]
     assert default_dark_threshold(config) == pytest.approx(100.0 / bright_rate, rel=1e-12)
+
+
+# values whose printing differs most easily between numpy scalars and floats
+_EDGES = np.array([float("nan"), -0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-7, 1e16, float("inf")])
+
+
+def test_writers_keep_the_per_row_bytes(capsys, monkeypatch):
+    # each expected text is the per-row formatting of numpy scalars that
+    # the writers used before they formatted whole columns at once
+    n = _EDGES.size
+    pops = np.zeros((n, 4))
+    pops[:, 0] = [1.0, -0.0, 5e-324, 0.5, 1.0 / 3.0, 0.25, 1e-9, 0.0]
+    pops[:, 2] = 1e-300
+    pops[:, 3] = 1.0 - pops.sum(axis=1)
+    buf = io.StringIO()
+    PopulationTrace(times=_EDGES, populations=pops).to_csv(buf)
+    expected = "t_us,P_S,P_P,P_D,P_Q\n" + "".join(
+        "%.12g,%.12g,%.12g,%.12g,%.12g\n" % (t, *row) for t, row in zip(_EDGES, pops))
+    assert buf.getvalue() == expected
+
+    flagged = pops.copy()
+    flagged[::3] = np.nan
+    flags = tuple("DegenerateKernel" if i % 3 == 0 else "" for i in range(n))
+    spectrum = Spectrum(axis_mhz=_EDGES[::-1].copy(), populations=flagged, residuals=_EDGES.copy(),
+                        flags=flags, metadata={"version": __version__})
+    buf = io.StringIO()
+    spectrum.to_csv(buf)
+    expected = "axis_MHz,P_S,P_P,P_D,P_Q,residual,flag\n"
+    for i in range(n):
+        nums = [spectrum.axis_mhz[i], *flagged[i], _EDGES[i]]
+        expected += ",".join("%.12g" % v for v in nums) + f",{flags[i]}\n"
+    assert buf.getvalue() == expected
+    buf = io.StringIO()
+    spectrum.to_json(buf)
+    old = {
+        "metadata": {"version": __version__},
+        "axis_MHz": [float(v) for v in spectrum.axis_mhz],
+        "populations": {lbl: [None if np.isnan(v) else float(v) for v in flagged[:, j]]
+                        for j, lbl in enumerate("SPDQ")},
+        "residuals": [None if np.isnan(v) else float(v) for v in _EDGES],
+        "flags": list(flags),
+    }
+    assert buf.getvalue() == json.dumps(old, indent=2) + "\n"
+
+    times = [-0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e16, 1e300]
+    records = [TrajectoryRecord(seed=0, t_max=1e300, jump_times=times, jump_channels=("P->S", "P->D", "Q->S") * 2),
+               TrajectoryRecord(seed=1, t_max=1.0, jump_times=[], jump_channels=()),
+               TrajectoryRecord(seed=2, t_max=1.0, jump_times=[0.5], jump_channels=("P->D",))]
+    buf = io.StringIO()
+    photon_records_to_csv(records, buf)
+    expected = "trajectory_id,jump_time_us,channel\n" + "".join(
+        "%d,%.12g,%s\n" % (i, t, ch)
+        for i, rec in enumerate(records) for t, ch in zip(rec.jump_times, rec.jump_channels))
+    assert buf.getvalue() == expected
+
+    monkeypatch.setattr(cli, "g2", lambda sup, rho, tau, config, channel: _EDGES[:tau.size].copy())
+    code, out, _ = run(capsys, "g2", "--config", "fig3a", "--tau-max", "3.0", "--points", str(n))
+    assert code == 0
+    tau = np.linspace(0.0, 3.0, n)
+    assert out == "tau_us,g2\n" + "".join("%.12g,%.12g\n" % (t, v) for t, v in zip(tau, _EDGES))

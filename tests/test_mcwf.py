@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 from scipy.optimize import brentq
 
@@ -37,7 +39,7 @@ from nscheme.mcwf import (
     run_trajectory,
     statistics_to_json,
 )
-from nscheme.model import pure_state
+from nscheme.model import AtomSpec, pure_state
 
 
 def test_trajectories_are_deterministic():
@@ -501,3 +503,124 @@ def test_ensemble_equals_chain_built_ensemble():
     var = np.maximum(total_sq / n_traj - mean**2, 0.0) * n_traj / (n_traj - 1)
     assert np.array_equal(trace.populations, mean)
     assert np.array_equal(trace.standard_errors, np.sqrt(var / n_traj))
+
+
+# -- accuracy: the sampler against Newton run until its step is exactly 0 --
+
+def _newton_sample(source, u_wait, u_channel):
+    """Waiting times and channels by bracketed Newton until every step is 0.
+
+    Starts from the table bracket's midpoint; a step is 0 once the
+    survival is within the sampler's rounding floor 4 eps u of u. A draw
+    whose iterate keeps moving (rounding noise above the floor) stops at
+    100 steps. The channel is drawn as the sampler draws it, from the
+    populations at the root.
+    """
+    wait = np.full(u_wait.shape, np.inf)
+    channel = np.full(u_wait.shape, -1)
+    j = np.searchsorted(source.neg_surv, -u_wait, side="right")
+    hit = np.nonzero(j < source.neg_surv.size)[0]
+    u, j = u_wait[hit], j[hit]
+    lo, hi = source.t_table[j - 1], source.t_table[j]
+    x = 0.5 * (lo + hi)
+    floor = 4.0 * np.finfo(float).eps * u
+    moving = np.arange(hit.size)
+    for _ in range(100):
+        pops = source.populations(x[moving])
+        f = pops.sum(axis=1) - u[moving]
+        lo[moving] = np.where(f > 0.0, x[moving], lo[moving])
+        hi[moving] = np.where(f > 0.0, hi[moving], x[moving])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(np.abs(f) <= floor[moving], 0.0, f / (pops @ source.decay))
+        nxt = x[moving] + step
+        outside = ~((nxt >= lo[moving]) & (nxt <= hi[moving]))
+        nxt[outside] = 0.5 * (lo[moving] + hi[moving])[outside]
+        still = nxt != x[moving]
+        x[moving] = nxt
+        moving = moving[still]
+        if not moving.size:
+            break
+    pops = source.populations(x)
+    w = pops[:, [1, 1, 3]] * source.rates
+    total = w.sum(axis=1)
+    pick = u_channel[hit] * total
+    chosen = (pick >= w[:, 0]).astype(int) + (pick >= w[:, 0] + w[:, 1])
+    wait[hit] = np.maximum(x, 1e-12)
+    channel[hit] = np.where(total > 0.0, chosen, -1)
+    return wait, channel
+
+
+def _survival_residual(source, wait, u):
+    """|survival(wait) - u| / u at the finite waits."""
+    finite = np.isfinite(wait)
+    return np.abs(source.populations(wait[finite]).sum(axis=1) - u[finite]) / u[finite]
+
+
+@pytest.mark.parametrize("cascade", [False, True], ids=["fig3a", "cascade"])
+@pytest.mark.parametrize("key", ["S", "D"])
+def test_sampler_matches_newton_run_to_a_zero_step(cascade, key):
+    config = make_config(oc=5.0, gq=5.0) if cascade else make_config()
+    model, _ = _prepare(config, "S", 3000.0)
+    source = model.source(key)
+    u_wait, u_channel = default_rng(SeedSequence(3)).random((2, 100_000))
+    wait, channel = source.sample(u_wait, u_channel)
+    ref_wait, ref_channel = _newton_sample(source, u_wait, u_channel)
+    assert np.array_equal(channel, ref_channel)
+    assert np.array_equal(np.isinf(wait), np.isinf(ref_wait))
+    finite = np.isfinite(ref_wait)
+    assert np.count_nonzero(finite) > 99_000
+    assert _survival_residual(source, wait, u_wait).max() <= 1e-12
+    # where the survival is flat to rounding (u near 1) a root is only fixed
+    # to within the rounding floor over the slope; elsewhere to 1e-12
+    w, ref, u = wait[finite], ref_wait[finite], u_wait[finite]
+    flat = 8.0 * np.finfo(float).eps * u / (source.populations(ref) @ source.decay)
+    assert np.all(np.abs(w - ref) <= 1e-12 * ref + flat)
+
+
+def test_sampler_takes_about_one_evaluation_per_draw(monkeypatch):
+    counts = {"draws": 0, "evaluations": 0}
+    invert, evaluate = mcwf._Source._invert, mcwf._Source.populations_and_derivatives
+
+    def counted_invert(self, u, j):
+        counts["draws"] += u.size
+        return invert(self, u, j)
+
+    def counted_evaluate(self, dt):
+        counts["evaluations"] += dt.size
+        return evaluate(self, dt)
+
+    monkeypatch.setattr(mcwf._Source, "_invert", counted_invert)
+    monkeypatch.setattr(mcwf._Source, "populations_and_derivatives", counted_evaluate)
+    records = run_trajectories(make_config(), "S", 1000.0, [(2, i) for i in range(4)])
+    assert sum(rec.jump_times.size for rec in records) > 10_000
+    assert counts["draws"] > 10_000
+    assert counts["evaluations"] <= 1.1 * counts["draws"]
+
+
+_RATES = st.one_of(st.floats(min_value=1e-6, max_value=1e3), st.sampled_from([1e-6, 1e3]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rabi=st.tuples(_RATES, _RATES, _RATES), detuning=st.tuples(_RATES, _RATES, _RATES),
+       gamma_p=_RATES, gamma_q=st.one_of(st.just(0.0), _RATES), t_max=st.sampled_from([1.0, 3000.0]))
+def test_sampler_draws_are_valid_at_any_rates(rabi, detuning, gamma_p, gamma_q, t_max):
+    config = make_config()
+    config = dataclasses.replace(
+        config,
+        laser_b=dataclasses.replace(config.laser_b, rabi=rabi[0], detuning=detuning[0]),
+        laser_r=dataclasses.replace(config.laser_r, rabi=rabi[1], detuning=detuning[1]),
+        laser_c=dataclasses.replace(config.laser_c, rabi=rabi[2], detuning=detuning[2]),
+        atom=AtomSpec(gamma_p=gamma_p, gamma_q=gamma_q),
+    )
+    u_wait, u_channel = default_rng(SeedSequence(17)).random((2, 2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, _ = _prepare(config, "S", t_max)
+        for key in ("S", "D"):
+            source = model.source(key)
+            wait, channel = source.sample(u_wait, u_channel)
+            assert np.all((wait > 0.0) & ~np.isnan(wait))
+            assert set(np.unique(channel).tolist()) <= {-1, 0, 1, 2}
+            assert np.all(channel[np.isinf(wait)] == -1)
+            assert _survival_residual(source, wait, u_wait).max(initial=0.0) <= 1e-12
