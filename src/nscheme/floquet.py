@@ -9,13 +9,17 @@ and x_{+-(N+1)} = 0.
 
 It is solved by the matrix continued fraction (Risken, The
 Fokker-Planck Equation, ch. 9). With S_{N+1} = 0 the upper harmonics
-follow x_n = S_n x_{n-1}, S_n = -(M0 - i n nu + C S_{n+1})^{-1} C, and
-the lower ones independently x_{-n} = T_n x_{-(n-1)} with T_n the
-same recursion at +i n nu. The n = 0 row then leaves the 16x16
-effective generator M0 + C S_1 + C T_1, whose kernel the steady
-state's bordered solve finds. The n = 0 block carries the physical
-populations; blocks with n != 0 are traceless and paired by rho(-n) =
-rho(n)+, a pairing the independent T recursion makes measurable.
+follow x_n = S_n x_{n-1}, S_n = -(M0 - i n nu + C S_{n+1})^{-1} C.
+The lower ones follow x_{-n} = T_n x_{-(n-1)}, where T_n is the same
+recursion at +i n nu. Both M0 and C map X+ to (M X)+ (C because
+H_side is Hermitian), so T_n = P conj(S_n) P exactly, with P the
+vec-transpose permutation; T_n is taken from S_n rather than solved.
+The n = 0 row then leaves the 16x16 effective generator M0 + C S_1 +
+C T_1, whose kernel one LU of the bordered system gives. The n = 0
+block carries the physical populations; blocks with n != 0 are
+traceless and paired by rho(-n) = rho(n)+. Since T_n is exactly the
+mirrored S_n, the measured pairing defect is rounding only; the
+residual over all 2N+1 block rows is the correctness gate.
 
 Every step runs on a stack of points; a single solve is a stack of
 one.
@@ -30,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
 from .liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
 from .model import SystemConfig, level_index
-from .steady import bordered_solve
+from .steady import _bordered
 
 #: residual bound on the full block system
 FLOQUET_RESIDUAL_TOL = 1e-9
@@ -45,6 +49,7 @@ DEFAULT_ORDER = 2
 
 _EYE16 = np.eye(16)
 _DIAG = [5 * k for k in range(4)]  # vec indices of the diagonal of a 4x4 block
+_TRANSPOSE = [4 * (i % 4) + i // 4 for i in range(16)]  # vec(X^T) = vec(X)[_TRANSPOSE]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,8 +58,9 @@ class FloquetBlockSystem:
 
     blocks[n] are 4x4; populations come from the real diagonal of the
     n = 0 block. pairing_defect is the largest deviation from rho(-n)
-    = rho(n)+ measured before the pairing was enforced; residual is
-    the max-norm defect of the unmodified block system.
+    = rho(n)+ measured before the pairing was enforced; the lower
+    ratios mirror the upper ones exactly, so it measures rounding only.
+    residual is the max-norm defect of the unmodified block system.
     """
 
     order: int
@@ -93,10 +99,13 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
     Returns the paired blocks (k, 2 order + 1, 4, 4) ordered n =
     -order..order (NaN where a point failed), the block-system
     residuals (k,), the pairing defects (k,), and for each point None
-    or the SolverError it failed with. A point fails when its trace is
-    not finite or vanishes, its residual exceeds 1e-9 or rho(0) has an
-    eigenvalue below -1e-8. A LAPACK failure of a stacked call raises
-    the SolverError it maps to for the whole stack.
+    or the SolverError it failed with. It makes order + 1 stacked
+    solves, one per upper ratio S_n and one for the kernel; the lower
+    ratios are the mirrored S_n, so the pairing defect is rounding
+    only. A point fails when its trace is not finite or vanishes, its
+    residual exceeds 1e-9 or rho(0) has an eigenvalue below -1e-8. A
+    LAPACK failure of a stacked call raises the SolverError it maps to
+    for the whole stack.
     """
     if not all(c.motion.enabled for c in configs):
         raise MotionDisabled("the Floquet expansion needs motion enabled")
@@ -110,8 +119,8 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
         m0 = superoperator_stack(parts.h_total, configs)
         c = commutator_superoperator(parts.h_side)
         upper = _fraction(m0, c, shift, order)
-        lower = _fraction(m0, c, -shift, order)
-        x0 = bordered_solve(m0 + c @ upper[0] + c @ lower[0], 4)
+        lower = [s_n[:, _TRANSPOSE][:, :, _TRANSPOSE].conj() for s_n in upper]  # T_n = P conj(S_n) P
+        x0 = _kernel(m0 + c @ upper[0] + c @ lower[0])
         trace = x0[:, _DIAG].sum(axis=1)
         x = [(x0 / trace[:, None])[..., None]]  # column vectors (k, 16, 1)
         for s_n, t_n in zip(upper, lower):
@@ -147,6 +156,15 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
     failed = [e is not None for e in errors]
     blocks[failed] = residual[failed] = pairing[failed] = np.nan
     return blocks, residual, pairing, errors
+
+
+def _kernel(m: np.ndarray) -> np.ndarray:
+    """Kernel vectors (k, 16) of a stack of effective generators, from one LU of the bordered system."""
+    a, b = _bordered(m, 4)
+    try:
+        return np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateKernel(f"bordered system singular: {exc}") from None
 
 
 def _fraction(m0: np.ndarray, c: np.ndarray, shift: np.ndarray, order: int) -> list:

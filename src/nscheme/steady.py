@@ -82,17 +82,12 @@ def residual(superop: Superoperator, rho: DensityMatrix) -> float:
     return float(residuals(superop.matrix, rho.matrix))
 
 
-def bordered_solve(m: np.ndarray, n: int) -> np.ndarray:
-    """Kernel vectors of a stack of n-level generators, not normalized.
-
-    The first diagonal-element row is replaced by the trace row, and
-    one step of iterative refinement follows the solve.
-    """
-    return _refined(*_bordered(m, n))
-
-
 def _bordered(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bordered matrices A of a stack of generators, and the right-hand side e_0."""
+    """Bordered matrices A of a stack of generators, and the right-hand side e_0.
+
+    The first diagonal-element row of each generator is replaced by the
+    trace row, so A x = e_0 gives a kernel vector of trace 1.
+    """
     a = np.array(m, dtype=complex)
     diag_idx = [i + n * i for i in range(n)]
     a[:, diag_idx[0], :] = 0.0

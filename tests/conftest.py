@@ -15,7 +15,7 @@ from nscheme.model import (
     SystemConfig,
     from_mhz,
 )
-from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _physical, _unfed_levels, bordered_solve
+from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _bordered, _physical, _refined, _unfed_levels
 
 # oscillation amplitude giving |eta_B| = 0.1 at 397 nm
 OSC_AMPLITUDE_NM = 12.636902481496492
@@ -95,6 +95,26 @@ def build_floquet_generator(config, order):
     return gen
 
 
+def floquet_lower_ratios(config, order):
+    """Ratios T_1..T_order of the lower harmonics, x_{-n} = T_n x_{-(n-1)}.
+
+    T_n = -(M0 + i n nu + C T_{n+1})^{-1} C with T_{order+1} = 0, solved
+    as its own recursion. Reference for the production solver, which
+    takes T_n from the upper ratios by Hermitian symmetry.
+    """
+    parts = build_hamiltonian(config)
+    m0 = build_superoperator(parts.h_total, config).matrix
+    c_side = commutator_superoperator(parts.h_side)
+    shift = 1j * config.motion.trap_frequency * np.eye(16)
+    ratios = []
+    coupled = np.zeros_like(m0)
+    for n in range(order, 0, -1):
+        ratio = -np.linalg.solve(m0 + n * shift + coupled, c_side)
+        ratios.insert(0, ratio)
+        coupled = c_side @ ratio
+    return ratios
+
+
 def solve_floquet_blocks(gen, order):
     """Bordered solve of the whole block system: trace row on the n=0 block.
 
@@ -125,6 +145,16 @@ def solve_floquet_blocks(gen, order):
     if defect > FLOQUET_RESIDUAL_TOL:
         raise NoConvergence(f"Floquet residual {defect:.3e} exceeds {FLOQUET_RESIDUAL_TOL:.0e}")
     return x, defect
+
+
+def bordered_solve(m, n):
+    """Kernel vectors of a stack of n-level generators, not normalized.
+
+    One bordered solve and one step of iterative refinement, as on the
+    carrier route's certified points, so that the SVD-gated oracle
+    matches that route bitwise.
+    """
+    return _refined(*_bordered(m, n))
 
 
 def svd_gated_steady_states(matrices):

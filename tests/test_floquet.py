@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, make_config, solve_floquet_blocks,
-                      sup_of, two_plus_one)
+from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, floquet_lower_ratios, make_config,
+                      solve_floquet_blocks, sup_of, two_plus_one, with_linewidths)
 from nscheme import floquet
 from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, TruncationNotConverged
 from nscheme.floquet import (
@@ -16,6 +16,7 @@ from nscheme.floquet import (
     convergence_check,
     solve_floquet_steady,
 )
+from nscheme.liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
 from nscheme.steady import steady_state
 
 # counter-propagating oscillating-ion point, order 2, solved once and pinned
@@ -35,21 +36,62 @@ def test_zero_amplitude_reduces_to_carrier():
     assert np.abs(fb.block(-2)).max() == 0.0
 
 
-@pytest.mark.parametrize("config", [
+SIDEBAND_CONFIGS = [
     make_config(motion=True, counter=True),   # fig6_counter
     make_config(motion=True),                 # fig6_co
     two_plus_one(motion=True, counter=True),  # criterion 8's sideband point
-], ids=["counter", "co", "two_plus_one"])
+    with_linewidths(make_config(motion=True, counter=True), 0.3),  # laser dephasing
+    make_config(motion=True, counter=True, gq=0.0),
+]
+SIDEBAND_IDS = ["counter", "co", "two_plus_one", "linewidths", "gq0"]
+
+
+@pytest.mark.parametrize("config", SIDEBAND_CONFIGS, ids=SIDEBAND_IDS)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_continued_fraction_matches_block_solve(config, order):
     fb = solve_floquet_steady(config, order, check_truncation=False)
     gen = build_floquet_generator(config, order)
     x, _ = solve_floquet_blocks(gen, order)
+    refs = {n: x[16 * (n + order):16 * (n + order + 1)].reshape((4, 4), order="F")
+            for n in range(-order, order + 1)}
     for n in range(-order, order + 1):
-        ref = x[16 * (n + order):16 * (n + order + 1)].reshape((4, 4), order="F")
-        assert np.abs(fb.block(n) - ref).max() < 1e-12
+        # criterion 10 on the oracle itself: its lower harmonics are solved, not mirrored
+        assert np.abs(refs[-n] - refs[n].conj().T).max() < 1e-12
+        assert np.abs(fb.block(n) - refs[n]).max() < 1e-12
     returned = np.concatenate([fb.block(n).flatten(order="F") for n in range(-order, order + 1)])
     assert np.abs(gen @ returned).max() < 1e-9
+
+
+@pytest.mark.parametrize("config", SIDEBAND_CONFIGS, ids=SIDEBAND_IDS)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lower_ratios_are_mirrored_upper_ratios(config, order):
+    # vec is column-major, so vec(X^T) permutes vec(X) by i + 4 j -> j + 4 i
+    transpose = np.arange(16).reshape((4, 4), order="F").T.flatten(order="F")
+    assert floquet._TRANSPOSE == transpose.tolist()
+    parts = hamiltonian_stack([config])
+    m0 = superoperator_stack(parts.h_total, [config])
+    shift = -1j * config.motion.trap_frequency * np.eye(16)
+    upper = floquet._fraction(m0, commutator_superoperator(parts.h_side), shift, order)
+    for s_n, t_n in zip(upper, floquet_lower_ratios(config, order)):
+        assert np.abs(s_n[0][np.ix_(transpose, transpose)].conj() - t_n).max() < 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_one_solve_per_ratio_and_one_for_the_kernel(monkeypatch, order):
+    base = make_config(motion=True, counter=True)
+    configs = [dataclasses.replace(base, laser_r=dataclasses.replace(base.laser_r, detuning=d))
+               for d in np.linspace(10.0, 25.0, 8)]
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    _, _, _, errors = floquet.solve_floquet_stack(configs, order)
+    assert errors == [None] * len(configs)
+    assert calls == [(len(configs), 16, 16)] * (order + 1)
 
 
 def test_generator_dimensions():
@@ -123,7 +165,7 @@ def test_vanishing_trace_fails_without_warnings(monkeypatch):
     # a traceless Hermitian rho(0): dividing by its trace leaves inf - inf in the pairing defect
     traceless = np.zeros(16)
     traceless[[1, 4]] = 1.0
-    monkeypatch.setattr(floquet, "bordered_solve", lambda a, k: np.tile(traceless, (len(a), 1)))
+    monkeypatch.setattr(floquet, "_kernel", lambda m: np.tile(traceless, (len(m), 1)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DegenerateKernel, match="vanishing trace"):
