@@ -65,6 +65,13 @@ def _span(value: float, option: str) -> float:
     return value
 
 
+def _points(value: int) -> int:
+    """A --points value of a time grid, which needs both ends."""
+    if value < 2:
+        raise ConfigError(f"--points must be at least 2, got {value}")
+    return value
+
+
 def _parse_range(text) -> tuple:
     if text is None:
         raise ConfigError("--range is required when --axis is given")
@@ -140,7 +147,7 @@ def _cmd_evolve(args) -> int:
         config = with_gamma_q(config, 0.0)
     t_max = _span(args.t_max, "--t-max")
     sup = build_superoperator(build_hamiltonian(config).h_total, config)
-    times = np.linspace(0.0, t_max, args.points)
+    times = np.linspace(0.0, t_max, _points(args.points))
     trace = evolve(sup, pure_state(args.initial), times, method=args.method)
     with _output(args.out) as fh:
         if args.fit:
@@ -182,7 +189,7 @@ def _cmd_g2(args) -> int:
     config = _load_config_arg(args.config)
     tau_max = _span(args.tau_max, "--tau-max")
     rho, _, sup = _steady_populations(config)
-    tau = np.linspace(0.0, tau_max, args.points)
+    tau = np.linspace(0.0, tau_max, _points(args.points))
     values = g2(sup, rho, tau, config, channel=args.channel)
     with _output(args.out) as fh:
         fh.write("tau_us,g2\n" + "".join(["%.12g,%.12g\n" % row for row in zip(tau.tolist(), values.tolist())]))
@@ -212,13 +219,20 @@ def _cmd_floquet(args) -> int:
 
 def _cmd_dressed(args) -> int:
     config = _load_config_arg(args.config)
+    # the JSON carries the perturbation warning as three_photon.warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbationInvalid)
+        doc = _dressed_doc(config, args.velocity)
+    with _output(args.out) as fh:
+        _dump(doc, fh)
+    return 0
+
+
+def _dressed_doc(config: SystemConfig, velocity) -> dict:
     doc = {"metadata": _metadata(config)}
 
     try:
-        # the JSON carries the warning as three_photon.warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PerturbationInvalid)
-            report = three_photon_report(config)
+        report = three_photon_report(config)
         section = {
             "alpha_c": report.alpha_c,
             "epsilon": report.epsilon,
@@ -250,20 +264,17 @@ def _cmd_dressed(args) -> int:
     except ConfigError as exc:
         doc["lambda"] = {"error": f"{type(exc).__name__}: {exc}"}
 
-    if args.velocity is not None:
+    if velocity is not None:
         if report is None:
             doc["doppler"] = {"error": "three-photon report unavailable"}
         else:
             try:
-                rate = doppler_rate(config, args.velocity)
-                doc["doppler"] = {"velocity_m_per_s": args.velocity,
+                rate = doppler_rate(config, velocity)
+                doc["doppler"] = {"velocity_m_per_s": velocity,
                                   "rate_MHz": to_mhz(rate)}
             except ConfigError as exc:
                 doc["doppler"] = {"error": f"{type(exc).__name__}: {exc}"}
-
-    with _output(args.out) as fh:
-        _dump(doc, fh)
-    return 0
+    return doc
 
 
 def _add_common(parser) -> None:

@@ -177,8 +177,14 @@ def doppler_rate(config: SystemConfig, velocity: float) -> float:
     R = epsilon * v * (k_R - k_B + k_C) for an atom moving at the
     given velocity (m/s) along the beam axis. The residual wavevector
     comes from the configured beam geometry, so motion must be
-    enabled; a phase-matched geometry gives zero for any velocity.
+    enabled; a phase-matched geometry gives zero. A velocity that is
+    not finite, or a rate beyond the float range, is a ConfigError.
     """
+    if not math.isfinite(velocity):
+        raise ConfigError(f"velocity must be finite, got {velocity!r}")
     report = three_photon_report(config)
     delta_k = lamb_dicke_parameters(config).delta_k
-    return report.epsilon * velocity * _VELOCITY_NM_PER_US * delta_k
+    rate = report.epsilon * velocity * _VELOCITY_NM_PER_US * delta_k
+    if not math.isfinite(rate):
+        raise ConfigError(f"Doppler rate overflows the float range at velocity {velocity!r} m/s")
+    return rate

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
 from .liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
-from .model import SystemConfig, level_index
-from .steady import _bordered
+from .model import SystemConfig, level_index, require_integer
+from .steady import bordered_kernel
 
 #: residual bound on the full block system
 FLOQUET_RESIDUAL_TOL = 1e-9
@@ -109,7 +109,7 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
     """
     if not all(c.motion.enabled for c in configs):
         raise MotionDisabled("the Floquet expansion needs motion enabled")
-    if order < 1:
+    if require_integer(order, "Floquet order") < 1:
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
     shift = -1j * np.array([cfg.motion.trap_frequency for cfg in configs])[:, None, None] * _EYE16
 
@@ -120,7 +120,7 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
         c = commutator_superoperator(parts.h_side)
         upper = _fraction(m0, c, shift, order)
         lower = [s_n[:, _TRANSPOSE][:, :, _TRANSPOSE].conj() for s_n in upper]  # T_n = P conj(S_n) P
-        x0 = _kernel(m0 + c @ upper[0] + c @ lower[0])
+        x0 = bordered_kernel(m0 + c @ upper[0] + c @ lower[0], 4)
         trace = x0[:, _DIAG].sum(axis=1)
         x = [(x0 / trace[:, None])[..., None]]  # column vectors (k, 16, 1)
         for s_n, t_n in zip(upper, lower):
@@ -156,15 +156,6 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
     failed = [e is not None for e in errors]
     blocks[failed] = residual[failed] = pairing[failed] = np.nan
     return blocks, residual, pairing, errors
-
-
-def _kernel(m: np.ndarray) -> np.ndarray:
-    """Kernel vectors (k, 16) of a stack of effective generators, from one LU of the bordered system."""
-    a, b = _bordered(m, 4)
-    try:
-        return np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateKernel(f"bordered system singular: {exc}") from None
 
 
 def _fraction(m0: np.ndarray, c: np.ndarray, shift: np.ndarray, order: int) -> list:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .dynamics import PopulationTrace, _check_grid
 from .errors import (LinewidthUnsupported, MotionUnsupported, NoJumps, NonPhysicalState,
                      ZeroFluorescence)
 from .liouvillian import build_hamiltonian, build_superoperator
-from .model import SystemConfig, level_index
+from .model import SystemConfig, level_index, require_integer
 from .steady import steady_state
 
 CHANNELS = ("P->S", "P->D", "Q->S")
@@ -461,12 +460,7 @@ def _sample_grid(sample_times, t_max: float) -> np.ndarray:
 
 def _trajectory_count(n_traj) -> int:
     """n_traj as an int >= 1; a bool or a non-integer is refused."""
-    try:
-        count = operator.index(n_traj)
-    except TypeError:
-        count = None
-    if count is None or isinstance(n_traj, bool):
-        raise NonPhysicalState(f"trajectory count must be an integer, got {n_traj!r}")
+    count = require_integer(n_traj, "trajectory count", NonPhysicalState)
     if count < 1:
         raise NonPhysicalState("need at least one trajectory")
     return count

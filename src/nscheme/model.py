@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +66,17 @@ def level_index(label: str) -> int:
         return LEVELS.index(label)
     except ValueError:
         raise UnknownLevel(f"unknown level {label!r}, expected one of {LEVELS}") from None
+
+
+def require_integer(value, what: str, error: type[ConfigError] = ConfigError) -> int:
+    """value as an int; a bool or a non-integer such as 2.5 raises error."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def _require_finite(spec) -> None:

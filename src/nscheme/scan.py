@@ -28,7 +28,7 @@ from .errors import ConfigError, SolverError, TooCoarse
 from .floquet import DEFAULT_ORDER, solve_floquet_stack
 from .liouvillian import hamiltonian_stack, superoperator_stack
 from .model import (FREQUENCY_FIELDS, SystemConfig, config_hash, from_mhz,
-                    level_index, replace_param, with_gamma_q)
+                    level_index, replace_param, require_integer, with_gamma_q)
 from .steady import residuals, steady_states
 
 _SOLVERS = ("carrier", "floquet")
@@ -58,7 +58,7 @@ class ScanSpec:
     def __post_init__(self):
         if not isinstance(self.axis, str) or "." not in self.axis:
             raise ConfigError(f"axis must be a section.field path, got {self.axis!r}")
-        if self.points < 2:
+        if require_integer(self.points, "points") < 2:
             raise ConfigError(f"a scan needs at least 2 points, got {self.points}")
         if not math.isfinite(float(self.stop) - float(self.start)):
             raise ConfigError(f"axis range and its width must be finite, got [{self.start}, {self.stop}]")
@@ -66,7 +66,7 @@ class ScanSpec:
             raise ConfigError(f"empty axis range [{self.start}, {self.stop}]")
         if self.solver not in _SOLVERS:
             raise ConfigError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        if self.floquet_order < 1:
+        if require_integer(self.floquet_order, "floquet_order") < 1:
             raise ConfigError(f"floquet_order must be >= 1, got {self.floquet_order}")
         if self.gamma_q_mode not in _GAMMA_MODES:
             raise ConfigError(f"gamma_q_mode must be one of {_GAMMA_MODES}, got {self.gamma_q_mode!r}")

@@ -2,17 +2,17 @@
 
 The kernel of a generator M is found by replacing its first
 diagonal-element row with the trace row and solving this bordered
-system A x = e_0 by LU, followed by one step of iterative refinement.
-The kernel must be unique: the relative gap sigma_{n^2-1} / sigma_1 of
-M's singular values must reach GAP_THRESHOLD (1e-8).
+system A x = e_0 with one LU factorization. The kernel must be unique:
+the relative gap sigma_{n^2-1} / sigma_1 of M's singular values must
+reach GAP_THRESHOLD (1e-8).
 
-Uniqueness is certified first, from the bordered solve itself: the
-same stacked solve that gives x also gives A^-1, and since A differs
-from M in one row, GAP_THRESHOLD ||M||_F ||A^-1||_F <= 1 proves the
-gap (interlacing; see _certified). Such a point is accepted without
-an SVD. Only the uncertified points, or every point of a stack that
-holds an exactly singular A, have their singular values computed, and
-the gap decides them. Below the gap, levels that receive no population
+Uniqueness is certified first, from the bordered system itself: one
+inverse A^-1 gives x as its first column, and since A differs from M
+in one row, GAP_THRESHOLD ||M||_F ||A^-1||_F <= 1 proves the gap
+(interlacing; see _certified). Such a point is accepted without an
+SVD. Only the uncertified points, or every point of a stack that holds
+an exactly singular A, have their singular values computed, and the
+gap decides them. Below the gap, levels that receive no population
 or coherence inflow ("unfed" levels, e.g. Q when Omega_C = 0) are
 removed and the reduced block is solved with the removed levels empty,
 which is the physically prepared branch. A degenerate kernel that no
@@ -20,8 +20,9 @@ such reduction explains raises DegenerateKernel.
 
 Every step runs on a stack of generators, one generator being a stack
 of one, and each point keeps its own verdict. Only a LAPACK failure of
-a stacked SVD or refinement raises for the whole stack, as the
-SolverError that step maps it to.
+a stacked SVD, or of the bordered solve on a stack whose A is exactly
+singular, raises for the whole stack, as the SolverError that step
+maps it to.
 """
 
 from __future__ import annotations
@@ -82,30 +83,28 @@ def residual(superop: Superoperator, rho: DensityMatrix) -> float:
     return float(residuals(superop.matrix, rho.matrix))
 
 
-def _bordered(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bordered matrices A of a stack of generators, and the right-hand side e_0.
+def bordered_kernel(m: np.ndarray, n: int) -> np.ndarray:
+    """Kernel vectors (k, n^2) of a stack of n-level generators, of trace 1 up to rounding.
+
+    One LU solve of the bordered system A x = e_0 per point; a singular
+    A raises DegenerateKernel for the whole stack.
+    """
+    try:
+        return np.linalg.solve(_bordered(m, n), np.eye(n * n, 1))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateKernel(f"bordered system singular: {exc}") from None
+
+
+def _bordered(m: np.ndarray, n: int) -> np.ndarray:
+    """Bordered matrices A of a stack of generators.
 
     The first diagonal-element row of each generator is replaced by the
     trace row, so A x = e_0 gives a kernel vector of trace 1.
     """
     a = np.array(m, dtype=complex)
-    diag_idx = [i + n * i for i in range(n)]
-    a[:, diag_idx[0], :] = 0.0
-    a[:, diag_idx[0], diag_idx] = 1.0
-    b = np.zeros((n * n, 1), dtype=complex)
-    b[diag_idx[0]] = 1.0
-    return a, b
-
-
-def _refined(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-    """Solutions (k, n^2) of A x = b after one refinement step; x is the first solve, if made."""
-    try:
-        if x is None:
-            x = np.linalg.solve(a, b)
-        x += np.linalg.solve(a, b - a @ x)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateKernel(f"bordered system singular: {exc}") from None
-    return x[..., 0]
+    a[:, 0, :] = 0.0
+    a[:, 0, [i + n * i for i in range(n)]] = 1.0
+    return a
 
 
 def _certified(m: np.ndarray, a_inv: np.ndarray, n: int) -> np.ndarray:
@@ -129,13 +128,11 @@ def _steady_vec(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _steady_vecs(m: np.ndarray, n: int) -> tuple[np.ndarray, list]:
-    a, b = _bordered(m, n)
     try:
-        # column 0 is the first bordered solve, the other columns are A^-1
-        first = np.linalg.solve(a, np.concatenate([b, np.eye(n * n)], axis=1))
+        a_inv = np.linalg.inv(_bordered(m, n))  # column 0, A^-1 e_0, is the kernel vector
     except np.linalg.LinAlgError:
-        first = None  # an exactly singular A: the SVD decides every point of the stack
-    gapped = np.zeros(len(m), dtype=bool) if first is None else _certified(m, first[..., 1:], n)
+        a_inv = None  # an exactly singular A: the SVD decides every point of the stack
+    gapped = np.zeros(len(m), dtype=bool) if a_inv is None else _certified(m, a_inv, n)
     uncertified = np.flatnonzero(~gapped)
     sing = np.empty((0, n * n))
     if uncertified.size:
@@ -147,7 +144,7 @@ def _steady_vecs(m: np.ndarray, n: int) -> tuple[np.ndarray, list]:
     x = np.full((len(m), n * n), np.nan, dtype=complex)
     errors = [None] * len(m)
     if gapped.any():
-        sol = _refined(a[gapped], b, None if first is None else first[gapped, :, :1])
+        sol = bordered_kernel(m[gapped], n) if a_inv is None else a_inv[gapped, :, 0]
         x[gapped] = sol / sol[:, [i + n * i for i in range(n)]].sum(axis=1, keepdims=True)
         defects = np.abs(m[gapped] @ x[gapped, :, None]).max(axis=(1, 2))
         for i, defect in zip(np.flatnonzero(gapped), defects):

@@ -15,7 +15,7 @@ from nscheme.model import (
     SystemConfig,
     from_mhz,
 )
-from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _bordered, _physical, _refined, _unfed_levels
+from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _physical, _unfed_levels, bordered_kernel
 
 # oscillation amplitude giving |eta_B| = 0.1 at 397 nm
 OSC_AMPLITUDE_NM = 12.636902481496492
@@ -147,21 +147,13 @@ def solve_floquet_blocks(gen, order):
     return x, defect
 
 
-def bordered_solve(m, n):
-    """Kernel vectors of a stack of n-level generators, not normalized.
-
-    One bordered solve and one step of iterative refinement, as on the
-    carrier route's certified points, so that the SVD-gated oracle
-    matches that route bitwise.
-    """
-    return _refined(*_bordered(m, n))
-
-
 def svd_gated_steady_states(matrices):
     """steady.steady_states with every point's uniqueness decided by its singular values.
 
     Reference for the production route, which skips the SVD on the
-    points its bordered-solve certificate accepts.
+    points its bordered-inverse certificate accepts. Both take the
+    kernel vector from one LU of the bordered system, so they agree
+    bitwise.
     """
     x, errors = svd_gated_steady_vecs(matrices, 4)
     return _physical(np.swapaxes(x.reshape(-1, 4, 4), -1, -2), errors)
@@ -177,7 +169,7 @@ def svd_gated_steady_vecs(m, n):
     errors = [None] * len(m)
     gapped = (sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
     if gapped.any():
-        sol = bordered_solve(m[gapped], n)
+        sol = bordered_kernel(m[gapped], n)
         x[gapped] = sol / sol[:, [i + n * i for i in range(n)]].sum(axis=1, keepdims=True)
         defects = np.abs(m[gapped] @ x[gapped, :, None]).max(axis=(1, 2))
         for i, defect in zip(np.flatnonzero(gapped), defects):

@@ -434,6 +434,29 @@ def test_non_finite_time_or_axis_end_exits_one_without_warnings(capsys, argv, me
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--t-max", "5", "--points", "-1"),
+    ("evolve", "--t-max", "5", "--points", "1"),
+    ("g2", "--tau-max", "5", "--points", "-3"),
+    ("g2", "--tau-max", "5", "--points", "0"),
+])
+def test_too_few_points_exit_one_with_one_line(capsys, argv):
+    result = run(capsys, argv[0], "--config", "fig3a", *argv[1:])
+    assert result == (1, "", f"nscheme: ConfigError: --points must be at least 2, got {argv[-1]}\n")
+
+
+@pytest.mark.parametrize("velocity, message", [
+    ("nan", "velocity must be finite, got nan"),
+    ("inf", "velocity must be finite, got inf"),
+    ("-inf", "velocity must be finite, got -inf"),
+    ("1e308", "Doppler rate overflows the float range at velocity 1e+308 m/s"),
+])
+def test_dressed_non_finite_doppler_rate_is_an_embedded_error(capsys, velocity, message):
+    code, out, err = run(capsys, "dressed", "--config", "fig6_counter", f"--velocity={velocity}")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["doppler"] == {"error": f"ConfigError: {message}"}
+
+
 def test_scan_over_motion_enabled_is_refused(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a point was solved before the sweep was validated")

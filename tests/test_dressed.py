@@ -165,6 +165,18 @@ def test_doppler_rate_phase_matched_geometry():
     assert abs(doppler_rate(c, 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("velocity", [math.nan, math.inf, -math.inf])
+def test_doppler_rate_refuses_a_non_finite_velocity(velocity):
+    with pytest.raises(ConfigError, match="velocity must be finite"):
+        doppler_rate(make_config(motion=True, counter=True), velocity)
+
+
+@pytest.mark.parametrize("velocity", [1e308, -1.7e308])
+def test_doppler_rate_refuses_a_rate_beyond_the_float_range(velocity):
+    with pytest.raises(ConfigError, match="Doppler rate overflows the float range"):
+        doppler_rate(make_config(motion=True, counter=True), velocity)
+
+
 def test_doppler_requires_motion():
     with pytest.raises(MotionDisabled):
         doppler_rate(make_config(motion=False), 1.0)

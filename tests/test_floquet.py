@@ -165,7 +165,7 @@ def test_vanishing_trace_fails_without_warnings(monkeypatch):
     # a traceless Hermitian rho(0): dividing by its trace leaves inf - inf in the pairing defect
     traceless = np.zeros(16)
     traceless[[1, 4]] = 1.0
-    monkeypatch.setattr(floquet, "_kernel", lambda m: np.tile(traceless, (len(m), 1)))
+    monkeypatch.setattr(floquet, "bordered_kernel", lambda m, n: np.tile(traceless, (len(m), 1)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DegenerateKernel, match="vanishing trace"):
@@ -178,6 +178,9 @@ def test_motion_required_and_order_validated():
         solve_floquet_steady(make_config(motion=False), 2)
     with pytest.raises(ConfigError):
         solve_floquet_steady(make_config(motion=True, counter=True), 0)
+    for order in (1.5, True):
+        with pytest.raises(ConfigError, match=f"Floquet order must be an integer, got {order!r}"):
+            solve_floquet_steady(make_config(motion=True, counter=True), order)
 
 
 def test_to_json_shape():

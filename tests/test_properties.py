@@ -2,7 +2,8 @@
 
 Each config goes through steady, dressed, a 3-point carrier and
 Floquet scan, a single-point floquet, and a short eig-propagated
-evolve with and without --fit. A solved run prints strict JSON (no NaN
+evolve with and without --fit; dressed also runs with a --velocity of
+any magnitude, NaN or infinite. A solved run prints strict JSON (no NaN
 or Infinity tokens) or a CSV of finite numbers; a failed one exits 1
 (config) or 2 (solver) with one `nscheme: ...` line on standard error.
 No run raises a Python warning.
@@ -104,3 +105,21 @@ def test_any_config_solves_or_fails_with_one_line(doc):
                 assert err.count("\n") == 1 and err.startswith("nscheme: "), (command, err)
             else:
                 _check_output(out)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=config_dicts(), velocity=st.one_of(numbers, st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_dressed_velocity_solves_or_fails_with_one_line(doc, velocity):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        # the = form: argparse would read a bare -inf as an option
+        code, out, err = _run(["dressed", f"--velocity={velocity!r}", "--config", path])
+    assert code in (0, 1), code
+    if code:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("nscheme: "), err
+    else:
+        json.loads(out, parse_constant=_reject)

@@ -35,6 +35,10 @@ def test_scan_spec_validation():
         ScanSpec(**{**good, "gamma_q_mode": "maybe"})
     with pytest.raises(ConfigError):
         ScanSpec(**{**good, "floquet_order": 0})
+    for field, value in [("points", 2.5), ("points", True), ("floquet_order", 1.5), ("floquet_order", True)]:
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            ScanSpec(**{**good, field: value})
+    assert ScanSpec(**{**good, "points": np.int64(5)}).values_mhz.size == 5
     with pytest.raises(ConfigError):
         ScanSpec(axis="atom.gamma_Q", start=0.0, stop=1.0, points=3, gamma_q_mode="zero")
     for start, stop in [(2.0, np.inf), (-np.inf, 2.0), (np.nan, 2.0), (2.0, np.nan), (-1.7e308, 1.7e308)]:

@@ -216,6 +216,26 @@ def test_certified_sweep_runs_no_svd(monkeypatch):
     assert seen == []
 
 
+def test_certified_block_makes_one_inverse_and_no_solve(monkeypatch):
+    config = _load_config_arg("fig3a")
+    spec = ScanSpec(axis="laser_R.detuning", start=2.0, stop=4.0, points=64)
+    m, uncertified = _uncertified(config, spec)
+    assert uncertified.size == 0
+    calls = []
+
+    def counter(name, f):
+        def counted(a, *args):
+            calls.append((name, a.shape))
+            return f(a, *args)
+        return counted
+
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
+    _, errors = steady_states(m)
+    assert errors == [None] * 64
+    assert calls == [("inv", (64, 16, 16))]
+
+
 def test_svd_runs_only_on_uncertified_points(monkeypatch):
     config = _load_config_arg("fig3a")
     spec = ScanSpec(axis="laser_C.rabi", start=0.0, stop=0.2, points=801)
