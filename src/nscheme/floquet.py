@@ -21,8 +21,8 @@ traceless and paired by rho(-n) = rho(n)+. Since T_n is exactly the
 mirrored S_n, the measured pairing defect is rounding only; the
 residual over all 2N+1 block rows is the correctness gate.
 
-Every step runs on a stack of points; a single solve is a stack of
-one.
+Every step runs on a stack of points, given as a model.ParamTable; a
+single solve is a table of one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
 from .liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
-from .model import SystemConfig, level_index, require_integer
+from .model import ParamTable, SystemConfig, level_index, require_integer
 from .steady import bordered_kernel
 
 #: residual bound on the full block system
@@ -93,8 +93,8 @@ class FloquetBlockSystem:
         }
 
 
-def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Stationary Floquet blocks of every config at one truncation order.
+def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Stationary Floquet blocks of every point of the table at one truncation order.
 
     Returns the paired blocks (k, 2 order + 1, 4, 4) ordered n =
     -order..order (NaN where a point failed), the block-system
@@ -107,16 +107,16 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
     LAPACK failure of a stacked call raises the SolverError it maps to
     for the whole stack.
     """
-    if not all(c.motion.enabled for c in configs):
+    if not table.enabled.all():
         raise MotionDisabled("the Floquet expansion needs motion enabled")
     if require_integer(order, "Floquet order") < 1:
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
-    shift = -1j * np.array([cfg.motion.trap_frequency for cfg in configs])[:, None, None] * _EYE16
+    shift = -1j * table.trap_frequency[:, None, None] * _EYE16
 
     # non-finite values of an overflowing point stay in that point and fail its gates
     with np.errstate(all="ignore"):
-        parts = hamiltonian_stack(configs)
-        m0 = superoperator_stack(parts.h_total, configs)
+        parts = hamiltonian_stack(table)
+        m0 = superoperator_stack(parts.h_total, table)
         c = commutator_superoperator(parts.h_side)
         upper = _fraction(m0, c, shift, order)
         lower = [s_n[:, _TRANSPOSE][:, :, _TRANSPOSE].conj() for s_n in upper]  # T_n = P conj(S_n) P
@@ -127,7 +127,7 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
             x = [t_n @ x[0]] + x + [s_n @ x[-1]]
         # block rows (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}), x_{+-(order+1)} = 0
         padded = [0.0, *x, 0.0]
-        residual = np.zeros(len(configs))
+        residual = np.zeros(len(table))
         for j, n in enumerate(range(-order, order + 1)):
             row = (m0 + n * shift) @ x[j] + c @ (padded[j] + padded[j + 2])
             residual = np.maximum(residual, np.abs(row).max(axis=(1, 2)))
@@ -137,8 +137,8 @@ def solve_floquet_stack(configs, order: int) -> tuple[np.ndarray, np.ndarray, np
         pairing = np.abs(raw - mirrored).max(axis=(1, 2, 3))
         blocks = 0.5 * (raw + mirrored)
 
-    errors = [None] * len(configs)
-    for i in range(len(configs)):
+    errors = [None] * len(table)
+    for i in range(len(table)):
         if not np.isfinite(trace[i]):
             errors[i] = NoConvergence("Floquet solution overflowed")
         elif abs(trace[i]) < 1e-300:
@@ -182,7 +182,7 @@ def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
     TruncationNotConverged when they differ by more than 1e-5. The
     stricter 1e-8 convergence flag is reported by convergence_check.
     """
-    blocks, residual, pairing, errors = solve_floquet_stack([config], order)
+    blocks, residual, pairing, errors = solve_floquet_stack(ParamTable.of([config]), order)
     if errors[0] is not None:
         raise errors[0]
     solution = FloquetBlockSystem(

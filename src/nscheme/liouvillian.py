@@ -12,7 +12,10 @@ gamma_q to S only), minus the laser-linewidth dephasing rates on the
 diagonal. Multi-photon coherences dephase at the summed linewidths of
 the lasers involved; with every linewidth zero the last term vanishes.
 Every input of the generator (Hamiltonian, jump rates, dephasing) is
-built as a stack over points; a single point is a stack of one.
+built as a stack over points from a model.ParamTable, the parameter
+columns of the points; a single point is a table of one. The
+commutator superoperator is written by index: its 112 structural
+nonzeros are entries of h, so no Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotHermitian
-from .model import SystemConfig, lamb_dicke_parameters
+from .errors import NoConvergence, NotHermitian
+from .model import ParamTable, SystemConfig
 
 _I4 = np.eye(4)
 
@@ -69,24 +72,23 @@ class HamiltonianParts:
         return self.h0 + self.h_carrier
 
 
-def hamiltonian_stack(configs) -> HamiltonianParts:
-    """Rotating-frame Hamiltonians of the three-laser N scheme, one per config.
+def hamiltonian_stack(table: ParamTable) -> HamiltonianParts:
+    """Rotating-frame Hamiltonians of the three-laser N scheme, one per point of the table.
 
     h0 = diag(0, -Delta_B, Delta_R - Delta_B, -Delta_C); the carrier
     couples S-P, D-P and S-Q with half the respective Rabi
     frequencies. With motion enabled, first order in the modulation
     indices eta gives h_side = sum_j i eta_j (Omega_j/2) x
-    (coupling_j) + h.c. Each part is a (k, 4, 4) stack.
+    (coupling_j) + h.c. Each part is a (k, 4, 4) stack. A value past
+    the float range (Delta_R - Delta_B, eta Omega) is inf, as in Python
+    float arithmetic, and stays in its point.
     """
-    lasers = [(c.laser_b, c.laser_r, c.laser_c) for c in configs]
-    db, dr, dc = np.array([[l.detuning for l in point] for point in lasers]).T
-    rabi = np.array([[l.rabi for l in point] for point in lasers])
-    eta = np.array([lamb_dicke_parameters(c)[:3] if c.motion.enabled else (0.0, 0.0, 0.0) for c in configs])
-
-    h0 = np.zeros((len(configs), 4, 4), dtype=complex)
-    h0[:, _P, _P], h0[:, _D, _D], h0[:, _Q, _Q] = -db, dr - db, -dc
-    with np.errstate(all="ignore"):  # an eta Omega past the float range is inf, as in Python
-        h_side = _couplings(1j * eta * rabi / 2.0)
+    db, dr, dc = table.detuning.T
+    rabi = table.rabi
+    h0 = np.zeros((len(table), 4, 4), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0[:, _P, _P], h0[:, _D, _D], h0[:, _Q, _Q] = -db, dr - db, -dc
+        h_side = _couplings(1j * table.lamb_dicke() * rabi / 2.0)
     return HamiltonianParts(h0=h0, h_carrier=_couplings(rabi / 2.0), h_side=h_side)
 
 
@@ -98,17 +100,44 @@ def _couplings(values: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
-    """hamiltonian_stack for one point: 4x4 parts."""
-    parts = hamiltonian_stack([config])
-    return HamiltonianParts(h0=parts.h0[0], h_carrier=parts.h_carrier[0], h_side=parts.h_side[0])
+    """hamiltonian_stack for one point: 4x4 parts.
+
+    A carrier Hamiltonian that is not finite (Delta_R - Delta_B past
+    the float range) raises NoConvergence, as every solve of it would.
+    """
+    parts = hamiltonian_stack(ParamTable.of([config]))
+    parts = HamiltonianParts(h0=parts.h0[0], h_carrier=parts.h_carrier[0], h_side=parts.h_side[0])
+    if not np.isfinite(parts.h_total).all():
+        raise NoConvergence("carrier Hamiltonian overflows the float range")
+    return parts
+
+
+# flat (row * 16 + column) positions of the commutator superoperator's
+# nonzeros and the flat (4 q + s) entries of h they hold: in the
+# column-major convention 1 kron h puts h[q, s] at (4p + q, 4p + s), and
+# h^T kron 1 puts h[r, p] at (4p + q, 4r + q); the two meet on the
+# diagonal p = r, q = s.
+_p, _q, _r = np.indices((4, 4, 4)).reshape(3, -1)
+_LEFT = 16 * (4 * _p + _q) + 4 * _p + _r, 4 * _q + _r
+_RIGHT = 16 * (4 * _p + _q) + 4 * _r + _q, 4 * _r + _p
+del _p, _q, _r
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     """Superoperator of -i [h, .] in the column-major convention.
 
     h may be a stack (..., 4, 4); the result is then (..., 16, 16).
+    Only the structural nonzeros are written, so a non-finite entry of
+    h spreads to the entries that hold it and no further.
     """
-    return -1j * (_kron4(_I4, h) - _kron4(np.swapaxes(h, -1, -2), _I4))
+    h = np.asarray(h)
+    with np.errstate(invalid="ignore"):  # -1j * inf
+        entries = -1j * h.reshape(*h.shape[:-2], 16)
+    m = np.zeros((*h.shape[:-2], 256), dtype=complex)
+    m[..., _LEFT[0]] = entries[..., _LEFT[1]]
+    with np.errstate(over="ignore", invalid="ignore"):  # h[q, q] - h[p, p] past the float range
+        m[..., _RIGHT[0]] -= entries[..., _RIGHT[1]]
+    return m.reshape(*h.shape[:-2], 16, 16)
 
 
 def lindblad_dissipator(jump_ops: list[tuple[float, np.ndarray]]) -> np.ndarray:
@@ -136,9 +165,12 @@ _DECAY_OPS.setflags(write=False)
 # their dissipators at unit rate; a channel's dissipator is its rate times its basis entry
 _DISSIPATOR_BASIS = np.stack([lindblad_dissipator([(1.0, op)]).real for op in _DECAY_OPS])
 _DISSIPATOR_BASIS.setflags(write=False)
+# the flat entries where any of them is nonzero; elsewhere a sum of finite rates times them is +0.0
+_DISSIPATOR_SUPPORT = np.flatnonzero(_DISSIPATOR_BASIS.any(axis=0))
+_DISSIPATOR_ON_SUPPORT = _DISSIPATOR_BASIS.reshape(3, 256)[:, _DISSIPATOR_SUPPORT]
 
 
-def _decay_stack(configs) -> tuple[np.ndarray, np.ndarray]:
+def _decay_stack(table: ParamTable) -> tuple[np.ndarray, np.ndarray]:
     """Rates (k, 3) of the P->S, P->D, Q->S decays, and dephasing (k, 4, 4).
 
     Dephasing entry [i, a, b] is the extra decay of rho_ab at point i:
@@ -146,11 +178,9 @@ def _decay_stack(configs) -> tuple[np.ndarray, np.ndarray]:
     them, multi-photon coherences at the sum over the connecting path:
     S-D at b_B + b_R, Q-P at b_B + b_C, Q-D at b_B + b_R + b_C.
     """
-    rates = np.array([(c.atom.beta_ps * c.atom.gamma_p, c.atom.beta_pd * c.atom.gamma_p, c.atom.gamma_q)
-                      for c in configs])
-    b_b, b_r, b_c = np.array([(c.laser_b.linewidth, c.laser_r.linewidth, c.laser_c.linewidth)
-                              for c in configs]).T
-    dephasing = np.zeros((len(configs), 4, 4))
+    rates = np.stack([table.beta_ps * table.gamma_p, table.beta_pd * table.gamma_p, table.gamma_q], axis=1)
+    b_b, b_r, b_c = table.linewidth.T
+    dephasing = np.zeros((len(table), 4, 4))
     dephasing[:, _P, _S] = b_b
     dephasing[:, _P, _D] = b_r
     dephasing[:, _Q, _S] = b_c
@@ -162,12 +192,12 @@ def _decay_stack(configs) -> tuple[np.ndarray, np.ndarray]:
 
 def jump_operators(config: SystemConfig) -> list[tuple[float, np.ndarray]]:
     """(rate, operator) pairs of the three decay channels."""
-    return [(float(rate), op) for rate, op in zip(_decay_stack([config])[0][0], _DECAY_OPS)]
+    return [(float(rate), op) for rate, op in zip(_decay_stack(ParamTable.of([config]))[0][0], _DECAY_OPS)]
 
 
 def dephasing_rates(config: SystemConfig) -> np.ndarray:
     """Symmetric 4x4 matrix of coherence decay rates from laser linewidths."""
-    return _decay_stack([config])[1][0]
+    return _decay_stack(ParamTable.of([config]))[1][0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -200,25 +230,30 @@ class Superoperator:
         return cached
 
 
-def superoperator_stack(h: np.ndarray, configs) -> np.ndarray:
-    """Generators of a stack of points, (k, 16, 16), one per config.
+def superoperator_stack(h: np.ndarray, table: ParamTable) -> np.ndarray:
+    """Generators of a stack of points, (k, 16, 16), one per point of the table.
 
-    h is (k, 4, 4), typically hamiltonian_stack(configs).h_total. Point
+    h is (k, 4, 4), typically hamiltonian_stack(table).h_total. Point
     i is commutator_superoperator(h[i]) plus the dissipator of the
-    decay channels at configs[i]'s rates, minus its dephasing rates on
-    the coherences' diagonal entries. The rates and dephasing are built
-    as stacks too; every generator, single or swept, is built here.
-    The dissipator sums the channels' rates times their unit-rate
-    dissipators in channel order, which is lindblad_dissipator's sum
-    to the bit.
+    decay channels at the table's rates of point i, minus its dephasing
+    rates on the coherences' diagonal entries. The rates and dephasing
+    are built as stacks too; every generator, single or swept, is built
+    here. The dissipator sums the channels' rates times their unit-rate
+    dissipators in channel order, on the entries where those are
+    nonzero, which is lindblad_dissipator's sum to the bit for finite
+    rates.
     """
-    rates, dephasing = _decay_stack(configs)
-    dissipator = np.zeros((len(configs), 16, 16))
-    for rate, basis in zip(rates.T, _DISSIPATOR_BASIS):
-        dissipator += rate[:, None, None] * basis
-    m = commutator_superoperator(h) + dissipator
+    k = len(table)
+    rates, dephasing = _decay_stack(table)
+    on_support = np.zeros((k, _DISSIPATOR_SUPPORT.size))
+    for rate, basis in zip(rates.T, _DISSIPATOR_ON_SUPPORT):
+        on_support += rate[:, None] * basis
+    dissipator = np.zeros((k, 256))
+    dissipator[:, _DISSIPATOR_SUPPORT] = on_support
+    m = commutator_superoperator(h)
+    m += dissipator.reshape(k, 16, 16)
     diag = np.arange(16)
-    m[:, diag, diag] -= np.swapaxes(dephasing, -1, -2).reshape(len(configs), 16)
+    m[:, diag, diag] -= np.swapaxes(dephasing, -1, -2).reshape(k, 16)
     return m
 
 
@@ -226,15 +261,18 @@ def build_superoperator(h: np.ndarray, config: SystemConfig) -> Superoperator:
     """Full generator: -i[h, .] plus decay, minus linewidth dephasing.
 
     superoperator_stack for one point: the config's linewidths alone
-    decide the dephasing. h must be Hermitian to 1e-10; callers
-    typically pass HamiltonianParts.h_total.
+    decide the dephasing. h must be Hermitian to 1e-10, which a
+    non-finite h is not; callers typically pass
+    HamiltonianParts.h_total.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise NotHermitian(f"expected a 4x4 Hamiltonian, got shape {h.shape}")
-    if np.abs(h - h.conj().T).max() > 1e-10:
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, |z| past the float range
+        defect = np.abs(h - h.conj().T).max()
+    if not defect <= 1e-10:
         raise NotHermitian("Hamiltonian deviates from Hermitian by more than 1e-10")
-    return Superoperator(matrix=superoperator_stack(h[None], [config])[0])
+    return Superoperator(matrix=superoperator_stack(h[None], ParamTable.of([config]))[0])
 
 
 def apply(superop: Superoperator, rho: np.ndarray) -> np.ndarray:

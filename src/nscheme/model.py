@@ -10,6 +10,12 @@ helpers take ordinary frequencies in MHz, understood as the value
 quoted after a "2pi x" prefix, so ``from_mhz(8.0)`` is a detuning of
 2pi x 8 MHz = 50.27 rad/us. Wavelengths are in nm, the motional
 amplitude in nm, the atomic mass in kg.
+
+ParamTable holds the generator's parameters as columns over a stack
+of points; the generator builders read nothing else. Each config
+section's validation rules are one function over scalars or columns,
+so a sweep validates its axis column with the very checks a config
+constructor runs.
 """
 
 from __future__ import annotations
@@ -79,12 +85,43 @@ def require_integer(value, what: str, error: type[ConfigError] = ConfigError) ->
     return number
 
 
-def _require_finite(spec) -> None:
+def _at(column, i: int):
+    """Point i of a column, or the scalar itself, as the Python value a config would hold."""
+    return column[i].item() if isinstance(column, np.ndarray) else column
+
+
+def _raise_first(rules) -> None:
+    """Raise the error of the first failing point; a point failing several rules gets the earliest.
+
+    rules yields (bad, error) pairs in check order: bad is a bool, or a
+    bool array over points, and error(i) is the exception of point i.
+    The pairs are drawn lazily and a failure at point 0 stops the draw,
+    so on scalars the rules run exactly as a sequence of if-raise checks.
+    """
+    first = first_error = None
+    for bad, error in rules:
+        if isinstance(bad, np.ndarray):
+            hits = np.flatnonzero(bad)
+            if hits.size and (first is None or hits[0] < first):
+                first, first_error = int(hits[0]), error
+        elif bad:
+            first, first_error = 0, error
+        if first == 0:
+            break
+    if first is not None:
+        raise first_error(first)
+
+
+def _finite_rules(section: str, **fields):
     """Reject a NaN or infinite field, e.g. an MHz value that overflowed on conversion."""
-    for field in dataclasses.fields(spec):
-        value = getattr(spec, field.name)
-        if not math.isfinite(value):
-            raise ConfigError(f"{type(spec).__name__}.{field.name} must be finite, got {value!r}")
+    for name, column in fields.items():
+        bad = ~np.isfinite(column) if isinstance(column, np.ndarray) else not math.isfinite(column)
+        yield bad, lambda i, name=name, column=column: ConfigError(
+            f"{section}.{name} must be finite, got {_at(column, i)!r}")
+
+
+def _is_bool(column) -> bool:
+    return column.dtype == bool if isinstance(column, np.ndarray) else isinstance(column, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,15 +140,18 @@ class LaserDrive:
     linewidth: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.rabi < 0:
-            raise NegativeRate(f"rabi must be >= 0, got {self.rabi}")
-        if self.wavelength <= 0:
-            raise NegativeRate(f"wavelength must be > 0, got {self.wavelength}")
-        if self.linewidth < 0:
-            raise NegativeRate(f"linewidth must be >= 0, got {self.linewidth}")
-        if self.direction not in (1, -1):
-            raise BadDirection(f"direction must be +1 or -1, got {self.direction}")
+        _raise_first(self._rules(**vars(self)))
+
+    @staticmethod
+    def _rules(rabi, detuning, wavelength, direction, linewidth):
+        """The checks in order, over scalars or (k,) columns (see _raise_first)."""
+        yield from _finite_rules("LaserDrive", rabi=rabi, detuning=detuning, wavelength=wavelength,
+                                 direction=direction, linewidth=linewidth)
+        yield rabi < 0, lambda i: NegativeRate(f"rabi must be >= 0, got {_at(rabi, i)}")
+        yield wavelength <= 0, lambda i: NegativeRate(f"wavelength must be > 0, got {_at(wavelength, i)}")
+        yield linewidth < 0, lambda i: NegativeRate(f"linewidth must be >= 0, got {_at(linewidth, i)}")
+        yield ((direction != 1) & (direction != -1),
+               lambda i: BadDirection(f"direction must be +1 or -1, got {_at(direction, i)}"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,21 +165,22 @@ class AtomSpec:
     mass: float = MASS_DEFAULT
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.gamma_p <= 0:
-            raise NegativeRate(f"gamma_p must be > 0, got {self.gamma_p}")
-        if self.gamma_q < 0:
-            raise NegativeRate(f"gamma_q must be >= 0, got {self.gamma_q}")
-        if self.mass <= 0:
-            raise NegativeRate(f"mass must be > 0, got {self.mass}")
-        if not (0.0 <= self.beta_ps <= 1.0 and 0.0 <= self.beta_pd <= 1.0):
-            raise BranchingNotNormalized(
-                f"branching fractions must lie in [0, 1], got {self.beta_ps}, {self.beta_pd}"
-            )
-        if abs(self.beta_ps + self.beta_pd - 1.0) > 1e-12:
-            raise BranchingNotNormalized(
-                f"beta_ps + beta_pd must equal 1, got {self.beta_ps + self.beta_pd}"
-            )
+        _raise_first(self._rules(**vars(self)))
+
+    @staticmethod
+    def _rules(gamma_p, gamma_q, beta_ps, beta_pd, mass):
+        """The checks in order, over scalars or (k,) columns (see _raise_first)."""
+        yield from _finite_rules("AtomSpec", gamma_p=gamma_p, gamma_q=gamma_q, beta_ps=beta_ps,
+                                 beta_pd=beta_pd, mass=mass)
+        yield gamma_p <= 0, lambda i: NegativeRate(f"gamma_p must be > 0, got {_at(gamma_p, i)}")
+        yield gamma_q < 0, lambda i: NegativeRate(f"gamma_q must be >= 0, got {_at(gamma_q, i)}")
+        yield mass <= 0, lambda i: NegativeRate(f"mass must be > 0, got {_at(mass, i)}")
+        yield ((beta_ps < 0.0) | (beta_ps > 1.0) | (beta_pd < 0.0) | (beta_pd > 1.0),
+               lambda i: BranchingNotNormalized(
+                   f"branching fractions must lie in [0, 1], got {_at(beta_ps, i)}, {_at(beta_pd, i)}"))
+        yield (abs(beta_ps + beta_pd - 1.0) > 1e-12,
+               lambda i: BranchingNotNormalized(
+                   f"beta_ps + beta_pd must equal 1, got {_at(beta_ps, i) + _at(beta_pd, i)}"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,13 +196,18 @@ class MotionSpec:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.enabled, bool):
-            raise ConfigError(f"MotionSpec.enabled must be True or False, got {self.enabled!r}")
-        _require_finite(self)
-        if self.enabled and self.trap_frequency <= 0:
-            raise NegativeRate(f"trap_frequency must be > 0, got {self.trap_frequency}")
-        if self.amplitude < 0:
-            raise NegativeRate(f"amplitude must be >= 0, got {self.amplitude}")
+        _raise_first(self._rules(**vars(self)))
+
+    @staticmethod
+    def _rules(enabled, trap_frequency, amplitude):
+        """The checks in order, over scalars or (k,) columns (see _raise_first)."""
+        yield (not _is_bool(enabled),
+               lambda i: ConfigError(f"MotionSpec.enabled must be True or False, got {_at(enabled, i)!r}"))
+        yield from _finite_rules("MotionSpec", enabled=enabled, trap_frequency=trap_frequency,
+                                 amplitude=amplitude)
+        yield (np.logical_and(enabled, trap_frequency <= 0),
+               lambda i: NegativeRate(f"trap_frequency must be > 0, got {_at(trap_frequency, i)}"))
+        yield amplitude < 0, lambda i: NegativeRate(f"amplitude must be >= 0, got {_at(amplitude, i)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -441,6 +487,19 @@ _FIELD_ATTR = {
 }
 
 
+def _resolve_path(config: SystemConfig, path: str) -> tuple[str, str]:
+    """(section attribute, field attribute) of a JSON-schema parameter path such as 'laser_R.detuning'."""
+    try:
+        section_name, field_name = path.split(".")
+        attr = _SECTION_ATTR[section_name]
+        field = _FIELD_ATTR[field_name]
+    except (ValueError, KeyError):
+        raise ConfigError(f"unknown parameter path {path!r}") from None
+    if not hasattr(getattr(config, attr), field):
+        raise ConfigError(f"unknown parameter path {path!r}")
+    return attr, field
+
+
 def replace_param(config: SystemConfig, path: str, value) -> SystemConfig:
     """New config with one field replaced, e.g. ('laser_R.detuning', 18.85).
 
@@ -448,19 +507,103 @@ def replace_param(config: SystemConfig, path: str, value) -> SystemConfig:
     units (rad/us for frequencies). Validation reruns on the rebuilt
     section.
     """
-    try:
-        section_name, field_name = path.split(".")
-        attr = _SECTION_ATTR[section_name]
-        field = _FIELD_ATTR[field_name]
-    except (ValueError, KeyError):
-        raise ConfigError(f"unknown parameter path {path!r}") from None
-    section = getattr(config, attr)
-    if not hasattr(section, field):
-        raise ConfigError(f"unknown parameter path {path!r}")
-    new_section = dataclasses.replace(section, **{field: value})
+    attr, field = _resolve_path(config, path)
+    new_section = dataclasses.replace(getattr(config, attr), **{field: value})
     return dataclasses.replace(config, **{attr: new_section})
 
 
 def with_gamma_q(config: SystemConfig, gamma_q: float) -> SystemConfig:
     """New config with atom.gamma_q replaced (rad/us)."""
     return dataclasses.replace(config, atom=dataclasses.replace(config.atom, gamma_q=gamma_q))
+
+
+_LASERS = ("laser_b", "laser_r", "laser_c")
+# (config section, field) of each column of a ParamTable, the lasers of a laser field adjacent
+_TABLE_FIELDS = ([(laser, name) for name in ("rabi", "detuning", "linewidth", "wavelength", "direction")
+                  for laser in _LASERS]
+                 + [("atom", "gamma_p"), ("atom", "gamma_q"), ("atom", "beta_ps"), ("atom", "beta_pd"),
+                    ("motion", "enabled"), ("motion", "trap_frequency"), ("motion", "amplitude")])
+_COLUMN = {field: j for j, field in enumerate(_TABLE_FIELDS)}
+
+
+def _laser_columns(name: str) -> property:
+    j = _COLUMN["laser_b", name]
+    return property(lambda self: self.data[:, j:j + 3], doc=f"(k, 3) {name} of the lasers B, R, C")
+
+
+def _column(section: str, name: str) -> property:
+    j = _COLUMN[section, name]
+    return property(lambda self: self.data[:, j], doc=f"(k,) {section}.{name}")
+
+
+class ParamTable:
+    """Parameter columns of a stack of points: every field the generator reads.
+
+    data is a read-only (k, 21) array, one row per point and one column
+    per entry of _TABLE_FIELDS; the properties name its columns. Laser
+    fields are (k, 3) with the lasers in the order B, R, C, the atom and
+    motion fields (k,). Units as in SystemConfig. A single point is a
+    table of one (ParamTable.of([config])); a sweep is ParamTable.sweep,
+    which builds no per-point config.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: np.ndarray):
+        data.setflags(write=False)
+        self.data = data
+
+    rabi = _laser_columns("rabi")
+    detuning = _laser_columns("detuning")
+    linewidth = _laser_columns("linewidth")
+    wavelength = _laser_columns("wavelength")
+    direction = _laser_columns("direction")
+    gamma_p = _column("atom", "gamma_p")
+    gamma_q = _column("atom", "gamma_q")
+    beta_ps = _column("atom", "beta_ps")
+    beta_pd = _column("atom", "beta_pd")
+    trap_frequency = _column("motion", "trap_frequency")
+    amplitude = _column("motion", "amplitude")
+
+    @property
+    def enabled(self) -> np.ndarray:
+        """(k,) motion.enabled as bools."""
+        return self.data[:, _COLUMN["motion", "enabled"]] != 0.0
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, rows: slice) -> ParamTable:
+        """The table of a slice of the points."""
+        return ParamTable(self.data[rows])
+
+    @classmethod
+    def of(cls, configs) -> ParamTable:
+        """The table of a sequence of configs, one row each."""
+        return cls(np.array([[getattr(getattr(c, section), name) for section, name in _TABLE_FIELDS]
+                             for c in configs], dtype=float))
+
+    @classmethod
+    def sweep(cls, config: SystemConfig, path: str, values: np.ndarray) -> ParamTable:
+        """The table of config with the field at path set to each of values in turn.
+
+        path uses the JSON schema names and values are in internal units,
+        as for replace_param. The swept section's rules run on the whole
+        column before the table is built, so an invalid value raises what
+        replace_param raises at the first invalid point.
+        """
+        attr, field = _resolve_path(config, path)
+        section = getattr(config, attr)
+        _raise_first(type(section)._rules(**{**vars(section), field: values}))
+        data = np.repeat(cls.of([config]).data, len(values), axis=0)
+        data[:, _COLUMN[attr, field]] = values
+        return cls(data)
+
+    def lamb_dicke(self) -> np.ndarray:
+        """Signed modulation indices eta_j = k_j amplitude / 2, (k, 3); zero where motion is off.
+
+        The expression of lamb_dicke_parameters, per column; a product
+        past the float range is inf (and warns, as numpy does).
+        """
+        eta = self.direction * TWO_PI / self.wavelength * (self.amplitude / 2.0)[:, None]
+        return np.where(self.enabled[:, None], eta, 0.0)

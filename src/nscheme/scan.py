@@ -1,16 +1,20 @@
 """Deterministic parameter sweeps over the steady-state solvers.
 
-A scan builds the config of every point of a linearly spaced axis
-first, so an invalid point fails the sweep before anything is solved.
-It then solves the points in blocks of BLOCK_POINTS, in axis order,
-each block as stacked linear algebra: one stacked generator build and
-one stacked steady-state (or Floquet continued-fraction) solve. The
-fixed block size bounds the memory of the stacked arrays on long
-sweeps. Points that fail with a solver error are kept in-band as NaN
-rows with the error name in the flag column, so a long sweep survives
-isolated degeneracies. A LAPACK failure of a stacked call fails the
-whole block; the block is then solved again point by point through
-the same function, so every point gets the verdict it gets alone.
+A scan builds no per-point config. It makes one model.ParamTable, the
+parameter columns of every point of a linearly spaced axis, from the
+base config and the axis values; the swept section's validation rules
+run on the whole column first, so an invalid point fails the sweep,
+with the error its own config would raise, before anything is solved.
+It then solves slices of the table in blocks of BLOCK_POINTS, in axis
+order, each block as stacked linear algebra: one stacked generator
+build and one stacked steady-state (or Floquet continued-fraction)
+solve. The fixed block size bounds the memory of the stacked arrays
+on long sweeps. Points that fail with a solver error are kept in-band
+as NaN rows with the error name in the flag column, so a long sweep
+survives isolated degeneracies. A LAPACK failure of a stacked call
+fails the whole block; the block is then solved again point by point
+through the same function, so every point gets the verdict it gets
+alone.
 
 scipy.signal is imported on demand by find_peaks, so importing this
 module costs numpy alone.
@@ -27,8 +31,8 @@ from . import __version__
 from .errors import ConfigError, SolverError, TooCoarse
 from .floquet import DEFAULT_ORDER, solve_floquet_stack
 from .liouvillian import hamiltonian_stack, superoperator_stack
-from .model import (FREQUENCY_FIELDS, SystemConfig, config_hash, from_mhz,
-                    level_index, replace_param, require_integer, with_gamma_q)
+from .model import (FREQUENCY_FIELDS, ParamTable, SystemConfig, config_hash, from_mhz,
+                    level_index, require_integer, with_gamma_q)
 from .steady import residuals, steady_states
 
 _SOLVERS = ("carrier", "floquet")
@@ -123,28 +127,30 @@ class Spectrum:
         }
 
 
-def _point_config(config: SystemConfig, axis: str, value_mhz: float, gamma_q_mode: str) -> SystemConfig:
-    value = from_mhz(value_mhz) if axis in FREQUENCY_FIELDS else value_mhz
-    cfg = replace_param(config, axis, value)
-    if gamma_q_mode == "zero":
-        cfg = with_gamma_q(cfg, 0.0)
-    return cfg
+def _sweep_table(config: SystemConfig, spec: ScanSpec, values: np.ndarray) -> ParamTable:
+    """Parameter columns of the sweep's points at the axis values (MHz), validated before any solve."""
+    if spec.axis in FREQUENCY_FIELDS:
+        with np.errstate(over="ignore"):  # a value past the float range is inf, which the rules refuse
+            values = from_mhz(values)
+    if spec.gamma_q_mode == "zero":
+        config = with_gamma_q(config, 0.0)
+    return ParamTable.sweep(config, spec.axis, values)
 
 
-def _solve_block(configs, spec: ScanSpec):
+def _solve_block(table: ParamTable, spec: ScanSpec):
     """(populations, residuals, pairing defects, flags) of one block of points."""
     try:
         if spec.solver == "floquet":
-            blocks, res, pairing, errors = solve_floquet_stack(configs, spec.floquet_order)
+            blocks, res, pairing, errors = solve_floquet_stack(table, spec.floquet_order)
             rho = blocks[:, spec.floquet_order]
         else:
-            m = superoperator_stack(hamiltonian_stack(configs).h_total, configs)
+            m = superoperator_stack(hamiltonian_stack(table).h_total, table)
             rho, errors = steady_states(m)
-            res, pairing = residuals(m, rho), np.zeros(len(configs))
+            res, pairing = residuals(m, rho), np.zeros(len(table))
     except SolverError as exc:
         # a stacked LAPACK call failed; its verdict holds only for a lone point
-        if len(configs) > 1:
-            return _join([_solve_block([c], spec) for c in configs])
+        if len(table) > 1:
+            return _join([_solve_block(table[i:i + 1], spec) for i in range(len(table))])
         rho, res, pairing, errors = np.full((1, 4, 4), np.nan), np.full(1, np.nan), np.full(1, np.nan), [exc]
     flags = ["" if e is None else type(e).__name__ for e in errors]
     return np.real(np.diagonal(rho, axis1=-2, axis2=-1)), res, pairing, flags
@@ -169,9 +175,9 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     values = spec.values_mhz
-    configs = [_point_config(config, spec.axis, float(v), spec.gamma_q_mode) for v in values]
+    table = _sweep_table(config, spec, values)
     populations, res, pairing, flags = _join(
-        [_solve_block(configs[i:i + BLOCK_POINTS], spec) for i in range(0, len(configs), BLOCK_POINTS)])
+        [_solve_block(table[i:i + BLOCK_POINTS], spec) for i in range(0, len(table), BLOCK_POINTS)])
     flags = tuple(flags)
 
     metadata = {

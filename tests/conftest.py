@@ -6,14 +6,17 @@ import numpy as np
 
 from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, SolverError
 from nscheme.floquet import FLOQUET_RESIDUAL_TOL
-from nscheme.liouvillian import build_hamiltonian, build_superoperator, commutator_superoperator
+from nscheme.liouvillian import _kron4, build_hamiltonian, build_superoperator
 from nscheme.model import (
+    FREQUENCY_FIELDS,
     GAMMA_Q_DEFAULT,
     AtomSpec,
     LaserDrive,
     MotionSpec,
     SystemConfig,
     from_mhz,
+    replace_param,
+    with_gamma_q,
 )
 from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _physical, _unfed_levels, bordered_kernel
 
@@ -54,6 +57,30 @@ def sup_of(config):
     return build_superoperator(build_hamiltonian(config).h_total, config)
 
 
+def point_configs(config, spec):
+    """One config per point of a scan, each built and validated on its own.
+
+    Reference for the scan's parameter table, which builds no per-point
+    config: the axis value (MHz converted for frequency fields) replaces
+    the field, then gamma_q_mode "zero" clears gamma_Q.
+    """
+    configs = []
+    for v in spec.values_mhz:
+        cfg = replace_param(config, spec.axis, from_mhz(float(v)) if spec.axis in FREQUENCY_FIELDS else float(v))
+        configs.append(with_gamma_q(cfg, 0.0) if spec.gamma_q_mode == "zero" else cfg)
+    return configs
+
+
+def broadcast_commutator(h):
+    """-i [h, .] as two broadcast Kronecker products, (..., 16, 16).
+
+    Reference for liouvillian.commutator_superoperator, which writes the
+    nonzeros by index.
+    """
+    eye = np.eye(4)
+    return -1j * (_kron4(eye, h) - _kron4(np.swapaxes(h, -1, -2), eye))
+
+
 def with_linewidths(config, lw_mhz):
     lw = from_mhz(lw_mhz)
     return dataclasses.replace(
@@ -79,7 +106,7 @@ def build_floquet_generator(config, order):
 
     parts = build_hamiltonian(config)
     m0 = build_superoperator(parts.h_total, config).matrix
-    c_side = commutator_superoperator(parts.h_side)
+    c_side = broadcast_commutator(parts.h_side)
     nu = config.motion.trap_frequency
 
     nblocks = 2 * order + 1
@@ -104,7 +131,7 @@ def floquet_lower_ratios(config, order):
     """
     parts = build_hamiltonian(config)
     m0 = build_superoperator(parts.h_total, config).matrix
-    c_side = commutator_superoperator(parts.h_side)
+    c_side = broadcast_commutator(parts.h_side)
     shift = 1j * config.motion.trap_frequency * np.eye(16)
     ratios = []
     coupled = np.zeros_like(m0)

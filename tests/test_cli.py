@@ -418,6 +418,43 @@ def test_evolve_overflow_exits_two_without_warnings(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def _overflowing_two_photon_config(tmp_path):
+    # every field is finite, Delta_R - Delta_B is not
+    path = tmp_path / "two_photon.json"
+    path.write_text(json.dumps({"laser_B": {"rabi": 10.0, "detuning": -2.8e307},
+                                "laser_R": {"rabi": 2.5, "detuning": 2.8e307},
+                                "laser_C": {"rabi": 0.05, "detuning": 5.0}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("steady",),
+    ("evolve", "--t-max", "5", "--points", "3"),
+    ("evolve", "--t-max", "5", "--points", "3", "--method", "rk"),
+    ("g2", "--tau-max", "5", "--points", "3"),
+    ("traj", "--t-max", "5"),
+    ("traj", "--t-max", "5", "--stats"),
+])
+def test_overflowing_two_photon_detuning_exits_two_with_one_line(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, argv[0], "--config", _overflowing_two_photon_config(tmp_path), *argv[1:])
+    assert result == (2, "", "nscheme: NoConvergence: carrier Hamiltonian overflows the float range\n")
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_scan_flags_overflowing_two_photon_detuning_quietly(tmp_path, capsys, fmt):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "scan", "--config", _overflowing_two_photon_config(tmp_path),
+                             "--axis", "laser_C.detuning", "--range", "4:6", "--points", "3", *fmt)
+    assert (code, err) == (0, "nscheme: 3 of 3 points flagged\n")
+    flags = json.loads(out)["flags"] if fmt else [row.split(",")[-1] for row in out.splitlines()[1:]]
+    assert flags == ["NoConvergence"] * 3
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (("evolve", "--t-max", "inf"), "--t-max must be finite and positive, got inf"),
     (("evolve", "--t-max", "nan"), "--t-max must be finite and positive, got nan"),
@@ -477,6 +514,51 @@ def test_scan_rejects_any_invalid_point_before_solving(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "nscheme: ConfigError: LaserDrive.rabi must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("config, axis, rng, points, message", [
+    ("fig3a", "laser_B.rabi", "-1:1", 3, "NegativeRate: rabi must be >= 0, got -6.283185307179586"),
+    ("fig3a", "laser_B.wavelength_nm", "-1:1", 3, "NegativeRate: wavelength must be > 0, got -1.0"),
+    ("fig3a", "laser_R.wavelength_nm", "0:1", 3, "NegativeRate: wavelength must be > 0, got 0.0"),
+    ("fig3a", "laser_C.linewidth", "-1:1", 3, "NegativeRate: linewidth must be >= 0, got -6.283185307179586"),
+    ("fig3a", "laser_B.direction", "-1:1", 3, "BadDirection: direction must be +1 or -1, got 0.0"),
+    ("fig3a", "atom.gamma_P", "0:1", 3, "NegativeRate: gamma_p must be > 0, got 0.0"),
+    ("fig3a", "atom.gamma_Q", "-1:1", 3, "NegativeRate: gamma_q must be >= 0, got -6.283185307179586"),
+    ("fig3a", "atom.beta_PS", "0:1", 3, "BranchingNotNormalized: beta_ps + beta_pd must equal 1, got 0.0625"),
+    ("fig3a", "atom.beta_PD", "0:1", 3, "BranchingNotNormalized: beta_ps + beta_pd must equal 1, got 0.9375"),
+    ("fig3a", "atom.beta_PS", "2:3", 3,
+     "BranchingNotNormalized: branching fractions must lie in [0, 1], got 2.0, 0.0625"),
+    ("fig3a", "motion.enabled", "0:1", 3, "ConfigError: MotionSpec.enabled must be True or False, got 0.0"),
+    ("fig6_counter", "motion.trap_frequency", "0:1", 3, "NegativeRate: trap_frequency must be > 0, got 0.0"),
+    ("fig6_counter", "motion.amplitude_nm", "-1:1", 3, "NegativeRate: amplitude must be >= 0, got -1.0"),
+    ("fig3a", "laser_R.phase", "0:1", 3, "ConfigError: unknown parameter path 'laser_R.phase'"),
+    ("fig3a", "atom.mass_amu", "0:1", 3, "ConfigError: unknown parameter path 'atom.mass_amu'"),
+    ("fig3a", "motion.direction", "0:1", 3, "ConfigError: unknown parameter path 'motion.direction'"),
+    ("fig3a", "nonsense.rabi", "0:1", 3, "ConfigError: unknown parameter path 'nonsense.rabi'"),
+    ("fig3a", "laser_B.rabi.x", "0:1", 3, "ConfigError: unknown parameter path 'laser_B.rabi.x'"),
+    # point 0 fails the sign rule, point 1 the finiteness rule: the first point decides
+    ("fig3a", "laser_B.rabi", "-1:1e308", 2, "NegativeRate: rabi must be >= 0, got -6.283185307179586"),
+    # one point failing two rules: the earlier rule decides
+    ("fig3a", "laser_B.rabi", "-1e308:0", 3, "ConfigError: LaserDrive.rabi must be finite, got -inf"),
+])
+@pytest.mark.parametrize("solver", ["carrier", "floquet"])
+def test_sweep_refuses_the_first_invalid_point_before_solving(capsys, monkeypatch, config, axis, rng,
+                                                              points, message, solver):
+    def never(*args, **kwargs):
+        raise AssertionError("a point was solved before the sweep was validated")
+
+    monkeypatch.setattr(scan, "steady_states", never)
+    monkeypatch.setattr(scan, "solve_floquet_stack", never)
+    result = run(capsys, "scan", "--config", config, "--axis", axis, f"--range={rng}",
+                 "--points", str(points), "--solver", solver)
+    assert result == (1, "", f"nscheme: {message}\n")
+
+
+def test_sweep_over_valid_directions_solves(capsys):
+    code, out, err = run(capsys, "scan", "--config", "fig3a", "--axis", "laser_B.direction",
+                         "--range=-1:1", "--points", "2")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[-1] for row in out.splitlines()[1:]] == ["", ""]
 
 
 def test_dressed_warning_only_in_json(tmp_path, capsys):

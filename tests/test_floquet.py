@@ -17,6 +17,7 @@ from nscheme.floquet import (
     solve_floquet_steady,
 )
 from nscheme.liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
+from nscheme.model import ParamTable
 from nscheme.steady import steady_state
 
 # counter-propagating oscillating-ion point, order 2, solved once and pinned
@@ -68,8 +69,9 @@ def test_lower_ratios_are_mirrored_upper_ratios(config, order):
     # vec is column-major, so vec(X^T) permutes vec(X) by i + 4 j -> j + 4 i
     transpose = np.arange(16).reshape((4, 4), order="F").T.flatten(order="F")
     assert floquet._TRANSPOSE == transpose.tolist()
-    parts = hamiltonian_stack([config])
-    m0 = superoperator_stack(parts.h_total, [config])
+    table = ParamTable.of([config])
+    parts = hamiltonian_stack(table)
+    m0 = superoperator_stack(parts.h_total, table)
     shift = -1j * config.motion.trap_frequency * np.eye(16)
     upper = floquet._fraction(m0, commutator_superoperator(parts.h_side), shift, order)
     for s_n, t_n in zip(upper, floquet_lower_ratios(config, order)):
@@ -89,7 +91,7 @@ def test_one_solve_per_ratio_and_one_for_the_kernel(monkeypatch, order):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    _, _, _, errors = floquet.solve_floquet_stack(configs, order)
+    _, _, _, errors = floquet.solve_floquet_stack(ParamTable.of(configs), order)
     assert errors == [None] * len(configs)
     assert calls == [(len(configs), 16, 16)] * (order + 1)
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import build_floquet_generator, make_config, sup_of, with_linewidths
+from conftest import broadcast_commutator, build_floquet_generator, make_config, point_configs, sup_of, with_linewidths
 from nscheme.liouvillian import (
     apply,
     build_hamiltonian,
@@ -20,8 +20,9 @@ from nscheme.liouvillian import (
     unvec,
     vec,
 )
-from nscheme.model import from_mhz, pure_state
-from nscheme.scan import ScanSpec, _point_config
+from nscheme.errors import NoConvergence, NotHermitian
+from nscheme.model import ParamTable, from_mhz, pure_state
+from nscheme.scan import ScanSpec, _sweep_table
 
 S, P, D, Q = range(4)
 
@@ -198,9 +199,10 @@ def test_dephasing_damps_only_coherences():
      ScanSpec(axis="laser_B.wavelength_nm", start=380.0, stop=420.0, points=41, solver="floquet")),
 ])
 def test_stacked_builders_equal_per_point_builds(base, spec):
-    configs = [_point_config(base, spec.axis, float(v), spec.gamma_q_mode) for v in spec.values_mhz]
-    parts = hamiltonian_stack(configs)
-    m = superoperator_stack(parts.h_total, configs)
+    configs = point_configs(base, spec)
+    table = _sweep_table(base, spec, spec.values_mhz)
+    parts = hamiltonian_stack(table)
+    m = superoperator_stack(parts.h_total, table)
     for i, c in enumerate(configs):
         single = build_hamiltonian(c)
         assert m[i].tobytes() == build_superoperator(single.h_total, c).matrix.tobytes()
@@ -227,12 +229,64 @@ def _random_configs(rng, k):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_superoperator_stack_is_the_generic_sum_to_the_bit(seed):
     configs = _random_configs(np.random.default_rng(seed), 64)
-    h = hamiltonian_stack(configs).h_total
+    table = ParamTable.of(configs)
+    h = hamiltonian_stack(table).h_total
     ops = [op for _, op in jump_operators(configs[0])]
     channels = [(np.array([jump_operators(c)[j][0] for c in configs]), ops[j]) for j in range(3)]
     want = commutator_superoperator(h) + lindblad_dissipator(channels)
     diag = np.arange(16)
     want[:, diag, diag] -= np.stack([dephasing_rates(c).T.reshape(16) for c in configs])
-    got = superoperator_stack(h, configs)
+    got = superoperator_stack(h, table)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
+
+
+def _random_hermitian_stack(rng, k):
+    h = rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))
+    h = h + np.swapaxes(h, -1, -2).conj()
+    h[rng.random((k, 4, 4)) < 0.3] = 0.0  # structural zeros, as in the N scheme's couplings
+    return h
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_index_commutator_equals_broadcast_oracle(seed):
+    rng = np.random.default_rng(seed)
+    h = _random_hermitian_stack(rng, 64) * 10.0 ** rng.integers(-300, 300, size=(64, 1, 1))
+    got = commutator_superoperator(h)
+    assert got.shape == (64, 16, 16)
+    assert np.array_equal(got, broadcast_commutator(h))
+    assert np.array_equal(commutator_superoperator(h[0]), got[0])
+
+
+def test_index_commutator_on_inf_carrying_stacks():
+    # an overflowing Delta_R - Delta_B puts inf on the diagonal; eta Omega past the range on a coupling
+    h = _random_hermitian_stack(np.random.default_rng(2), 8)
+    h[1, 2, 2] = np.inf
+    h[3, 1, 0] = h[3, 0, 1] = np.inf
+    h[4, 3, 3] = -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = broadcast_commutator(h)
+    got = commutator_superoperator(h)
+    both = np.isfinite(got) & np.isfinite(want)
+    assert np.array_equal(got[both], want[both])
+    # non-finite entries stay where the oracle has them, and the same points carry them
+    assert not (np.isfinite(want) & ~np.isfinite(got)).any()
+    assert np.array_equal((~np.isfinite(got)).any(axis=(1, 2)), (~np.isfinite(want)).any(axis=(1, 2)))
+    assert np.flatnonzero((~np.isfinite(got)).any(axis=(1, 2))).tolist() == [1, 3, 4]
+
+
+@pytest.mark.parametrize("h", [np.full((4, 4), np.nan), np.diag([0.0, 1.0, np.inf, 0.0])])
+def test_non_finite_hamiltonian_is_not_hermitian(h):
+    with pytest.raises(NotHermitian):
+        build_superoperator(h, make_config())
+
+
+def test_single_point_build_refuses_an_overflowing_carrier_hamiltonian():
+    c = make_config()
+    c = dataclasses.replace(c, laser_b=dataclasses.replace(c.laser_b, detuning=-1.7e308),
+                            laser_r=dataclasses.replace(c.laser_r, detuning=1.7e308))
+    with pytest.raises(NoConvergence, match="carrier Hamiltonian overflows the float range"):
+        build_hamiltonian(c)
+    # the stacked build keeps the inf in its point, for the solvers to flag
+    h = hamiltonian_stack(ParamTable.of([make_config(), c])).h_total
+    assert np.isfinite(h[0]).all() and h[1, D, D] == np.inf

@@ -4,12 +4,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_config
+from conftest import make_config, point_configs
+from nscheme import model, scan
 from nscheme.cli import _load_config_arg
 from nscheme.errors import ConfigError, SolverError, TooCoarse
-from nscheme.liouvillian import build_hamiltonian, build_superoperator
-from nscheme.model import config_hash, from_mhz, replace_param
+from nscheme.liouvillian import build_hamiltonian, build_superoperator, hamiltonian_stack, superoperator_stack
+from nscheme.model import FREQUENCY_FIELDS, ParamTable, config_hash, from_mhz, replace_param
 from nscheme.scan import BLOCK_POINTS, Peak, ScanSpec, Spectrum, find_peaks, run_scan
 from nscheme.steady import steady_state
 
@@ -79,6 +82,65 @@ def test_stacked_blocks_match_point_by_point_solves():
         else:
             assert flag == ""
             assert np.abs(pops - rho.populations).max() < 1e-12
+
+
+def test_run_scan_builds_a_constant_number_of_configs(monkeypatch):
+    built = []
+    for cls in (model.SystemConfig, model.LaserDrive, model.AtomSpec, model.MotionSpec):
+        def counted(self, *args, __init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            __init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    config = make_config()
+    counts = []
+    for points in (2, 65, 300):
+        for mode in ("physical", "zero"):
+            built.clear()
+            run_scan(config, ScanSpec(axis="laser_R.detuning", start=2.0, stop=4.0, points=points,
+                                      gamma_q_mode=mode))
+            counts.append((mode, len(built)))
+    assert counts[:2] == counts[2:4] == counts[4:]
+    assert max(n for _, n in counts) <= 2
+
+
+# every frequency axis plus the non-affine inputs of the Lamb-Dicke factors
+_AXES = sorted(FREQUENCY_FIELDS) + ["laser_B.wavelength_nm", "laser_R.wavelength_nm",
+                                    "laser_C.wavelength_nm", "motion.amplitude_nm"]
+_STARTS = st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, 1e300, 1e307, 2e307, -1e307]))
+_WIDTHS = st.one_of(st.floats(1e-3, 60.0), st.sampled_from([1e300, 1e307, 2e307]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(axis=st.sampled_from(_AXES), start=_STARTS, width=_WIDTHS, points=st.integers(2, 7),
+       mode=st.sampled_from(["physical", "zero"]), motion=st.booleans(), counter=st.booleans())
+def test_sweep_table_equals_per_point_configs(axis, start, width, points, mode, motion, counter):
+    assume(not (axis == "atom.gamma_Q" and mode == "zero"))
+    try:
+        spec = ScanSpec(axis=axis, start=start, stop=start + width, points=points, gamma_q_mode=mode)
+    except ConfigError:
+        assume(False)
+    base = make_config(motion=motion, counter=counter)
+    try:
+        want = ParamTable.of(point_configs(base, spec))
+    except ConfigError as exc:
+        with pytest.raises(type(exc)) as raised:
+            scan._sweep_table(base, spec, spec.values_mhz)
+        assert str(raised.value) == str(exc)
+        return
+    got = scan._sweep_table(base, spec, spec.values_mhz)
+    assert np.array_equal(got.data, want.data)
+    parts = [hamiltonian_stack(table) for table in (got, want)]
+    for a, b in zip(*(vars(p).values() for p in parts)):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(superoperator_stack(parts[0].h_total, got),
+                          superoperator_stack(parts[1].h_total, want), equal_nan=True)
+    for solver in ("carrier", "floquet") if motion else ("carrier",):
+        spec_s = ScanSpec(axis=axis, start=spec.start, stop=spec.stop, points=points, solver=solver)
+        got_pops, _, _, got_flags = scan._solve_block(got, spec_s)
+        want_pops, _, _, want_flags = scan._solve_block(want, spec_s)
+        assert got_flags == want_flags
+        assert np.array_equal(got_pops, want_pops, equal_nan=True)
 
 
 def test_scan_metadata():

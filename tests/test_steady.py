@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import make_config, sup_of, svd_gated_steady_states, two_plus_one
+from conftest import make_config, point_configs, sup_of, svd_gated_steady_states, two_plus_one
 from nscheme import scan
 from nscheme.cli import _load_config_arg
 from nscheme.errors import ConfigError, DegenerateKernel, SolverError
 from nscheme.liouvillian import build_hamiltonian, hamiltonian_stack, superoperator_stack
-from nscheme.model import config_from_dict, from_mhz
+from nscheme.model import ParamTable, config_from_dict, from_mhz
 from nscheme.scan import ScanSpec, run_scan
 from nscheme.steady import (GAP_THRESHOLD, _certified, residual, steady_state, steady_state_of_matrix,
                             steady_states)
@@ -165,23 +165,24 @@ def _assert_same_as_oracle_on_stack(m):
 
 @pytest.mark.parametrize("stack", [[c] for c in DEGENERATE_CONFIGS] + [DEGENERATE_CONFIGS])
 def test_certified_route_matches_svd_gated_oracle_on_degenerate_configs(stack):
-    _assert_same_as_oracle_on_stack(superoperator_stack(hamiltonian_stack(stack).h_total, stack))
+    table = ParamTable.of(stack)
+    _assert_same_as_oracle_on_stack(superoperator_stack(hamiltonian_stack(table).h_total, table))
 
 
 def test_exactly_singular_bordered_block_is_decided_by_the_svd(monkeypatch):
     # gamma_Q = 0 and Omega_C = 0 at the first point: the bordered matrix is exactly singular
     config = _load_config_arg("fig3a")
     spec = ScanSpec(axis="laser_C.rabi", start=0.0, stop=0.2, points=129, gamma_q_mode="zero")
-    first = scan._point_config(config, spec.axis, 0.0, spec.gamma_q_mode)
+    first = point_configs(config, spec)[0]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(_bordered_matrices(sup_of(first).matrix[None]))
 
     calls = []
     solve_block = scan._solve_block
 
-    def counted(configs, s):
-        calls.append(len(configs))
-        return solve_block(configs, s)
+    def counted(table, s):
+        calls.append(len(table))
+        return solve_block(table, s)
 
     monkeypatch.setattr(scan, "_solve_block", counted)
     _, _, flags = _assert_same_as_oracle(monkeypatch, config, spec)
@@ -203,8 +204,8 @@ def _svd_spy(monkeypatch):
 
 def _uncertified(config, spec):
     """Indices of the points whose Frobenius-norm certificate fails, from np.linalg.inv."""
-    configs = [scan._point_config(config, spec.axis, float(v), spec.gamma_q_mode) for v in spec.values_mhz]
-    m = superoperator_stack(hamiltonian_stack(configs).h_total, configs)
+    table = ParamTable.of(point_configs(config, spec))
+    m = superoperator_stack(hamiltonian_stack(table).h_total, table)
     bound = np.linalg.norm(m, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(_bordered_matrices(m)), axis=(1, 2))
     return m, np.flatnonzero(GAP_THRESHOLD * bound > 1.0)
 
