@@ -292,7 +292,8 @@ def _add_scan_axis(parser, *, axis_required: bool) -> None:
     parser.add_argument("--gamma-q-mode", choices=("physical", "zero"), default="physical",
                         help="metastable decay handling at every point")
     parser.add_argument("--workers", type=int, default=None,
-                        help="accepted and ignored: a sweep runs in one process (must be >= 1)")
+                        help="threads that solve the sweep's 64-point blocks (>= 1; default: the "
+                             "CPUs this process may use); the output does not depend on it")
     parser.add_argument("--json", action="store_true",
                         help="write the JSON document instead of CSV")
 

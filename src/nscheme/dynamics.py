@@ -24,6 +24,10 @@ from .model import DensityMatrix, SystemConfig, level_index
 
 #: eigenbasis condition number beyond which eigen-propagation is distrusted
 EIG_COND_LIMIT = 1e12
+#: largest ||M||_1 (t_end - t_0) handed to the stepwise integrator. An explicit
+#: step stays inside RK45's stability region, so the step count grows with it;
+#: every preset has ||M||_1 near 355 rad/us, so a 2000 us evolve comes to 7.1e5
+RK_SPAN_LIMIT = 1e7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,7 +94,9 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
 
     method "eig" forces eigen-propagation, "rk" the stepwise
     integrator, "auto" picks eig unless the eigenbasis condition
-    number exceeds EIG_COND_LIMIT.
+    number exceeds EIG_COND_LIMIT. The stepwise integrator refuses a
+    span whose ||M||_1 (t_end - t_0) exceeds RK_SPAN_LIMIT with
+    NoConvergence, so its run time stays bounded.
     """
     times = _check_grid(times)
     v0 = vec(_as_matrix(rho0))
@@ -110,6 +116,12 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
             return stack
         if method == "eig":
             raise DefectiveGenerator(f"eigenbasis condition number {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, and refused
+        span = np.abs(m).sum(axis=0).max() * (times[-1] - times[0])
+    if not span <= RK_SPAN_LIMIT:
+        raise NoConvergence(f"stepwise integration over ||M||_1 (t_end - t_0) = {span:.3e} "
+                            f"exceeds {RK_SPAN_LIMIT:.0e}")
 
     from scipy.integrate import solve_ivp
 

@@ -47,7 +47,6 @@ TRUNCATION_TOL = 1e-8
 SOLVE_TRUNCATION_TOL = 1e-5
 DEFAULT_ORDER = 2
 
-_EYE16 = np.eye(16)
 _DIAG = [5 * k for k in range(4)]  # vec indices of the diagonal of a 4x4 block
 _TRANSPOSE = [4 * (i % 4) + i // 4 for i in range(16)]  # vec(X^T) = vec(X)[_TRANSPOSE]
 
@@ -111,7 +110,7 @@ def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.n
         raise MotionDisabled("the Floquet expansion needs motion enabled")
     if require_integer(order, "Floquet order") < 1:
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
-    shift = -1j * table.trap_frequency[:, None, None] * _EYE16
+    shift = -1j * table.trap_frequency[:, None]  # the diagonal of d/dt over one harmonic, (k, 1)
 
     # non-finite values of an overflowing point stay in that point and fail its gates
     with np.errstate(all="ignore"):
@@ -129,7 +128,7 @@ def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.n
         padded = [0.0, *x, 0.0]
         residual = np.zeros(len(table))
         for j, n in enumerate(range(-order, order + 1)):
-            row = (m0 + n * shift) @ x[j] + c @ (padded[j] + padded[j + 2])
+            row = _shifted(m0, n, shift) @ x[j] + c @ (padded[j] + padded[j + 2])
             residual = np.maximum(residual, np.abs(row).max(axis=(1, 2)))
         x = np.stack(x, axis=1)  # (k, 2 order + 1, 16, 1), n = -order..order
         raw = np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2)
@@ -158,13 +157,20 @@ def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.n
     return blocks, residual, pairing, errors
 
 
+def _shifted(m0: np.ndarray, n: int, shift: np.ndarray) -> np.ndarray:
+    """M0 - i n nu of every point: shift (k, 1) times n added to a copy's diagonal."""
+    out = m0.copy()
+    out.reshape(len(out), -1)[:, ::17] += n * shift  # a strided view of each 16x16 diagonal
+    return out
+
+
 def _fraction(m0: np.ndarray, c: np.ndarray, shift: np.ndarray, order: int) -> list:
-    """Ratios R_1..R_order of x_n = R_n x_{n-1}, R_n = -(M0 + n shift + C R_{n+1})^{-1} C."""
+    """Ratios R_1..R_order of x_n = R_n x_{n-1}, R_n = -(M0 - i n nu + C R_{n+1})^{-1} C."""
     ratios = []
     coupled = np.zeros_like(m0)  # C R_{n+1}, zero past the truncation
     for n in range(order, 0, -1):
         try:
-            ratio = -np.linalg.solve(m0 + n * shift + coupled, c)
+            ratio = -np.linalg.solve(_shifted(m0, n, shift) + coupled, c)
         except np.linalg.LinAlgError as exc:
             raise DegenerateKernel(f"Floquet continued fraction is singular: {exc}") from None
         ratios.insert(0, ratio)

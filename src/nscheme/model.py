@@ -301,14 +301,18 @@ class DensityMatrix:
         return f"DensityMatrix({pops})"
 
 
-def check_density_matrices(m: np.ndarray, eig_floor: float = 1e-10) -> None:
-    """DensityMatrix's checks, on one matrix or a non-empty stack of them."""
+def check_density_matrices(m: np.ndarray, eig_floor: float = 1e-10, eigvals=None) -> None:
+    """DensityMatrix's checks, on one matrix or a non-empty stack of them.
+
+    eigvals, when given, is np.linalg.eigvalsh(m) as the caller already
+    computed it for these same matrices.
+    """
     if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > 1e-12:
         raise NonPhysicalState("matrix is not Hermitian")
     trace_defect = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max()
     if trace_defect > 1e-10:
         raise NonPhysicalState(f"trace deviates from 1 by {trace_defect:.2e}")
-    eigs = np.linalg.eigvalsh(m)
+    eigs = np.linalg.eigvalsh(m) if eigvals is None else eigvals
     if eigs.min() < -eig_floor:
         raise NonPhysicalState(f"negative eigenvalue {eigs.min():.2e}")
 

@@ -5,24 +5,31 @@ parameter columns of every point of a linearly spaced axis, from the
 base config and the axis values; the swept section's validation rules
 run on the whole column first, so an invalid point fails the sweep,
 with the error its own config would raise, before anything is solved.
-It then solves slices of the table in blocks of BLOCK_POINTS, in axis
-order, each block as stacked linear algebra: one stacked generator
-build and one stacked steady-state (or Floquet continued-fraction)
-solve. The fixed block size bounds the memory of the stacked arrays
-on long sweeps. Points that fail with a solver error are kept in-band
-as NaN rows with the error name in the flag column, so a long sweep
-survives isolated degeneracies. A LAPACK failure of a stacked call
-fails the whole block; the block is then solved again point by point
-through the same function, so every point gets the verdict it gets
-alone.
+It then solves slices of the table in blocks of BLOCK_POINTS, each
+block as stacked linear algebra: one stacked generator build and one
+stacked steady-state (or Floquet continued-fraction) solve. The fixed
+block size bounds the memory of the stacked arrays on long sweeps.
+The blocks are independent, so a sweep hands them to `workers`
+threads (the calling thread and workers - 1 helpers) that take block
+indices in axis order from one shared counter; numpy's LAPACK calls
+release the GIL, so the threads share the cores. The results are
+joined in axis order, so the output does not depend on the number of
+workers. Points that fail with a solver error are kept in-band as NaN
+rows with the error name in the flag column, so a long sweep survives
+isolated degeneracies. A LAPACK failure of a stacked call fails the
+whole block; the block is then solved again point by point through
+the same function, so every point gets the verdict it gets alone.
 
 scipy.signal is imported on demand by find_peaks, so importing this
 module costs numpy alone.
 """
 
+import contextvars
 import dataclasses
 import json
 import math
+import os
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -162,22 +169,70 @@ def _join(blocks):
             [f for block in flags for f in block])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_blocks(table: ParamTable, spec: ScanSpec, workers: int):
+    """_solve_block over the table's BLOCK_POINTS slices on `workers` threads, joined in axis order.
+
+    The calling thread works too; each helper runs in a copy of the
+    caller's contextvars context, so numpy's errstate is the caller's.
+    An exception stops new blocks from starting; once every helper has
+    joined, the exception of the earliest failed block is raised. Blocks
+    are taken in axis order, so that is the block a serial run fails on.
+    """
+    starts = range(0, len(table), BLOCK_POINTS)
+    results, failures = [None] * len(starts), {}
+    lock = threading.Lock()
+    pending = iter(range(len(starts)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = _solve_block(table[starts[i]:starts[i] + BLOCK_POINTS], spec)
+            except BaseException as exc:  # re-raised in the caller below
+                with lock:
+                    failures[i] = exc
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
+               for _ in range(min(workers, len(starts)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return _join(results)
+
+
 def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = None) -> Spectrum:
     """Sweep spec.axis and solve the steady state at every point.
 
     Solver errors at individual points become NaN rows with a flag;
     configuration errors (bad axis, an axis value that makes an
     invalid config, motion off for the floquet solver) abort the
-    whole sweep before any point is solved. workers is accepted for
-    compatibility and ignored: a sweep runs in one process as stacked
-    linear algebra. It must still be >= 1 when given.
+    whole sweep before any point is solved. workers is the number of
+    threads that solve the sweep's blocks, an integer >= 1; None means
+    the CPUs this process may use. The output does not depend on it:
+    every count gives the bytes of the workers=1 run.
     """
-    if workers is not None and workers < 1:
+    workers = _usable_cpus() if workers is None else require_integer(workers, "workers")
+    if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     values = spec.values_mhz
     table = _sweep_table(config, spec, values)
-    populations, res, pairing, flags = _join(
-        [_solve_block(table[i:i + BLOCK_POINTS], spec) for i in range(0, len(table), BLOCK_POINTS)])
+    populations, res, pairing, flags = _solve_blocks(table, spec, workers)
     flags = tuple(flags)
 
     metadata = {

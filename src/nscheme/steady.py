@@ -195,19 +195,30 @@ def _unfed_levels(m: np.ndarray, n: int, scale: float) -> list[int]:
 
 
 def _physical(rho: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
-    """Hermitize, clip negative eigenvalues and renormalize every solved point."""
+    """Hermitize and renormalize every solved point; clip the points with a negative eigenvalue.
+
+    One eigvalsh per point gives the spectrum that decides the clip and
+    that check_density_matrices gates; only the clipped points are
+    decomposed again.
+    """
     failed = np.array([e is not None for e in errors])
     # a valid stand-in keeps the failed points out of the stacked calls
     rho = np.where(failed[:, None, None], np.eye(4) / 4, rho)
     rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+    rho /= np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
     try:
-        eigvals, eigvecs = np.linalg.eigh(rho)
+        eigvals = np.linalg.eigvalsh(rho)
+        negative = np.flatnonzero(eigvals[:, 0] < 0.0)
+        for i in negative[eigvals[negative, 0] < -1e-10]:
+            errors[i] = NoConvergence(f"steady state has eigenvalue {eigvals[i, 0]:.2e} < -1e-10")
+        if negative.size:
+            vals, vecs = np.linalg.eigh(rho[negative])
+            clipped = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
+            clipped /= np.real(np.trace(clipped, axis1=-2, axis2=-1))[:, None, None]
+            rho[negative] = clipped
+            eigvals[negative] = np.linalg.eigvalsh(clipped)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalues of the steady state: {exc}") from None
-    for i in np.flatnonzero(eigvals[:, 0] < -1e-10):
-        errors[i] = NoConvergence(f"steady state has eigenvalue {eigvals[i, 0]:.2e} < -1e-10")
-    rho = (eigvecs * np.clip(eigvals, 0.0, None)[..., None, :]) @ np.swapaxes(eigvecs, -1, -2).conj()
-    rho /= np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
-    check_density_matrices(rho)
+    check_density_matrices(rho, eigvals=eigvals)
     rho[[e is not None for e in errors]] = np.nan
     return rho, errors

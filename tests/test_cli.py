@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -17,6 +20,7 @@ from nscheme.model import config_to_dict, lamb_dicke_parameters, load_config
 from nscheme.scan import ScanSpec, Spectrum, run_scan
 from nscheme.steady import steady_state
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 PRESETS = ("fig3a", "fig3e", "fig4a", "fig4d", "fig6_co", "fig6_counter")
 
 
@@ -78,6 +82,13 @@ def test_scan_csv_deterministic(tmp_path, capsys):
     lines = out1.read_text().strip().split("\n")
     assert lines[0] == "axis_MHz,P_S,P_P,P_D,P_Q,residual,flag"
     assert len(lines) == 8
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_scan_refuses_a_worker_count_below_one(capsys, workers):
+    result = run(capsys, "scan", "--config", "fig3a", "--axis", "laser_R.detuning",
+                 "--range", "2.9:3.1", "--points", "3", f"--workers={workers}")
+    assert result == (1, "", f"nscheme: ConfigError: workers must be >= 1, got {workers}\n")
 
 
 def test_scan_json_output(tmp_path):
@@ -441,6 +452,20 @@ def test_overflowing_two_photon_detuning_exits_two_with_one_line(tmp_path, capsy
         result = run(capsys, argv[0], "--config", _overflowing_two_photon_config(tmp_path), *argv[1:])
     assert result == (2, "", "nscheme: NoConvergence: carrier Hamiltonian overflows the float range\n")
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("field", ["rabi", "detuning"])
+def test_stepwise_evolve_refuses_a_huge_rate_in_bounded_time(tmp_path, field):
+    doc = config_to_dict(load_config_from_preset("fig3a"))
+    doc["laser_B"][field] = 1e300  # MHz
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    done = subprocess.run([sys.executable, "-c", "import sys; from nscheme.cli import main; sys.exit(main())",
+                           "evolve", "--config", str(path), "--t-max", "5", "--points", "3", "--method", "rk"],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("nscheme: NoConvergence: stepwise integration over ||M||_1 (t_end - t_0)")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith(" exceeds 1e+07\n")
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]])

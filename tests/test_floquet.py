@@ -72,7 +72,7 @@ def test_lower_ratios_are_mirrored_upper_ratios(config, order):
     table = ParamTable.of([config])
     parts = hamiltonian_stack(table)
     m0 = superoperator_stack(parts.h_total, table)
-    shift = -1j * config.motion.trap_frequency * np.eye(16)
+    shift = -1j * table.trap_frequency[:, None]  # -i nu on the diagonal
     upper = floquet._fraction(m0, commutator_superoperator(parts.h_side), shift, order)
     for s_n, t_n in zip(upper, floquet_lower_ratios(config, order)):
         assert np.abs(s_n[0][np.ix_(transpose, transpose)].conj() - t_n).max() < 1e-14

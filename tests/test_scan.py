@@ -1,6 +1,8 @@
 """Parameter sweeps: determinism, failure flagging, peak extraction."""
 
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -57,12 +59,135 @@ def test_scan_values_and_unknown_axis():
         run_scan(make_config(), bad, workers=1)
 
 
-def test_worker_count_does_not_change_output():
-    c = make_config()
-    spec = ScanSpec(axis="laser_R.detuning", start=2.8, stop=3.2, points=9)
-    serial = run_scan(c, spec, workers=1)
-    parallel = run_scan(c, spec, workers=2)
-    assert _csv(serial) == _csv(parallel)
+_SOLVE_BLOCK = scan._solve_block
+
+# (config, spec, flagged points) of multi-block sweeps
+_THREADED_SWEEPS = {
+    # 13 blocks; 10 points are DegenerateKernel
+    "carrier": (_load_config_arg("fig3a"), ScanSpec("laser_C.rabi", 0.0, 0.2, 801), 10),
+    "floquet": (_load_config_arg("fig6_counter"),
+                ScanSpec("laser_R.detuning", 1.8, 4.2, 801, solver="floquet"), 0),
+    # Delta_R - Delta_B overflows: each block's stacked solve fails, and its points are solved alone
+    "overflow": (make_config(db=-2.8e307, dr=2.8e307),
+                 ScanSpec("laser_B.rabi", 5.0, 15.0, 2 * BLOCK_POINTS + 1), 2 * BLOCK_POINTS + 1),
+}
+
+
+def _outputs(spectrum):
+    buf = io.StringIO()
+    spectrum.to_json(buf)
+    return (_csv(spectrum), buf.getvalue(), spectrum.populations.tobytes(),
+            spectrum.residuals.tobytes(), spectrum.flags)
+
+
+def _blocks_by_thread(monkeypatch):
+    """Record (solved in a helper, points) of every _solve_block call, lone-point reruns included.
+
+    The caller's first block waits until a helper has started one, so a
+    threaded sweep always solves blocks on two threads or more.
+    """
+    caller, calls, helper_started = threading.current_thread(), [], threading.Event()
+
+    def recorded(table, spec):
+        in_helper = threading.current_thread() is not caller
+        if in_helper:
+            helper_started.set()
+        elif not calls:
+            helper_started.wait(timeout=60)
+        calls.append((in_helper, len(table)))
+        return _SOLVE_BLOCK(table, spec)
+
+    monkeypatch.setattr(scan, "_solve_block", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", sorted(_THREADED_SWEEPS))
+def test_worker_count_does_not_change_output(monkeypatch, sweep):
+    config, spec, n_failed = _THREADED_SWEEPS[sweep]
+    serial = run_scan(config, spec, workers=1)
+    assert serial.n_failed == n_failed
+    for workers in (2, 3):
+        calls = _blocks_by_thread(monkeypatch)
+        assert _outputs(run_scan(config, spec, workers=workers)) == _outputs(serial)
+        assert any(in_helper for in_helper, _ in calls)
+        if sweep == "overflow":
+            assert (True, 1) in calls  # a helper solved a failed block point by point
+    assert _outputs(run_scan(config, spec)) == _outputs(serial)
+
+
+def test_more_workers_than_cores_solve_every_block_once(monkeypatch):
+    # 20 blocks on 8 threads with a short switch interval: a lost or repeated block shows
+    config, spec = make_config(), ScanSpec("laser_R.detuning", 2.0, 4.0, 20 * BLOCK_POINTS)
+    serial = run_scan(config, spec, workers=1)
+    firsts = []
+
+    def counted(table, spec):
+        firsts.append(float(table.detuning[0, 1]))
+        return _SOLVE_BLOCK(table, spec)
+
+    monkeypatch.setattr(scan, "_solve_block", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_scan(config, spec, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _outputs(threaded) == _outputs(serial)
+    assert sorted(firsts) == sorted(set(firsts)) and len(firsts) == 20
+
+
+def test_block_error_in_a_helper_reaches_the_caller(monkeypatch):
+    caller, helpers, solved, helper_started = threading.current_thread(), [], [], threading.Event()
+
+    def failing_block(table, spec):
+        if threading.current_thread() is caller:
+            assert helper_started.wait(timeout=60)
+            helpers[0].join(timeout=60)  # the helper has failed and stopped
+            solved.append(len(table))
+            return _SOLVE_BLOCK(table, spec)
+        helpers.append(threading.current_thread())
+        helper_started.set()
+        raise RuntimeError("block failed in a helper")
+
+    monkeypatch.setattr(scan, "_solve_block", failing_block)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed in a helper"):
+        run_scan(make_config(), ScanSpec("laser_R.detuning", 2.0, 4.0, 4 * BLOCK_POINTS), workers=2)
+    # the caller's one block, if it took one, started before the failure; no block started after it
+    assert len(helpers) == 1 and solved in ([], [BLOCK_POINTS])
+    assert not helpers[0].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("errstate", [{"all": "ignore"}, {"all": "raise"}, {"over": "warn"}])
+def test_caller_errstate_holds_in_every_worker(monkeypatch, errstate):
+    # the overflowing points' stacked solves meet floating-point events
+    config, spec = make_config(), ScanSpec("laser_B.rabi", 10.0, 1e306, 2 * BLOCK_POINTS)
+    outcomes = []
+    for workers in (1, 2):
+        calls = _blocks_by_thread(monkeypatch) if workers > 1 else []
+        solve_block, seen = scan._solve_block, []
+
+        def errstate_recorded(table, spec):
+            seen.append(np.geterr())
+            return solve_block(table, spec)
+
+        monkeypatch.setattr(scan, "_solve_block", errstate_recorded)
+        with np.errstate(**errstate):
+            expected = np.geterr()
+            try:
+                outcomes.append(_outputs(run_scan(config, spec, workers=workers)))
+            except (FloatingPointError, RuntimeWarning) as exc:
+                outcomes.append(repr(exc))
+        assert seen and all(state == expected for state in seen)
+        assert any(in_helper for in_helper, _ in calls) == (workers > 1)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(ConfigError, match="workers must be"):
+        run_scan(make_config(), ScanSpec("laser_R.detuning", 2.0, 4.0, 3), workers=workers)
 
 
 def test_stacked_blocks_match_point_by_point_solves():

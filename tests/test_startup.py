@@ -99,3 +99,22 @@ def test_cached_parser_keeps_no_state_between_calls():
     assert in_one_process[2][1] != in_one_process[3][1]
     assert in_one_process[4][1].startswith("axis_MHz,")
     assert json.loads(in_one_process[5][1])["order"] == 2
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    probe = "import sys\nimport nscheme.cli\nprint('concurrent.futures' in sys.modules)"
+    assert _python(probe).strip() == "False"
+
+
+def test_threaded_scan_leaves_no_thread_behind():
+    code = """
+import contextlib, io, threading
+from nscheme.cli import main
+before = threading.active_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["scan", "--config", "fig3a", "--axis", "laser_R.detuning", "--range", "2:4",
+                 "--points", "300", "--workers", "3"]) == 0
+print(before, threading.active_count())
+"""
+    before, after = _python(code).split()
+    assert after == before
