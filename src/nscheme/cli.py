@@ -25,8 +25,8 @@ from .dynamics import evolve, fit_timescales, g2
 from .errors import ConfigError, PerturbationInvalid, SolverError
 from .floquet import DEFAULT_ORDER, solve_floquet_steady
 from .liouvillian import build_hamiltonian, build_superoperator
-from .mcwf import (bright_dark_statistics, default_dark_threshold,
-                   photon_records_to_csv, run_trajectories, statistics_to_json)
+from .mcwf import (bright_dark_statistics, check_trajectory_request, default_dark_threshold,
+                   photon_records_to_csv, run_trajectories, statistics_as_dict)
 from .model import (SystemConfig, config_hash, load_config, pure_state,
                     to_mhz, with_gamma_q)
 from .scan import ScanSpec, run_scan
@@ -166,7 +166,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_traj(args) -> int:
     config = _load_config_arg(args.config)
-    seeds = [(args.seed, i) for i in range(args.n_traj)]
+    seeds = [(args.seed, i) for i in range(check_trajectory_request(config, args.t_max, args.n_traj))]
     records = run_trajectories(config, args.initial, args.t_max, seeds)
     with _output(args.out) as fh:
         if args.stats:
@@ -174,7 +174,7 @@ def _cmd_traj(args) -> int:
             if threshold is None:
                 threshold = default_dark_threshold(config)
             stats = bright_dark_statistics(records, threshold)
-            doc = json.loads(statistics_to_json(stats))
+            doc = statistics_as_dict(stats)
             doc["metadata"] = _metadata(config)
             doc["n_trajectories"] = args.n_traj
             doc["t_max_us"] = args.t_max

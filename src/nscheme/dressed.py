@@ -152,21 +152,6 @@ def lambda_eigensystem(config: SystemConfig) -> LambdaEigensystem:
     )
 
 
-def lambda_hamiltonian(config: SystemConfig) -> np.ndarray:
-    """3x3 S-P-D block at two-photon resonance, for eigensystem checks."""
-    ob = config.laser_b.rabi
-    orr = config.laser_r.rabi
-    db = config.laser_b.detuning
-    h = np.array(
-        [
-            [0.0, ob / 2.0, 0.0],
-            [ob / 2.0, -db, orr / 2.0],
-            [0.0, orr / 2.0, 0.0],
-        ]
-    )
-    return h
-
-
 #: nm/us per m/s
 _VELOCITY_NM_PER_US = 1e3
 

@@ -4,7 +4,12 @@ The generator spans rates from gamma_P ~ 1e2 rad/us down to gamma_Q ~
 1e-6 rad/us, so rho(t) = exp(M t) rho0 is evaluated through the
 eigendecomposition of the 16x16 generator rather than by ODE
 stepping; an adaptive Runge-Kutta integrator is kept as fallback for
-ill-conditioned eigenbases and as an independent cross-check.
+ill-conditioned eigenbases and as an independent cross-check. The
+generator is trace preserving, so its kernel eigenvalue is exactly 0;
+eig returns it off zero by rounding (|lambda| ~ 1e-15 rad/us), which
+exp(lambda t) would turn into a steady state growing or decaying
+linearly in t. Eigenvalues within KERNEL_EIG_TOL ||M||_1 of zero are
+therefore pinned to 0 before propagation.
 
 scipy is imported on demand: scipy.integrate only when the stepwise
 integrator runs, so importing this module costs numpy alone.
@@ -19,11 +24,15 @@ import numpy as np
 
 from .errors import (ConfigError, DefectiveGenerator, FitFailed, NoConvergence, NonPhysicalState,
                      ZeroFluorescence)
-from .liouvillian import Superoperator, unvec, vec
+from .liouvillian import Superoperator, vec
 from .model import DensityMatrix, SystemConfig, level_index
 
 #: eigenbasis condition number beyond which eigen-propagation is distrusted
 EIG_COND_LIMIT = 1e12
+#: eigenvalues with |lambda| <= KERNEL_EIG_TOL ||M||_1 are the kernel, propagated as exactly 0.
+#: Rounding puts the presets' kernel eigenvalue within 2.3e-14 rad/us of 0, and their slowest
+#: decaying mode sits at 3.9e-4 rad/us, against a threshold of 3.6e-10 at ||M||_1 = 355 rad/us
+KERNEL_EIG_TOL = 1e-12
 #: largest ||M||_1 (t_end - t_0) handed to the stepwise integrator. An explicit
 #: step stays inside RK45's stability region, so the step count grows with it;
 #: every preset has ||M||_1 near 355 rad/us, so a 2000 us evolve comes to 7.1e5
@@ -94,9 +103,13 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
 
     method "eig" forces eigen-propagation, "rk" the stepwise
     integrator, "auto" picks eig unless the eigenbasis condition
-    number exceeds EIG_COND_LIMIT. The stepwise integrator refuses a
-    span whose ||M||_1 (t_end - t_0) exceeds RK_SPAN_LIMIT with
-    NoConvergence, so its run time stays bounded.
+    number exceeds EIG_COND_LIMIT. Eigen-propagation pins the kernel
+    eigenvalues (|lambda| <= KERNEL_EIG_TOL ||M||_1) to 0, so the
+    steady state neither grows nor decays however long the span. The
+    stepwise integrator refuses a span whose ||M||_1 (t_end - t_0)
+    exceeds RK_SPAN_LIMIT with NoConvergence, so its run time stays
+    bounded. A generator whose ||M||_1 overflows is refused on both
+    routes.
     """
     times = _check_grid(times)
     v0 = vec(_as_matrix(rho0))
@@ -104,9 +117,14 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
 
     if method not in ("auto", "eig", "rk"):
         raise ConfigError(f"unknown propagation method {method!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(m).sum(axis=0).max()  # ||M||_1
+    if not np.isfinite(norm):
+        raise NoConvergence("||M||_1 of the generator overflows the float range")
     if method in ("auto", "eig"):
         lam, v, v_inv, cond = superop.eig()
         if cond <= EIG_COND_LIMIT:
+            lam = np.where(np.abs(lam) <= KERNEL_EIG_TOL * norm, 0.0, lam)
             coeff = v_inv @ v0
             # rho_vec(t) = V diag(exp(lam t)) V^-1 rho_vec(0); an overflow shows as a non-finite stack
             with np.errstate(over="ignore", invalid="ignore"):
@@ -117,8 +135,8 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
         if method == "eig":
             raise DefectiveGenerator(f"eigenbasis condition number {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, and refused
-        span = np.abs(m).sum(axis=0).max() * (times[-1] - times[0])
+    with np.errstate(over="ignore"):  # an overflowing span is inf, and refused
+        span = norm * (times[-1] - times[0])
     if not span <= RK_SPAN_LIMIT:
         raise NoConvergence(f"stepwise integration over ||M||_1 (t_end - t_0) = {span:.3e} "
                             f"exceeds {RK_SPAN_LIMIT:.0e}")
@@ -160,28 +178,6 @@ def evolve(superop: Superoperator, rho0, times, *, method: str = "auto", keep_st
         populations=pops,
         states=rhos if keep_states else None,
     )
-
-
-def propagate(superop: Superoperator, rho0, t: float, *, method: str = "auto") -> np.ndarray:
-    """Single-time propagation; returns the hermitized 4x4 rho(t)."""
-    if t == 0.0:
-        return _as_matrix(rho0)
-    stack = propagate_vectors(superop, rho0, np.array([0.0, float(t)]), method=method)
-    rho = unvec(stack[-1])
-    return 0.5 * (rho + rho.conj().T)
-
-
-def slowest_decay_rate(superop: Superoperator) -> float:
-    """Smallest nonzero decay rate |Re lambda| of the generator.
-
-    The kernel mode (|Re lambda| below 1e-12) is excluded; the result
-    sets the timescale on which steady state is reached.
-    """
-    lam = superop.eig()[0]
-    decaying = np.abs(lam.real)[np.abs(lam.real) > 1e-12]
-    if decaying.size == 0:
-        raise DefectiveGenerator("generator has no decaying modes")
-    return float(decaying.min())
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,16 +10,18 @@ and x_{+-(N+1)} = 0.
 It is solved by the matrix continued fraction (Risken, The
 Fokker-Planck Equation, ch. 9). With S_{N+1} = 0 the upper harmonics
 follow x_n = S_n x_{n-1}, S_n = -(M0 - i n nu + C S_{n+1})^{-1} C.
-The lower ones follow x_{-n} = T_n x_{-(n-1)}, where T_n is the same
-recursion at +i n nu. Both M0 and C map X+ to (M X)+ (C because
-H_side is Hermitian), so T_n = P conj(S_n) P exactly, with P the
-vec-transpose permutation; T_n is taken from S_n rather than solved.
-The n = 0 row then leaves the 16x16 effective generator M0 + C S_1 +
-C T_1, whose kernel one LU of the bordered system gives. The n = 0
-block carries the physical populations; blocks with n != 0 are
-traceless and paired by rho(-n) = rho(n)+. Since T_n is exactly the
-mirrored S_n, the measured pairing defect is rounding only; the
-residual over all 2N+1 block rows is the correctness gate.
+Both M0 and C map X+ to (M X)+ (C because H_side is Hermitian), so
+the block system is invariant under rho(n) -> rho(-n)+: the lower
+ratio is T_1 = P conj(S_1) P, with P the vec-transpose permutation,
+and the lower blocks are the mirrored upper ones, rho(-n) = rho(n)+.
+The n = 0 row leaves the 16x16 effective generator M0 + C S_1 + C
+T_1, whose kernel one LU of the bordered system gives; rho(0) is
+normalized and hermitized, the upper blocks follow from it, and each
+lower block is set to its upper block's conjugate transpose. The
+n = 0 block carries the physical populations; blocks with n != 0 are
+traceless. The pairing defect is the hermiticity defect of rho(0)
+before it was hermitized, rounding only. The residual over the block
+rows n = 0..N is the correctness gate; row -n is row n mirrored.
 
 Every step runs on a stack of points, given as a model.ParamTable; a
 single solve is a table of one.
@@ -46,6 +48,10 @@ TRUNCATION_TOL = 1e-8
 #: so the strict flag cannot double as the solve gate.
 SOLVE_TRUNCATION_TOL = 1e-5
 DEFAULT_ORDER = 2
+#: largest truncation order a solve, a convergence check or a sweep may ask for.
+#: Each order costs one stacked 16x16 solve per point; the truncation check
+#: solves once more at order + 1, which solve_floquet_stack still accepts
+MAX_ORDER = 64
 
 _DIAG = [5 * k for k in range(4)]  # vec indices of the diagonal of a 4x4 block
 _TRANSPOSE = [4 * (i % 4) + i // 4 for i in range(16)]  # vec(X^T) = vec(X)[_TRANSPOSE]
@@ -56,10 +62,11 @@ class FloquetBlockSystem:
     """Solved harmonic blocks rho(n), n in [-order, order].
 
     blocks[n] are 4x4; populations come from the real diagonal of the
-    n = 0 block. pairing_defect is the largest deviation from rho(-n)
-    = rho(n)+ measured before the pairing was enforced; the lower
-    ratios mirror the upper ones exactly, so it measures rounding only.
-    residual is the max-norm defect of the unmodified block system.
+    n = 0 block, and rho(-n) = rho(n)+ exactly. pairing_defect is the
+    max |rho(0) - rho(0)+| of the solved rho(0) before it was
+    hermitized, which measures rounding only. residual is the max-norm
+    defect of the block system's rows, those with n < 0 being the
+    mirrored rows n > 0.
     """
 
     order: int
@@ -95,21 +102,23 @@ class FloquetBlockSystem:
 def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Stationary Floquet blocks of every point of the table at one truncation order.
 
-    Returns the paired blocks (k, 2 order + 1, 4, 4) ordered n =
+    Returns the blocks (k, 2 order + 1, 4, 4) ordered n =
     -order..order (NaN where a point failed), the block-system
-    residuals (k,), the pairing defects (k,), and for each point None
-    or the SolverError it failed with. It makes order + 1 stacked
-    solves, one per upper ratio S_n and one for the kernel; the lower
-    ratios are the mirrored S_n, so the pairing defect is rounding
-    only. A point fails when its trace is not finite or vanishes, its
-    residual exceeds 1e-9 or rho(0) has an eigenvalue below -1e-8. A
+    residuals (k,) over rows n = 0..order, the pairing defects (k,),
+    and for each point None or the SolverError it failed with. It
+    makes order + 1 stacked solves, one per upper ratio S_n and one
+    for the kernel. The lower blocks are the mirrored upper ones,
+    rho(-n) = rho(n)+, so the pairing defect is the hermiticity defect
+    of rho(0) before it was hermitized. A point fails when its trace is
+    not finite or vanishes, its residual exceeds 1e-9 or rho(0) has an
+    eigenvalue below -1e-8. order must lie in [1, MAX_ORDER + 1]. A
     LAPACK failure of a stacked call raises the SolverError it maps to
     for the whole stack.
     """
     if not table.enabled.all():
         raise MotionDisabled("the Floquet expansion needs motion enabled")
-    if require_integer(order, "Floquet order") < 1:
-        raise ConfigError(f"Floquet order must be >= 1, got {order}")
+    if not 1 <= require_integer(order, "Floquet order") <= MAX_ORDER + 1:
+        raise ConfigError(f"Floquet order must lie in [1, {MAX_ORDER + 1}], got {order}")
     shift = -1j * table.trap_frequency[:, None]  # the diagonal of d/dt over one harmonic, (k, 1)
 
     # non-finite values of an overflowing point stay in that point and fail its gates
@@ -118,23 +127,25 @@ def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.n
         m0 = superoperator_stack(parts.h_total, table)
         c = commutator_superoperator(parts.h_side)
         upper = _fraction(m0, c, shift, order)
-        lower = [s_n[:, _TRANSPOSE][:, :, _TRANSPOSE].conj() for s_n in upper]  # T_n = P conj(S_n) P
-        x0 = bordered_kernel(m0 + c @ upper[0] + c @ lower[0], 4)
+        t_1 = upper[0][:, _TRANSPOSE][:, :, _TRANSPOSE].conj()  # T_1 = P conj(S_1) P
+        x0 = bordered_kernel(m0 + c @ upper[0] + c @ t_1, 4)
         trace = x0[:, _DIAG].sum(axis=1)
-        x = [(x0 / trace[:, None])[..., None]]  # column vectors (k, 16, 1)
-        for s_n, t_n in zip(upper, lower):
-            x = [t_n @ x[0]] + x + [s_n @ x[-1]]
-        # block rows (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}), x_{+-(order+1)} = 0
-        padded = [0.0, *x, 0.0]
+        x0 = (x0 / trace[:, None])[..., None]  # column vectors (k, 16, 1)
+        mirrored = _mirror(x0)
+        pairing = np.abs(x0 - mirrored).max(axis=(1, 2))
+        x = [0.5 * (x0 + mirrored)]  # x_0..x_order, rho(0) hermitized
+        for s_n in upper:
+            x.append(s_n @ x[-1])
+        # block rows n = 0..order of (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}), x_{order+1} = 0;
+        # row -n is row n mirrored, since M0 and C commute with X -> X+
+        padded = [_mirror(x[1]), *x, 0.0]
         residual = np.zeros(len(table))
-        for j, n in enumerate(range(-order, order + 1)):
-            row = _shifted(m0, n, shift) @ x[j] + c @ (padded[j] + padded[j + 2])
+        for n in range(order + 1):
+            row = _shifted(m0, n, shift) @ x[n] + c @ (padded[n] + padded[n + 2])
             residual = np.maximum(residual, np.abs(row).max(axis=(1, 2)))
-        x = np.stack(x, axis=1)  # (k, 2 order + 1, 16, 1), n = -order..order
-        raw = np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2)
-        mirrored = np.swapaxes(raw[:, ::-1], -1, -2).conj()  # rho(-n)+ at position n
-        pairing = np.abs(raw - mirrored).max(axis=(1, 2, 3))
-        blocks = 0.5 * (raw + mirrored)
+        # rho(-n) = rho(n)+: x stacked (k, 2 order + 1, 16, 1) over n = -order..order
+        x = np.stack([_mirror(x_n) for x_n in x[:0:-1]] + x, axis=1)
+        blocks = np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2)
 
     errors = [None] * len(table)
     for i in range(len(table)):
@@ -155,6 +166,19 @@ def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.n
     failed = [e is not None for e in errors]
     blocks[failed] = residual[failed] = pairing[failed] = np.nan
     return blocks, residual, pairing, errors
+
+
+def _mirror(x: np.ndarray) -> np.ndarray:
+    """vec(X+) of a stack of column vectors vec(X), (k, 16, 1)."""
+    return x[:, _TRANSPOSE].conj()
+
+
+def require_order(order, what: str = "Floquet order") -> int:
+    """A requested truncation order as an int in [1, MAX_ORDER]; anything else raises ConfigError."""
+    number = require_integer(order, what)
+    if not 1 <= number <= MAX_ORDER:
+        raise ConfigError(f"{what} must lie in [1, {MAX_ORDER}], got {order}")
+    return number
 
 
 def _shifted(m0: np.ndarray, n: int, shift: np.ndarray) -> np.ndarray:
@@ -180,7 +204,7 @@ def _fraction(m0: np.ndarray, c: np.ndarray, shift: np.ndarray, order: int) -> l
 
 def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
                          check_truncation: bool = True) -> FloquetBlockSystem:
-    """Stationary Floquet blocks at the given truncation order.
+    """Stationary Floquet blocks at the given truncation order, in [1, MAX_ORDER].
 
     The solution must make the full (untruncated-row) system residual
     smaller than 1e-9; with check_truncation the n = 0 block is also
@@ -188,16 +212,7 @@ def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
     TruncationNotConverged when they differ by more than 1e-5. The
     stricter 1e-8 convergence flag is reported by convergence_check.
     """
-    blocks, residual, pairing, errors = solve_floquet_stack(ParamTable.of([config]), order)
-    if errors[0] is not None:
-        raise errors[0]
-    solution = FloquetBlockSystem(
-        order=order,
-        nu=config.motion.trap_frequency,
-        blocks={n: blocks[0, n + order] for n in range(-order, order + 1)},
-        residual=float(residual[0]),
-        pairing_defect=float(pairing[0]),
-    )
+    solution = _solve(config, require_order(order))
     if check_truncation:
         delta = _truncation_delta(config, solution)
         if delta >= SOLVE_TRUNCATION_TOL:
@@ -205,6 +220,20 @@ def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
                 f"order {order} vs {order + 1} differ by {delta:.3e} (tolerance {SOLVE_TRUNCATION_TOL:.0e})"
             )
     return solution
+
+
+def _solve(config: SystemConfig, order: int) -> FloquetBlockSystem:
+    """solve_floquet_stack for one config, any order it accepts; raises the point's error."""
+    blocks, residual, pairing, errors = solve_floquet_stack(ParamTable.of([config]), order)
+    if errors[0] is not None:
+        raise errors[0]
+    return FloquetBlockSystem(
+        order=order,
+        nu=config.motion.trap_frequency,
+        blocks={n: blocks[0, n + order] for n in range(-order, order + 1)},
+        residual=float(residual[0]),
+        pairing_defect=float(pairing[0]),
+    )
 
 
 def convergence_check(config: SystemConfig, order: int) -> tuple[float, bool]:
@@ -215,5 +244,5 @@ def convergence_check(config: SystemConfig, order: int) -> tuple[float, bool]:
 
 def _truncation_delta(config: SystemConfig, solution: FloquetBlockSystem) -> float:
     """Max |rho0_N - rho0_{N+1}| of a solution at order N."""
-    finer = solve_floquet_steady(config, solution.order + 1, check_truncation=False)
+    finer = _solve(config, solution.order + 1)
     return float(np.abs(finer.block(0) - solution.block(0)).max())

@@ -38,11 +38,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).flatten(order="F")
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of vec."""
-    return np.asarray(v, dtype=complex).reshape((4, 4), order="F")
-
-
 def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of 4x4 matrices as 16x16, broadcast over leading axes."""
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -190,16 +185,6 @@ def _decay_stack(table: ParamTable) -> tuple[np.ndarray, np.ndarray]:
     return rates, dephasing + np.swapaxes(dephasing, -1, -2)
 
 
-def jump_operators(config: SystemConfig) -> list[tuple[float, np.ndarray]]:
-    """(rate, operator) pairs of the three decay channels."""
-    return [(float(rate), op) for rate, op in zip(_decay_stack(ParamTable.of([config]))[0][0], _DECAY_OPS)]
-
-
-def dephasing_rates(config: SystemConfig) -> np.ndarray:
-    """Symmetric 4x4 matrix of coherence decay rates from laser linewidths."""
-    return _decay_stack(ParamTable.of([config]))[1][0]
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class Superoperator:
     """16x16 generator acting on column-major vectorized rho."""
@@ -209,25 +194,18 @@ class Superoperator:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
-    _eig_cache = None
-
     def eig(self):
-        """Cached eigendecomposition (eigenvalues, V, V^-1, cond(V)).
+        """Eigendecomposition (eigenvalues, V, V^-1, cond(V)).
 
         An exactly singular V has no inverse: V^-1 is then None and
-        cond(V) infinite. Idempotent, so a concurrent duplicate
-        computation is harmless.
+        cond(V) infinite.
         """
-        cached = self._eig_cache
-        if cached is None:
-            lam, v = np.linalg.eig(self.matrix)
-            try:
-                v_inv, cond = np.linalg.inv(v), np.linalg.cond(v)
-            except np.linalg.LinAlgError:
-                v_inv, cond = None, np.inf
-            cached = (lam, v, v_inv, cond)
-            object.__setattr__(self, "_eig_cache", cached)
-        return cached
+        lam, v = np.linalg.eig(self.matrix)
+        try:
+            v_inv, cond = np.linalg.inv(v), np.linalg.cond(v)
+        except np.linalg.LinAlgError:
+            v_inv, cond = None, np.inf
+        return lam, v, v_inv, cond
 
 
 def superoperator_stack(h: np.ndarray, table: ParamTable) -> np.ndarray:
@@ -273,20 +251,3 @@ def build_superoperator(h: np.ndarray, config: SystemConfig) -> Superoperator:
     if not defect <= 1e-10:
         raise NotHermitian("Hamiltonian deviates from Hermitian by more than 1e-10")
     return Superoperator(matrix=superoperator_stack(h[None], ParamTable.of([config]))[0])
-
-
-def apply(superop: Superoperator, rho: np.ndarray) -> np.ndarray:
-    """d rho / dt for the given state (4x4 in, 4x4 out)."""
-    rho = np.asarray(rho, dtype=complex)
-    return unvec(superop.matrix @ vec(rho))
-
-
-def trace_defect(matrix: np.ndarray) -> float:
-    """Max absolute entry of the summed diagonal-element rows.
-
-    Zero for any trace-preserving generator: the rows of d rho_ii /
-    dt must cancel columnwise.
-    """
-    diag_rows = [i + 4 * i for i in range(4)]
-    return float(np.abs(matrix[diag_rows, :].sum(axis=0)).max())
-

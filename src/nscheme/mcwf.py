@@ -35,7 +35,6 @@ waiting time past t_max.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -78,6 +77,12 @@ _INVERT_CHUNK = 4096
 #: bisection guarantees progress, _MAX_STEPS only bounds the loop
 _STEP_RTOL = 1e-13
 _MAX_STEPS = 100
+#: largest n_traj (_FIRST_BLOCK + (gamma_P + gamma_Q) t_max) a request may ask
+#: for. Each trajectory draws a first block of _FIRST_BLOCK pairs and emits at
+#: most (gamma_P + gamma_Q) t_max photons on average; a record holds 16 bytes
+#: per photon and about 32 x 16 bytes per trajectory. The 500 x 3000 us fig3a
+#: ensemble comes to 2.1e8
+TRAJECTORY_WORK_LIMIT = 5e8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -432,14 +437,34 @@ def _states_on_grid(model: _EffectiveModel, record: TrajectoryRecord, first: _So
     return out
 
 
-def _prepare(config: SystemConfig, psi0, t_max: float) -> tuple[_EffectiveModel, _Source]:
-    """Validate a trajectory request; the shared model and the first segment's source."""
+def check_trajectory_request(config: SystemConfig, t_max: float, n_traj) -> int:
+    """n_traj as an int, once a request for n_traj trajectories of t_max us is valid.
+
+    Trajectories are carrier-only and have no dephasing channel; t_max
+    must be finite and positive, n_traj an integer >= 1, and n_traj
+    (_FIRST_BLOCK + (gamma_P + gamma_Q) t_max) at most
+    TRAJECTORY_WORK_LIMIT, so the request finishes in bounded time and
+    memory. It runs before any seed or record is made.
+    """
     if config.motion.enabled:
         raise MotionUnsupported("trajectories are carrier-only; disable motion")
     if any(laser.linewidth > 0.0 for laser in (config.laser_b, config.laser_r, config.laser_c)):
         raise LinewidthUnsupported("trajectories have no dephasing channel; set every laser linewidth to 0")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise NonPhysicalState(f"trajectory length must be finite and positive, got {t_max!r}")
+    count = require_integer(n_traj, "trajectory count", NonPhysicalState)
+    if count < 1:
+        raise NonPhysicalState("need at least one trajectory")
+    rate = config.atom.gamma_p + config.atom.gamma_q
+    if count > TRAJECTORY_WORK_LIMIT / (_FIRST_BLOCK + rate * t_max):  # an overflowing rate * t_max is inf
+        raise NonPhysicalState(
+            f"{count} trajectories of {t_max!r} us at up to {rate:.4g} photons/us exceed "
+            f"n_traj ({_FIRST_BLOCK} + (gamma_P + gamma_Q) t_max) <= {TRAJECTORY_WORK_LIMIT:.0e}")
+    return count
+
+
+def _prepare(config: SystemConfig, psi0, t_max: float) -> tuple[_EffectiveModel, _Source]:
+    """The shared model and the first segment's source of a checked trajectory request."""
     key, psi = _initial_vector(psi0)
     model = _EffectiveModel(config, t_max)
     return model, model.source(key, psi)
@@ -458,14 +483,6 @@ def _sample_grid(sample_times, t_max: float) -> np.ndarray:
     return grid
 
 
-def _trajectory_count(n_traj) -> int:
-    """n_traj as an int >= 1; a bool or a non-integer is refused."""
-    count = require_integer(n_traj, "trajectory count", NonPhysicalState)
-    if count < 1:
-        raise NonPhysicalState("need at least one trajectory")
-    return count
-
-
 def run_trajectory(config: SystemConfig, psi0, t_max: float, seed, *, sample_times=None) -> TrajectoryRecord:
     """One quantum-jump trajectory of length t_max (us).
 
@@ -477,6 +494,7 @@ def run_trajectory(config: SystemConfig, psi0, t_max: float, seed, *, sample_tim
     normalized state is recorded. Motion and laser linewidth are not
     part of the trajectory model.
     """
+    check_trajectory_request(config, t_max, 1)
     model, first = _prepare(config, psi0, t_max)
     grid = None if sample_times is None else _sample_grid(sample_times, t_max)
     (record,) = _sample_records(model, first, t_max, [seed])
@@ -489,8 +507,7 @@ def run_trajectory(config: SystemConfig, psi0, t_max: float, seed, *, sample_tim
 def run_trajectories(config: SystemConfig, psi0, t_max: float, seeds) -> list[TrajectoryRecord]:
     """One trajectory per seed, as run_trajectory gives it, sharing one H_eff model."""
     seeds = list(seeds)
-    if not seeds:
-        raise NonPhysicalState("need at least one trajectory")
+    check_trajectory_request(config, t_max, len(seeds))
     model, first = _prepare(config, psi0, t_max)
     return list(_sample_records(model, first, t_max, seeds))
 
@@ -500,12 +517,12 @@ def ensemble_populations(config: SystemConfig, psi0, t_grid, n_traj: int, seed: 
 
     Trajectory i draws its random stream from SeedSequence((seed, i)),
     so the ensemble is reproducible and independent of evaluation
-    order. n_traj must be an integer >= 1. Returns a PopulationTrace;
-    with return_records=True, a (trace, records) pair.
+    order. The request must pass check_trajectory_request. Returns a
+    PopulationTrace; with return_records=True, a (trace, records) pair.
     """
-    n_traj = _trajectory_count(n_traj)
     times = _check_grid(t_grid)
     t_max = float(times[-1])
+    n_traj = check_trajectory_request(config, t_max, n_traj)
     model, first = _prepare(config, psi0, t_max)
 
     total = np.zeros((times.size, 4))
@@ -614,22 +631,18 @@ def photon_records_to_csv(records, stream) -> None:
         stream.write("".join([row % jump for jump in zip(record.jump_times.tolist(), record.jump_channels)]))
 
 
-def statistics_to_json(stats: BrightDarkStats) -> str:
-    """The statistics as a JSON object; undefined (NaN) values become null."""
+def statistics_as_dict(stats: BrightDarkStats) -> dict:
+    """The statistics as a JSON-ready dict; undefined (NaN) values become None."""
 
     def number(value: float):
         return value if math.isfinite(value) else None
 
-    return json.dumps(
-        {
-            "mean_bright_photons": number(stats.mean_bright_photons),
-            "se_bright_photons": number(stats.se_bright_photons),
-            "mean_dark_duration_us": number(stats.mean_dark_duration),
-            "se_dark_duration_us": number(stats.se_dark_duration),
-            "n_bright": stats.n_bright,
-            "n_dark": stats.n_dark,
-            "dark_threshold_us": stats.threshold,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    return {
+        "mean_bright_photons": number(stats.mean_bright_photons),
+        "se_bright_photons": number(stats.se_bright_photons),
+        "mean_dark_duration_us": number(stats.mean_dark_duration),
+        "se_dark_duration_us": number(stats.se_dark_duration),
+        "n_bright": stats.n_bright,
+        "n_dark": stats.n_dark,
+        "dark_threshold_us": stats.threshold,
+    }

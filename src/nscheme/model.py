@@ -270,22 +270,26 @@ def lamb_dicke_parameters(config: SystemConfig) -> LambDicke:
     return LambDicke(kb * half_x0, kr * half_x0, kc * half_x0, delta_k, delta_k / abs(kb))
 
 
+#: allowed negative-eigenvalue margin of a density matrix
+EIG_FLOOR = 1e-10
+
+
 class DensityMatrix:
     """4x4 density matrix in the (S, P, D, Q) basis.
 
     The wrapped array is read-only. Construction verifies hermiticity,
-    unit trace and positivity unless check=False; eig_floor is the
-    allowed negative-eigenvalue margin.
+    unit trace and positivity (no eigenvalue below -EIG_FLOOR) unless
+    check=False.
     """
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, check: bool = True, eig_floor: float = 1e-10):
+    def __init__(self, matrix, *, check: bool = True):
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise NonPhysicalState(f"expected a 4x4 matrix, got shape {m.shape}")
         if check:
-            check_density_matrices(m, eig_floor)
+            check_density_matrices(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -301,7 +305,7 @@ class DensityMatrix:
         return f"DensityMatrix({pops})"
 
 
-def check_density_matrices(m: np.ndarray, eig_floor: float = 1e-10, eigvals=None) -> None:
+def check_density_matrices(m: np.ndarray, eigvals=None) -> None:
     """DensityMatrix's checks, on one matrix or a non-empty stack of them.
 
     eigvals, when given, is np.linalg.eigvalsh(m) as the caller already
@@ -313,7 +317,7 @@ def check_density_matrices(m: np.ndarray, eig_floor: float = 1e-10, eigvals=None
     if trace_defect > 1e-10:
         raise NonPhysicalState(f"trace deviates from 1 by {trace_defect:.2e}")
     eigs = np.linalg.eigvalsh(m) if eigvals is None else eigvals
-    if eigs.min() < -eig_floor:
+    if eigs.min() < -EIG_FLOOR:
         raise NonPhysicalState(f"negative eigenvalue {eigs.min():.2e}")
 
 
@@ -504,18 +508,6 @@ def _resolve_path(config: SystemConfig, path: str) -> tuple[str, str]:
     return attr, field
 
 
-def replace_param(config: SystemConfig, path: str, value) -> SystemConfig:
-    """New config with one field replaced, e.g. ('laser_R.detuning', 18.85).
-
-    The path uses the JSON schema names; the value is in internal
-    units (rad/us for frequencies). Validation reruns on the rebuilt
-    section.
-    """
-    attr, field = _resolve_path(config, path)
-    new_section = dataclasses.replace(getattr(config, attr), **{field: value})
-    return dataclasses.replace(config, **{attr: new_section})
-
-
 def with_gamma_q(config: SystemConfig, gamma_q: float) -> SystemConfig:
     """New config with atom.gamma_q replaced (rad/us)."""
     return dataclasses.replace(config, atom=dataclasses.replace(config.atom, gamma_q=gamma_q))
@@ -591,10 +583,10 @@ class ParamTable:
     def sweep(cls, config: SystemConfig, path: str, values: np.ndarray) -> ParamTable:
         """The table of config with the field at path set to each of values in turn.
 
-        path uses the JSON schema names and values are in internal units,
-        as for replace_param. The swept section's rules run on the whole
-        column before the table is built, so an invalid value raises what
-        replace_param raises at the first invalid point.
+        path uses the JSON schema names and values are in internal units
+        (rad/us for frequencies). The swept section's rules run on the
+        whole column before the table is built, so an invalid value raises
+        what the section's constructor raises at the first invalid point.
         """
         attr, field = _resolve_path(config, path)
         section = getattr(config, attr)

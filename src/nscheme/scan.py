@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SolverError, TooCoarse
-from .floquet import DEFAULT_ORDER, solve_floquet_stack
+from .floquet import DEFAULT_ORDER, require_order, solve_floquet_stack
 from .liouvillian import hamiltonian_stack, superoperator_stack
 from .model import (FREQUENCY_FIELDS, ParamTable, SystemConfig, config_hash, from_mhz,
                     level_index, require_integer, with_gamma_q)
@@ -77,8 +77,7 @@ class ScanSpec:
             raise ConfigError(f"empty axis range [{self.start}, {self.stop}]")
         if self.solver not in _SOLVERS:
             raise ConfigError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        if require_integer(self.floquet_order, "floquet_order") < 1:
-            raise ConfigError(f"floquet_order must be >= 1, got {self.floquet_order}")
+        require_order(self.floquet_order, "floquet_order")
         if self.gamma_q_mode not in _GAMMA_MODES:
             raise ConfigError(f"gamma_q_mode must be one of {_GAMMA_MODES}, got {self.gamma_q_mode!r}")
         if self.axis == "atom.gamma_Q" and self.gamma_q_mode == "zero":
@@ -96,7 +95,9 @@ class Spectrum:
     axis_mhz is the swept value in input units, populations is (n, 4)
     ordered S, P, D, Q. flags holds "" for solved points and the solver
     error name for NaN rows. metadata records enough context (package
-    version, base-config hash, solver settings) to reproduce the sweep.
+    version, base-config hash, solver settings) to reproduce the sweep;
+    a Floquet sweep's adds max_pairing_defect, the largest hermiticity
+    defect of a solved point's rho(0) before it was hermitized.
     """
 
     axis_mhz: np.ndarray

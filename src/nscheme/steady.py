@@ -60,19 +60,6 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     return _physical(np.swapaxes(x.reshape(-1, 4, 4), -1, -2), errors)
 
 
-def steady_state_of_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Steady state of an n-level generator given as an n^2 x n^2 matrix.
-
-    Returns the (hermitized, trace-1) n x n density matrix without the
-    4-level wrapper; used for restricted blocks in tests.
-    """
-    matrix = np.asarray(matrix)
-    n = round(matrix.shape[0] ** 0.5)
-    x = _steady_vec(matrix, n)
-    rho = x.reshape((n, n), order="F")
-    return 0.5 * (rho + rho.conj().T)
-
-
 def residuals(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """max |M vec(rho)| of each point of a stack, the stationarity defects."""
     return np.abs(matrices @ np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], 16, 1)).max(axis=(-2, -1))

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 
+from nscheme.dynamics import _as_matrix, propagate_vectors
 from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, SolverError
 from nscheme.floquet import FLOQUET_RESIDUAL_TOL
 from nscheme.liouvillian import _kron4, build_hamiltonian, build_superoperator
@@ -14,8 +15,8 @@ from nscheme.model import (
     LaserDrive,
     MotionSpec,
     SystemConfig,
+    _resolve_path,
     from_mhz,
-    replace_param,
     with_gamma_q,
 )
 from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _physical, _unfed_levels, bordered_kernel
@@ -55,6 +56,32 @@ def two_plus_one(**kw):
 
 def sup_of(config):
     return build_superoperator(build_hamiltonian(config).h_total, config)
+
+
+def replace_param(config, path, value):
+    """New config with one field replaced, e.g. ('laser_R.detuning', 18.85).
+
+    The path uses the JSON schema names; the value is in internal
+    units (rad/us for frequencies). Validation reruns on the rebuilt
+    section.
+    """
+    attr, field = _resolve_path(config, path)
+    new_section = dataclasses.replace(getattr(config, attr), **{field: value})
+    return dataclasses.replace(config, **{attr: new_section})
+
+
+def unvec(v):
+    """Inverse of liouvillian.vec: the 4x4 matrix of a column-major vector."""
+    return np.asarray(v, dtype=complex).reshape((4, 4), order="F")
+
+
+def propagate(superop, rho0, t, *, method="auto"):
+    """Single-time propagation; returns the hermitized 4x4 rho(t)."""
+    if t == 0.0:
+        return _as_matrix(rho0)
+    stack = propagate_vectors(superop, rho0, np.array([0.0, float(t)]), method=method)
+    rho = unvec(stack[-1])
+    return 0.5 * (rho + rho.conj().T)
 
 
 def point_configs(config, spec):

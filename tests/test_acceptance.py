@@ -13,9 +13,9 @@ everything else finishes in seconds.
 import numpy as np
 import pytest
 
-from conftest import make_config, sup_of, two_plus_one, with_linewidths
+from conftest import make_config, propagate, sup_of, two_plus_one, with_linewidths
 from nscheme.dressed import three_photon_report
-from nscheme.dynamics import evolve, fit_timescales, g2, propagate
+from nscheme.dynamics import evolve, fit_timescales, g2
 from nscheme.liouvillian import build_hamiltonian, build_superoperator
 from nscheme.mcwf import bright_dark_statistics, default_dark_threshold, ensemble_populations
 from nscheme.model import from_mhz, level_index, pure_state

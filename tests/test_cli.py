@@ -468,6 +468,52 @@ def test_stepwise_evolve_refuses_a_huge_rate_in_bounded_time(tmp_path, field):
     assert done.stderr.count("\n") == 1 and done.stderr.endswith(" exceeds 1e+07\n")
 
 
+@pytest.mark.parametrize("preset", ["fig3a", "fig3e", "fig4a", "fig4d"])
+@pytest.mark.parametrize("t_max", ["3e6", "1e9", "1e15"])
+def test_long_evolve_ends_at_the_steady_state(capsys, preset, t_max):
+    # the kernel eigenvalue is pinned to 0, so no rounding drift grows with t; what is
+    # left is eig's own error in the kernel eigenvector, 2.5e-11 at fig3a, at any t
+    code, out, err = run(capsys, "evolve", "--config", preset, "--t-max", t_max, "--points", "3")
+    assert (code, err) == (0, "")
+    last = np.array(out.splitlines()[-1].split(","), dtype=float)
+    pops = json.loads(run(capsys, "steady", "--config", preset)[1])["populations"]
+    assert last[0] == float(t_max)
+    assert np.abs(last[1:] - [pops[level] for level in "SPDQ"]).max() < 1e-10
+
+
+def test_long_g2_tail_is_one(capsys):
+    code, out, err = run(capsys, "g2", "--config", "fig3e", "--tau-max", "1e9", "--points", "3")
+    assert (code, err) == (0, "")
+    tail = np.array([row.split(",") for row in out.splitlines()[2:]], dtype=float)[:, 1]
+    assert np.abs(tail - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("traj", "--config", "fig3a", "--t-max", "1e9", "--n-traj", "1"),
+     "nscheme: NonPhysicalState: 1 trajectories of 1000000000.0 us at up to 138.2 photons/us exceed "
+     "n_traj (32 + (gamma_P + gamma_Q) t_max) <= 5e+08\n"),
+    (("traj", "--config", "fig3a", "--t-max", "20", "--n-traj", "1000000000000"),
+     "nscheme: NonPhysicalState: 1000000000000 trajectories of 20.0 us at up to 138.2 photons/us exceed "
+     "n_traj (32 + (gamma_P + gamma_Q) t_max) <= 5e+08\n"),
+    (("traj", "--config", "fig3a", "--t-max", "1e-9", "--n-traj", "1000000000000"),
+     "nscheme: NonPhysicalState: 1000000000000 trajectories of 1e-09 us at up to 138.2 photons/us exceed "
+     "n_traj (32 + (gamma_P + gamma_Q) t_max) <= 5e+08\n"),
+    (("floquet", "--config", "fig6_counter", "--order", "100000000"),
+     "nscheme: ConfigError: Floquet order must lie in [1, 64], got 100000000\n"),
+    (("scan", "--config", "fig6_counter", "--solver", "floquet", "--order", "100000000",
+      "--axis", "laser_R.detuning", "--range", "1.8:4.2"),
+     "nscheme: ConfigError: floquet_order must lie in [1, 64], got 100000000\n"),
+    (("floquet", "--config", "fig6_counter", "--order", "100000000", "--axis", "laser_R.detuning",
+      "--range", "1.8:4.2"),
+     "nscheme: ConfigError: floquet_order must lie in [1, 64], got 100000000\n"),
+])
+def test_unbounded_work_is_refused_up_front(argv, message):
+    done = subprocess.run([sys.executable, "-c", "import sys; from nscheme.cli import main; sys.exit(main())",
+                           *argv], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_scan_flags_overflowing_two_photon_detuning_quietly(tmp_path, capsys, fmt):
     with warnings.catch_warnings(record=True) as caught:

@@ -9,7 +9,6 @@ from conftest import make_config, sup_of
 from nscheme.dressed import (
     doppler_rate,
     lambda_eigensystem,
-    lambda_hamiltonian,
     three_photon_report,
 )
 from nscheme.errors import (
@@ -114,6 +113,20 @@ def test_lambda_eigensystem_formulas():
     assert eig.omega_minus == pytest.approx(-(db + root) / 2, rel=1e-10)
     assert eig.effective_rabi == pytest.approx(
         c.laser_c.rabi * c.laser_r.rabi / obar, rel=1e-12)
+
+
+def lambda_hamiltonian(config):
+    """3x3 S-P-D block at two-photon resonance, for eigensystem checks."""
+    ob = config.laser_b.rabi
+    orr = config.laser_r.rabi
+    db = config.laser_b.detuning
+    return np.array(
+        [
+            [0.0, ob / 2.0, 0.0],
+            [ob / 2.0, -db, orr / 2.0],
+            [0.0, orr / 2.0, 0.0],
+        ]
+    )
 
 
 def test_lambda_eigenvectors_solve_the_hamiltonian():

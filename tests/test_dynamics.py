@@ -7,17 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_config, sup_of, two_plus_one
+from conftest import make_config, propagate, sup_of, two_plus_one
 from nscheme.dressed import lambda_eigensystem
 from nscheme.dynamics import (
+    KERNEL_EIG_TOL,
     PopulationTrace,
     _hann,
     evolve,
     fit_timescales,
     g2,
-    propagate,
     propagate_vectors,
-    slowest_decay_rate,
 )
 from nscheme.errors import ConfigError, DefectiveGenerator, NoConvergence, NonPhysicalState
 from nscheme.liouvillian import Superoperator
@@ -99,6 +98,26 @@ def test_singular_eigenbasis_is_defective():
         propagate_vectors(sup, pure_state("S"), np.linspace(0.0, 1.0, 3), method="eig")
 
 
+@pytest.mark.parametrize("method", ["auto", "eig", "rk"])
+def test_generator_norm_past_the_float_range_is_refused(method):
+    # finite entries whose column sum overflows: a kernel threshold of inf would pin every mode
+    m = np.zeros((16, 16))
+    m[[0, 5], 5] = 1e308, -1e308
+    with pytest.raises(NoConvergence, match="overflows the float range"):
+        propagate_vectors(Superoperator(m), pure_state("S"), np.linspace(0.0, 1.0, 3), method=method)
+
+
+def test_kernel_eigenvalue_is_pinned_to_zero():
+    # rounding leaves this point's kernel eigenvalue at 3.5e-16 rad/us, which over 1e15 us
+    # would scale the steady state by exp(0.35)
+    sup = sup_of(make_config())
+    lam = sup.eig()[0]
+    assert 0.0 < np.abs(lam).min() < KERNEL_EIG_TOL * np.abs(sup.matrix).sum(axis=0).max()
+    trace = evolve(sup, pure_state("S"), np.array([0.0, 1e6, 1e15]))
+    assert np.array_equal(trace.populations[1], trace.populations[2])
+    assert np.abs(trace.populations[2] - steady_state(sup).populations).max() < 1e-10
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_trace_rejects_non_finite_populations(bad):
     pops = np.array([[1.0, 0.0, 0.0, 0.0], [bad, bad, bad, bad]])
@@ -143,6 +162,15 @@ def test_fit_timescale_bands():
                                  np.linspace(0.0, 15000.0, 6001))).slow
     assert 0.1 < fast < 5.0
     assert 100.0 < slow < 10000.0
+
+
+def slowest_decay_rate(superop):
+    """Smallest nonzero decay rate |Re lambda| of the generator, the kernel mode (below 1e-12) excluded."""
+    lam = superop.eig()[0]
+    decaying = np.abs(lam.real)[np.abs(lam.real) > 1e-12]
+    if decaying.size == 0:
+        raise DefectiveGenerator("generator has no decaying modes")
+    return float(decaying.min())
 
 
 def test_slowest_decay_rate_matches_fitted_slow_scale():

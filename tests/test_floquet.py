@@ -43,8 +43,11 @@ SIDEBAND_CONFIGS = [
     two_plus_one(motion=True, counter=True),  # criterion 8's sideband point
     with_linewidths(make_config(motion=True, counter=True), 0.3),  # laser dephasing
     make_config(motion=True, counter=True, gq=0.0),
+    # strong modulation: x8 fails the truncation gate, so the solves below skip it
+    make_config(motion=True, counter=True, amp=3 * OSC_AMPLITUDE_NM),
+    make_config(motion=True, counter=True, amp=8 * OSC_AMPLITUDE_NM),
 ]
-SIDEBAND_IDS = ["counter", "co", "two_plus_one", "linewidths", "gq0"]
+SIDEBAND_IDS = ["counter", "co", "two_plus_one", "linewidths", "gq0", "counter_x3", "counter_x8"]
 
 
 @pytest.mark.parametrize("config", SIDEBAND_CONFIGS, ids=SIDEBAND_IDS)
@@ -109,8 +112,8 @@ def test_block_structure_invariants():
     assert sorted(fb.blocks) == [-2, -1, 0, 1, 2]
     assert fb.pairing_defect < 1e-10
     for n in range(-2, 3):
-        pair = np.abs(fb.block(-n) - fb.block(n).conj().T).max()
-        assert pair < 1e-10
+        # the lower blocks are the mirrored upper ones, rho(-n) = rho(n)+ exactly
+        assert np.array_equal(fb.block(-n), fb.block(n).conj().T)
     assert np.trace(fb.block(0)).real == pytest.approx(1.0, abs=1e-10)
     assert abs(np.trace(fb.block(1))) < 1e-10
     assert abs(np.trace(fb.block(2))) < 1e-10
@@ -178,11 +181,26 @@ def test_vanishing_trace_fails_without_warnings(monkeypatch):
 def test_motion_required_and_order_validated():
     with pytest.raises(MotionDisabled):
         solve_floquet_steady(make_config(motion=False), 2)
-    with pytest.raises(ConfigError):
-        solve_floquet_steady(make_config(motion=True, counter=True), 0)
+    for order in (0, floquet.MAX_ORDER + 1, 100_000_000):
+        with pytest.raises(ConfigError, match=rf"Floquet order must lie in \[1, {floquet.MAX_ORDER}\], got {order}"):
+            solve_floquet_steady(make_config(motion=True, counter=True), order)
+        with pytest.raises(ConfigError):
+            convergence_check(make_config(motion=True, counter=True), order)
     for order in (1.5, True):
         with pytest.raises(ConfigError, match=f"Floquet order must be an integer, got {order!r}"):
             solve_floquet_steady(make_config(motion=True, counter=True), order)
+
+
+def test_largest_order_solves_with_its_truncation_check():
+    # the check at order + 1 = MAX_ORDER + 1 is the stacked solver's own bound
+    c = make_config(motion=True, counter=True)
+    fb = solve_floquet_steady(c, floquet.MAX_ORDER)
+    assert sorted(fb.blocks) == list(range(-floquet.MAX_ORDER, floquet.MAX_ORDER + 1))
+    assert convergence_check(c, floquet.MAX_ORDER)[1]
+    table = ParamTable.of([c])
+    floquet.solve_floquet_stack(table, floquet.MAX_ORDER + 1)
+    with pytest.raises(ConfigError, match=rf"must lie in \[1, {floquet.MAX_ORDER + 1}\]"):
+        floquet.solve_floquet_stack(table, floquet.MAX_ORDER + 2)
 
 
 def test_to_json_shape():

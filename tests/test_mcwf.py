@@ -2,7 +2,6 @@
 
 import dataclasses
 import io
-import json
 import warnings
 
 import numpy as np
@@ -20,6 +19,7 @@ from nscheme import mcwf
 from nscheme.mcwf import (
     CHANNELS,
     JUMP_TIME_TOL,
+    TRAJECTORY_WORK_LIMIT,
     TrajectoryRecord,
     _basis_ket,
     _CHANNEL_TARGET,
@@ -32,12 +32,13 @@ from nscheme.mcwf import (
     _TARGET_CODE,
     _states_on_grid,
     bright_dark_statistics,
+    check_trajectory_request,
     default_dark_threshold,
     ensemble_populations,
     photon_records_to_csv,
     run_trajectories,
     run_trajectory,
-    statistics_to_json,
+    statistics_as_dict,
 )
 from nscheme.model import AtomSpec, pure_state
 
@@ -129,6 +130,27 @@ def test_trajectory_count_must_be_positive():
 def test_trajectory_count_must_be_an_integer(n_traj):
     with pytest.raises(NonPhysicalState):
         ensemble_populations(make_config(), "S", np.linspace(0, 1, 2), n_traj, 0)
+
+
+def test_trajectory_work_is_refused_before_any_seed_is_made():
+    c = make_config()
+    rate = c.atom.gamma_p + c.atom.gamma_q
+    # the tier-1 ensemble (500 x 3000 us) fits; one trajectory more than the limit allows does not
+    assert check_trajectory_request(c, 3000.0, 500) == 500
+    most = int(TRAJECTORY_WORK_LIMIT / (_FIRST_BLOCK + rate * 20.0))
+    assert check_trajectory_request(c, 20.0, most) == most
+    with pytest.raises(NonPhysicalState, match=r"exceed n_traj \(32 \+ \(gamma_P \+ gamma_Q\) t_max\) <= 5e\+08"):
+        check_trajectory_request(c, 20.0, most + 1)
+    with pytest.raises(NonPhysicalState, match="exceed n_traj"):
+        run_trajectory(c, "S", 1e9, 0)
+    with pytest.raises(NonPhysicalState, match="exceed n_traj"):
+        run_trajectories(c, "S", 1e9, [0])
+    with pytest.raises(NonPhysicalState, match="exceed n_traj"):
+        ensemble_populations(c, "S", np.linspace(0.0, 20.0, 3), 10**12, 0)
+    with pytest.raises(NonPhysicalState, match="exceed n_traj"):
+        check_trajectory_request(c, 1e-300, 10**400)  # n_traj past the float range
+    with pytest.raises(NonPhysicalState, match="exceed n_traj"):
+        check_trajectory_request(c, 1.7e308, 1)  # rate * t_max past the float range
 
 
 def test_trajectory_count_accepts_numpy_integers():
@@ -243,7 +265,7 @@ def test_photon_csv_format():
 
 def test_statistics_json_keys():
     stats = bright_dark_statistics([_synthetic_record()], 10.0)
-    data = json.loads(statistics_to_json(stats))
+    data = statistics_as_dict(stats)
     assert set(data) == {
         "mean_bright_photons", "se_bright_photons", "mean_dark_duration_us",
         "se_dark_duration_us", "n_bright", "n_dark", "dark_threshold_us",

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OSC_AMPLITUDE_NM, make_config
+from conftest import OSC_AMPLITUDE_NM, make_config, replace_param
 from nscheme.errors import (
     BadDirection,
     BranchingNotNormalized,
@@ -33,7 +33,6 @@ from nscheme.model import (
     level_index,
     load_config,
     pure_state,
-    replace_param,
     resonance_mismatches,
     to_mhz,
     with_gamma_q,

@@ -1,0 +1,66 @@
+"""The package keeps only code that a production path runs."""
+
+import ast
+import pathlib
+
+import nscheme
+
+PACKAGE = pathlib.Path(nscheme.__file__).parent
+
+
+def _references(node, module, names, modules):
+    """(module, name) of every top-level definition a node may refer to.
+
+    A bare name refers to the definition of that name in its own module,
+    or to what it was imported as; a module.name attribute refers to the
+    imported module's definition. A local variable that shadows another
+    module's name thus refers to nothing.
+    """
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield names.get(sub.id, (module, sub.id))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
+            yield modules[sub.value.id], sub.attr
+
+
+def _unreachable_public_definitions():
+    """Public top-level functions and classes that no production path reaches.
+
+    The roots are the names nscheme/__init__.py exports, the cli.main
+    entry point and each module's top-level statements other than
+    imports; a definition is reached when a reached definition or root
+    refers to it.
+    """
+    uses, roots, public = {}, {("cli", "main")}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module:
+                        names[bound] = (node.module, alias.name)
+                    else:
+                        modules[bound] = alias.name
+                    if module == "__init__" and node.module:
+                        roots.add((node.module, alias.name))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                key = (module, node.name)
+                uses[key] = set(_references(node, module, names, modules)) - {key}
+                if not node.name.startswith("_"):
+                    public.add(key)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.update(_references(node, module, names, modules))
+    reached, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo.extend(uses.get(key, ()))
+    return sorted(public - reached)
+
+
+def test_every_public_definition_is_reached_from_the_package_surface():
+    assert _unreachable_public_definitions() == []

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config, point_configs
+from conftest import make_config, point_configs, replace_param
 from nscheme import model, scan
 from nscheme.cli import _load_config_arg
 from nscheme.errors import ConfigError, SolverError, TooCoarse
+from nscheme.floquet import MAX_ORDER
 from nscheme.liouvillian import build_hamiltonian, build_superoperator, hamiltonian_stack, superoperator_stack
-from nscheme.model import FREQUENCY_FIELDS, ParamTable, config_hash, from_mhz, replace_param
+from nscheme.model import FREQUENCY_FIELDS, ParamTable, config_hash, from_mhz
 from nscheme.scan import BLOCK_POINTS, Peak, ScanSpec, Spectrum, find_peaks, run_scan
 from nscheme.steady import steady_state
 
@@ -40,6 +41,9 @@ def test_scan_spec_validation():
         ScanSpec(**{**good, "gamma_q_mode": "maybe"})
     with pytest.raises(ConfigError):
         ScanSpec(**{**good, "floquet_order": 0})
+    assert ScanSpec(**{**good, "floquet_order": MAX_ORDER}).floquet_order == MAX_ORDER
+    with pytest.raises(ConfigError, match=f"floquet_order must lie in \\[1, {MAX_ORDER}\\], got {MAX_ORDER + 1}"):
+        ScanSpec(**{**good, "floquet_order": MAX_ORDER + 1})
     for field, value in [("points", 2.5), ("points", True), ("floquet_order", 1.5), ("floquet_order", True)]:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             ScanSpec(**{**good, field: value})

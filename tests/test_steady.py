@@ -11,8 +11,7 @@ from nscheme.errors import ConfigError, DegenerateKernel, SolverError
 from nscheme.liouvillian import build_hamiltonian, hamiltonian_stack, superoperator_stack
 from nscheme.model import ParamTable, config_from_dict, from_mhz
 from nscheme.scan import ScanSpec, run_scan
-from nscheme.steady import (GAP_THRESHOLD, _certified, residual, steady_state, steady_state_of_matrix,
-                            steady_states)
+from nscheme.steady import GAP_THRESHOLD, _certified, _steady_vec, residual, steady_state, steady_states
 from test_properties import config_dicts
 
 # three-photon working point, solved once and pinned
@@ -52,6 +51,18 @@ def test_dark_state_exact():
     assert rho.population("P") < 1e-12
     assert rho.population("D") == pytest.approx(16.0 / 17.0, abs=1e-9)
     assert rho.population("Q") == 0.0
+
+
+def steady_state_of_matrix(matrix):
+    """Steady state of an n-level generator given as an n^2 x n^2 matrix.
+
+    Returns the (hermitized, trace-1) n x n density matrix without the
+    4-level wrapper, for restricted blocks.
+    """
+    matrix = np.asarray(matrix)
+    n = round(matrix.shape[0] ** 0.5)
+    rho = _steady_vec(matrix, n).reshape((n, n), order="F")
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _lambda_generator(c):
