@@ -29,7 +29,7 @@ from .mcwf import (bright_dark_statistics, check_trajectory_request, default_dar
                    photon_records_to_csv, run_trajectories, statistics_as_dict)
 from .model import (SystemConfig, config_hash, load_config, pure_state,
                     to_mhz, with_gamma_q)
-from .scan import ScanSpec, run_scan
+from .scan import MAX_POINTS, ScanSpec, run_scan
 from .steady import residual, steady_state
 
 PRESETS = ("fig3a", "fig3e", "fig4a", "fig4d", "fig6_co", "fig6_counter")
@@ -66,9 +66,11 @@ def _span(value: float, option: str) -> float:
 
 
 def _points(value: int) -> int:
-    """A --points value of a time grid, which needs both ends."""
+    """A --points value of a time grid, which needs both ends and at most MAX_POINTS points."""
     if value < 2:
         raise ConfigError(f"--points must be at least 2, got {value}")
+    if value > MAX_POINTS:
+        raise ConfigError(f"--points must be at most {MAX_POINTS}, got {value}")
     return value
 
 

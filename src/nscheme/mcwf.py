@@ -19,7 +19,8 @@ and their time derivatives, which give the curvature: a step whose
 next correction (curvature over twice the slope, times the step
 squared) is negligible is accepted as the root, which most draws
 reach after one evaluation, and the channel weights come from the
-populations extrapolated along that step to the root. All
+populations extrapolated along that step to the root. Each waiting
+time is accurate to 1e-7 us; the polish stops far below that. All
 trajectories of a call run in lockstep stacks, one row of uniforms
 each. |S> inverts every pair of a stack's block; since a pair's
 source is fixed by the previous pair's channel (P->D leaves |D>), only
@@ -53,9 +54,6 @@ _CHANNEL_TARGET = ("S", "D", "S")
 #: the same as an index into the sampler's sources (S, D, first); the
 #: closed channel -1 ends its trajectory and reads the last entry, S
 _TARGET_CODE = np.array([("S", "D").index(key) for key in _CHANNEL_TARGET])
-
-#: accuracy bound on each waiting time, us (the Newton polish stops far below it)
-JUMP_TIME_TOL = 1e-7
 
 #: survival table: t = 0 plus log-spaced points from 1e-7 us to t_max
 _TABLE_POINTS = 2048

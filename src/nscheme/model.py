@@ -16,6 +16,11 @@ of points; the generator builders read nothing else. Each config
 section's validation rules are one function over scalars or columns,
 so a sweep validates its axis column with the very checks a config
 constructor runs.
+
+The JSON config schema has one home, the table _SCHEMA: it maps each
+(section, key) of a file to its dataclass field and unit scale, and
+config_from_dict, config_to_dict (so config_hash), the sweep paths and
+FREQUENCY_FIELDS all read it.
 """
 
 from __future__ import annotations
@@ -334,123 +339,97 @@ def pure_state(label: str) -> DensityMatrix:
 #
 # All frequencies in the file are plain numbers in MHz (the "2pi x"
 # values); wavelengths and the motional amplitude in nm, mass in amu.
-# gamma_Q may be null or absent, selecting the 1 s lifetime default.
+# An absent key takes its dataclass default, a laser's wavelength_nm
+# that of its transition; gamma_Q may also be null, selecting the 1 s
+# lifetime default.
 
-_LASER_KEYS = {"rabi", "detuning", "wavelength_nm", "direction", "linewidth"}
-_ATOM_KEYS = {"gamma_P", "gamma_Q", "beta_PS", "beta_PD", "mass_amu"}
-_MOTION_KEYS = {"enabled", "trap_frequency", "amplitude_nm"}
-_TOP_KEYS = {"laser_B", "laser_R", "laser_C", "atom", "motion"}
+#: JSON (section, key) -> (SystemConfig attribute, dataclass field, scale):
+#: a file number times scale is the field's value; None marks the
+#: non-numeric keys direction and enabled
+_SCHEMA = {
+    **{(laser, key): (laser.lower(), field, scale)
+       for laser in _WAVELENGTH_DEFAULTS
+       for key, field, scale in (("rabi", "rabi", TWO_PI), ("detuning", "detuning", TWO_PI),
+                                 ("wavelength_nm", "wavelength", 1.0), ("direction", "direction", None),
+                                 ("linewidth", "linewidth", TWO_PI))},
+    ("atom", "gamma_P"): ("atom", "gamma_p", TWO_PI),
+    ("atom", "gamma_Q"): ("atom", "gamma_q", TWO_PI),
+    ("atom", "beta_PS"): ("atom", "beta_ps", 1.0),
+    ("atom", "beta_PD"): ("atom", "beta_pd", 1.0),
+    ("atom", "mass_amu"): ("atom", "mass", AMU_KG),
+    ("motion", "enabled"): ("motion", "enabled", None),
+    ("motion", "trap_frequency"): ("motion", "trap_frequency", TWO_PI),
+    ("motion", "amplitude_nm"): ("motion", "amplitude", 1.0),
+}
+
+#: config fields holding angular frequencies (scan axes in MHz convert into these)
+FREQUENCY_FIELDS = {f"{section}.{key}" for (section, key), (_, _, scale) in _SCHEMA.items() if scale == TWO_PI}
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
+    """Refuse a section that is not a JSON object, or that holds a key outside allowed."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
-def _number(section: dict, key: str, where: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        return None
+def _field_value(value, where: str, field: str, scale):
+    """A file value as its dataclass field holds it; a value of the wrong JSON type is a ConfigError."""
+    if field == "direction":
+        if isinstance(value, bool) or value not in (1, -1):
+            raise BadDirection(f"{where} must be +1 or -1, got {value!r}")
+        return int(value)
+    if field == "enabled":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    return number
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number * scale
 
 
-def _laser_from_dict(section: dict, name: str) -> LaserDrive:
-    _require_keys(section, _LASER_KEYS, name)
-    for key in ("rabi", "detuning"):
+def _section_fields(data: dict, name: str, required=()) -> dict:
+    """The dataclass fields that section name of the file gives, in internal units."""
+    section = data.get(name, {})
+    keys = {key: entry for (owner, key), entry in _SCHEMA.items() if owner == name}
+    _require_keys(section, set(keys), name)
+    for key in required:
         if key not in section:
             raise ConfigError(f"{name}.{key} is required")
-    direction = section.get("direction", 1)
-    if isinstance(direction, bool) or direction not in (1, -1):
-        raise BadDirection(f"{name}.direction must be +1 or -1, got {direction!r}")
-    return LaserDrive(
-        rabi=from_mhz(_number(section, "rabi", name)),
-        detuning=from_mhz(_number(section, "detuning", name)),
-        wavelength=_number(section, "wavelength_nm", name, _WAVELENGTH_DEFAULTS[name]),
-        direction=int(direction),
-        linewidth=from_mhz(_number(section, "linewidth", name, 0.0)),
-    )
+    return {field: _field_value(section[key], f"{name}.{key}", field, scale)
+            for key, (_, field, scale) in keys.items()
+            # a null gamma_Q selects the default lifetime, as an absent one does
+            if key in section and not (key == "gamma_Q" and section[key] is None)}
 
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from the JSON schema dict. Unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    _require_keys(data, _TOP_KEYS, "config")
-    for name in ("laser_B", "laser_R", "laser_C"):
+    _require_keys(data, {section for section, _ in _SCHEMA}, "config")
+    for name in _WAVELENGTH_DEFAULTS:
         if name not in data:
             raise ConfigError(f"section {name} is required")
-
-    atom_section = data.get("atom", {})
-    _require_keys(atom_section, _ATOM_KEYS, "atom")
-    gamma_q_mhz = _number(atom_section, "gamma_Q", "atom")
-    gamma_p_mhz = _number(atom_section, "gamma_P", "atom", to_mhz(GAMMA_P_DEFAULT))
-    mass_amu = _number(atom_section, "mass_amu", "atom", MASS_DEFAULT / AMU_KG)
-    atom = AtomSpec(
-        gamma_p=from_mhz(gamma_p_mhz),
-        gamma_q=GAMMA_Q_DEFAULT if gamma_q_mhz is None else from_mhz(gamma_q_mhz),
-        beta_ps=_number(atom_section, "beta_PS", "atom", BETA_PS_DEFAULT),
-        beta_pd=_number(atom_section, "beta_PD", "atom", BETA_PD_DEFAULT),
-        mass=mass_amu * AMU_KG,
-    )
-
-    motion_section = data.get("motion", {})
-    _require_keys(motion_section, _MOTION_KEYS, "motion")
-    enabled = motion_section.get("enabled", False)
-    if not isinstance(enabled, bool):
-        raise ConfigError(f"motion.enabled must be true or false, got {enabled!r}")
-    motion = MotionSpec(
-        enabled=enabled,
-        trap_frequency=from_mhz(_number(motion_section, "trap_frequency", "motion", 1.0)),
-        amplitude=_number(motion_section, "amplitude_nm", "motion", 0.0),
-    )
-
-    return SystemConfig(
-        laser_b=_laser_from_dict(data["laser_B"], "laser_B"),
-        laser_r=_laser_from_dict(data["laser_R"], "laser_R"),
-        laser_c=_laser_from_dict(data["laser_C"], "laser_C"),
-        atom=atom,
-        motion=motion,
-    )
+    atom = AtomSpec(**_section_fields(data, "atom"))
+    motion = MotionSpec(**_section_fields(data, "motion"))
+    lasers = [LaserDrive(**{"wavelength": wavelength, **_section_fields(data, name, ("rabi", "detuning"))})
+              for name, wavelength in _WAVELENGTH_DEFAULTS.items()]
+    return SystemConfig(*lasers, atom=atom, motion=motion)
 
 
 def config_to_dict(config: SystemConfig) -> dict:
     """Inverse of config_from_dict; frequencies back in MHz."""
-
-    def laser(l: LaserDrive) -> dict:
-        return {
-            "rabi": to_mhz(l.rabi),
-            "detuning": to_mhz(l.detuning),
-            "wavelength_nm": l.wavelength,
-            "direction": l.direction,
-            "linewidth": to_mhz(l.linewidth),
-        }
-
-    return {
-        "laser_B": laser(config.laser_b),
-        "laser_R": laser(config.laser_r),
-        "laser_C": laser(config.laser_c),
-        "atom": {
-            "gamma_P": to_mhz(config.atom.gamma_p),
-            "gamma_Q": to_mhz(config.atom.gamma_q),
-            "beta_PS": config.atom.beta_ps,
-            "beta_PD": config.atom.beta_pd,
-            "mass_amu": config.atom.mass / AMU_KG,
-        },
-        "motion": {
-            "enabled": config.motion.enabled,
-            "trap_frequency": to_mhz(config.motion.trap_frequency),
-            "amplitude_nm": config.motion.amplitude,
-        },
-    }
+    doc = {}
+    for (section, key), (attr, field, scale) in _SCHEMA.items():
+        value = getattr(getattr(config, attr), field)
+        doc.setdefault(section, {})[key] = value if scale is None else value / scale
+    return doc
 
 
 def load_config(path) -> SystemConfig:
@@ -469,41 +448,10 @@ def config_hash(config: SystemConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-_SECTION_ATTR = {
-    "laser_B": "laser_b",
-    "laser_R": "laser_r",
-    "laser_C": "laser_c",
-    "atom": "atom",
-    "motion": "motion",
-}
-
-#: config fields holding angular frequencies (scan axes in MHz convert into these)
-FREQUENCY_FIELDS = {
-    "laser_B.rabi", "laser_B.detuning", "laser_B.linewidth",
-    "laser_R.rabi", "laser_R.detuning", "laser_R.linewidth",
-    "laser_C.rabi", "laser_C.detuning", "laser_C.linewidth",
-    "atom.gamma_P", "atom.gamma_Q", "motion.trap_frequency",
-}
-
-_FIELD_ATTR = {
-    "rabi": "rabi", "detuning": "detuning", "linewidth": "linewidth",
-    "wavelength_nm": "wavelength", "direction": "direction",
-    "gamma_P": "gamma_p", "gamma_Q": "gamma_q",
-    "beta_PS": "beta_ps", "beta_PD": "beta_pd",
-    "trap_frequency": "trap_frequency", "amplitude_nm": "amplitude",
-    "enabled": "enabled",
-}
-
-
-def _resolve_path(config: SystemConfig, path: str) -> tuple[str, str]:
-    """(section attribute, field attribute) of a JSON-schema parameter path such as 'laser_R.detuning'."""
-    try:
-        section_name, field_name = path.split(".")
-        attr = _SECTION_ATTR[section_name]
-        field = _FIELD_ATTR[field_name]
-    except (ValueError, KeyError):
-        raise ConfigError(f"unknown parameter path {path!r}") from None
-    if not hasattr(getattr(config, attr), field):
+def _resolve_path(path: str) -> tuple[str, str]:
+    """(section attribute, field) of a JSON path such as 'laser_R.detuning' that names a ParamTable column."""
+    attr, field, _ = _SCHEMA.get(tuple(path.split(".")), (None, None, None))
+    if (attr, field) not in _COLUMN:
         raise ConfigError(f"unknown parameter path {path!r}")
     return attr, field
 
@@ -588,7 +536,7 @@ class ParamTable:
         whole column before the table is built, so an invalid value raises
         what the section's constructor raises at the first invalid point.
         """
-        attr, field = _resolve_path(config, path)
+        attr, field = _resolve_path(path)
         section = getattr(config, attr)
         _raise_first(type(section)._rules(**{**vars(section), field: values}))
         data = np.repeat(cls.of([config]).data, len(values), axis=0)

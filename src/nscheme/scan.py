@@ -46,6 +46,10 @@ _SOLVERS = ("carrier", "floquet")
 _GAMMA_MODES = ("physical", "zero")
 #: points per stacked solve
 BLOCK_POINTS = 64
+#: largest grid a scan, evolve or g2 request may ask for; a larger one is
+#: refused before any array is allocated (at the bound a carrier scan
+#: peaks near 0.7 GB and a Floquet sweep near 1.7 GB)
+MAX_POINTS = 1_000_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,6 +75,8 @@ class ScanSpec:
             raise ConfigError(f"axis must be a section.field path, got {self.axis!r}")
         if require_integer(self.points, "points") < 2:
             raise ConfigError(f"a scan needs at least 2 points, got {self.points}")
+        if self.points > MAX_POINTS:
+            raise ConfigError(f"a scan takes at most {MAX_POINTS} points, got {self.points}")
         if not math.isfinite(float(self.stop) - float(self.start)):
             raise ConfigError(f"axis range and its width must be finite, got [{self.start}, {self.stop}]")
         if not (float(self.start) < float(self.stop)):

@@ -65,7 +65,7 @@ def replace_param(config, path, value):
     units (rad/us for frequencies). Validation reruns on the rebuilt
     section.
     """
-    attr, field = _resolve_path(config, path)
+    attr, field = _resolve_path(path)
     new_section = dataclasses.replace(getattr(config, attr), **{field: value})
     return dataclasses.replace(config, **{attr: new_section})
 

@@ -16,7 +16,8 @@ from nscheme.cli import main
 from nscheme.dynamics import PopulationTrace
 from nscheme.liouvillian import build_hamiltonian, build_superoperator
 from nscheme.mcwf import TrajectoryRecord, default_dark_threshold, photon_records_to_csv, run_trajectory
-from nscheme.model import config_to_dict, lamb_dicke_parameters, load_config
+from nscheme.model import (GAMMA_Q_DEFAULT, _SCHEMA, config_from_dict, config_to_dict,
+                           lamb_dicke_parameters, load_config)
 from nscheme.scan import ScanSpec, Spectrum, run_scan
 from nscheme.steady import steady_state
 
@@ -349,6 +350,42 @@ def _write_config(tmp_path, **laser_b):
     return str(p)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value) for section, key in sorted(_SCHEMA) for value in [None, True, "1", [1], {}]
+    # the two valid ones: a null gamma_Q selects the default, and motion may be enabled
+    if (section, key, value) not in [("atom", "gamma_Q", None), ("motion", "enabled", True)]])
+def test_any_json_type_of_a_key_exits_one_with_one_line(tmp_path, capsys, section, key, value):
+    doc = config_to_dict(load_config_from_preset("fig3a"))
+    doc[section][key] = value
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "steady", "--config", str(p))
+    assert (code, out) == (1, "")
+    assert err.startswith("nscheme: ") and err.count("\n") == 1 and f"{section}.{key} must be " in err, err
+
+
+def test_null_gamma_q_selects_the_default_lifetime(tmp_path):
+    doc = config_to_dict(load_config_from_preset("fig3a"))
+    doc["atom"]["gamma_Q"] = None
+    without = json.loads(json.dumps(doc))
+    del without["atom"]["gamma_Q"]
+    p = tmp_path / "null.json"
+    p.write_text(json.dumps(doc))
+    assert load_config(p).atom.gamma_q == GAMMA_Q_DEFAULT
+    assert load_config(p) == config_from_dict(without)
+
+
+@pytest.mark.parametrize("section", ["laser_B", "laser_R", "laser_C", "atom", "motion"])
+@pytest.mark.parametrize("value, json_type", [(None, "NoneType"), (5, "int"), ([], "list"), ("x", "str")])
+def test_a_section_that_is_not_an_object_exits_one_with_one_line(tmp_path, capsys, section, value, json_type):
+    doc = config_to_dict(load_config_from_preset("fig3a"))
+    doc[section] = value
+    p = tmp_path / "section.json"
+    p.write_text(json.dumps(doc))
+    assert run(capsys, "steady", "--config", str(p)) == (
+        1, "", f"nscheme: ConfigError: {section} must be a JSON object, got {json_type}\n")
+
+
 def test_steady_rejects_rabi_overflowing_to_infinity(tmp_path, capsys):
     code, out, err = run(capsys, "steady", "--config", _write_config(tmp_path, rabi=1e308))
     assert code == 1
@@ -506,6 +543,15 @@ def test_long_g2_tail_is_one(capsys):
     (("floquet", "--config", "fig6_counter", "--order", "100000000", "--axis", "laser_R.detuning",
       "--range", "1.8:4.2"),
      "nscheme: ConfigError: floquet_order must lie in [1, 64], got 100000000\n"),
+    (("scan", "--config", "fig3a", "--axis", "laser_R.detuning", "--range", "2:4", "--points", "1000000000000"),
+     "nscheme: ConfigError: a scan takes at most 1000000 points, got 1000000000000\n"),
+    (("floquet", "--config", "fig6_counter", "--axis", "laser_R.detuning", "--range", "1.8:4.2",
+      "--points", "1000000000000"),
+     "nscheme: ConfigError: a scan takes at most 1000000 points, got 1000000000000\n"),
+    (("evolve", "--config", "fig3a", "--t-max", "5", "--points", "1000000000000"),
+     "nscheme: ConfigError: --points must be at most 1000000, got 1000000000000\n"),
+    (("g2", "--config", "fig3e", "--tau-max", "5", "--points", "1000001"),
+     "nscheme: ConfigError: --points must be at most 1000000, got 1000001\n"),
 ])
 def test_unbounded_work_is_refused_up_front(argv, message):
     done = subprocess.run([sys.executable, "-c", "import sys; from nscheme.cli import main; sys.exit(main())",
@@ -551,6 +597,10 @@ def test_non_finite_time_or_axis_end_exits_one_without_warnings(capsys, argv, me
 def test_too_few_points_exit_one_with_one_line(capsys, argv):
     result = run(capsys, argv[0], "--config", "fig3a", *argv[1:])
     assert result == (1, "", f"nscheme: ConfigError: --points must be at least 2, got {argv[-1]}\n")
+
+
+def test_time_grids_take_up_to_max_points():
+    assert cli._points(scan.MAX_POINTS) == scan.MAX_POINTS
 
 
 @pytest.mark.parametrize("velocity, message", [

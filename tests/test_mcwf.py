@@ -18,7 +18,6 @@ from nscheme.errors import (LinewidthUnsupported, MotionUnsupported, NoJumps, No
 from nscheme import mcwf
 from nscheme.mcwf import (
     CHANNELS,
-    JUMP_TIME_TOL,
     TRAJECTORY_WORK_LIMIT,
     TrajectoryRecord,
     _basis_ket,
@@ -41,6 +40,9 @@ from nscheme.mcwf import (
     statistics_as_dict,
 )
 from nscheme.model import AtomSpec, pure_state
+
+#: accuracy bound on each waiting time, us, that the mcwf module docstring states
+JUMP_TIME_TOL = 1e-7
 
 
 def test_trajectories_are_deterministic():

@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import pathlib
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import OSC_AMPLITUDE_NM, make_config, replace_param
 from nscheme.errors import (
@@ -18,6 +23,7 @@ from nscheme.errors import (
     UnknownLevel,
 )
 from nscheme.model import (
+    AMU_KG,
     FREQUENCY_FIELDS,
     GAMMA_P_DEFAULT,
     GAMMA_Q_DEFAULT,
@@ -25,6 +31,8 @@ from nscheme.model import (
     DensityMatrix,
     LaserDrive,
     MotionSpec,
+    SystemConfig,
+    _SCHEMA,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -184,7 +192,17 @@ def test_frequency_fields_cover_all_rates():
         "laser_C.rabi", "laser_C.detuning", "laser_C.linewidth",
         "atom.gamma_P", "atom.gamma_Q", "motion.trap_frequency",
     }
-    assert expected <= set(FREQUENCY_FIELDS)
+    assert set(FREQUENCY_FIELDS) == expected
+
+
+def test_readme_key_table_is_the_schema():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| `")]
+    table = {(section, row[1].strip("`")): row for row in rows for section in re.findall(r"`(\w+)`", row[0])}
+    assert set(table) == set(_SCHEMA)
+    assert {f"{s}.{k}" for (s, k), row in table.items() if row[2] == "MHz"} == FREQUENCY_FIELDS
+    assert [key for key, row in table.items() if row[4] == "yes"] == [("atom", "gamma_Q")]
 
 
 def test_replace_param():
@@ -204,6 +222,50 @@ def test_config_hash_stable_and_discriminating():
     assert config_hash(c) == config_hash(config_from_dict(d))
     assert config_hash(c) != config_hash(make_config(ob=10.1))
     assert len(config_hash(c)) >= 8
+
+
+#: config_hash of each preset; a change to the schema code must keep them
+PRESET_HASHES = {
+    "fig3a": "2373816fb6f6c52d90972749b6d499b0bd54c33e425d9ef0d7be2f9420c011d7",
+    "fig4a": "2373816fb6f6c52d90972749b6d499b0bd54c33e425d9ef0d7be2f9420c011d7",
+    "fig3e": "fe2517d8aec408d9524ec9f1f4ae0a25d28b8402f4ed3414b9be4fca47f6a85b",
+    "fig4d": "fe2517d8aec408d9524ec9f1f4ae0a25d28b8402f4ed3414b9be4fca47f6a85b",
+    "fig6_co": "d1e9e344096a6408a71c6156a3e5ebacb592c79c9236267fc6f84561c0a6004c",
+    "fig6_counter": "8a6d845370c7fa66f19ba2e30dc1a3d833073086b2699d2b7e716e96442cb983",
+}
+
+
+@pytest.mark.parametrize("preset, digest", sorted(PRESET_HASHES.items()))
+def test_presets_keep_their_config_hash(preset, digest):
+    with resources.as_file(resources.files("nscheme") / "presets" / f"{preset}.json") as path:
+        assert config_hash(load_config(path)) == digest
+
+
+def _mhz(low, high):
+    return st.floats(min_value=low, max_value=high, allow_subnormal=False).map(from_mhz)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs whose fields are file numbers times their unit scale, as loaded or built by from_mhz."""
+    def laser(wavelength):
+        return LaserDrive(rabi=draw(_mhz(0.0, 1e6)), detuning=draw(_mhz(-1e6, 1e6)),
+                          wavelength=draw(st.sampled_from([wavelength, 1.0, 1e4])),
+                          direction=draw(st.sampled_from([1, -1])), linewidth=draw(_mhz(0.0, 1e3)))
+
+    beta_ps = draw(st.floats(min_value=0.0, max_value=1.0))
+    atom = AtomSpec(gamma_p=draw(_mhz(1e-3, 1e3)), gamma_q=draw(st.just(GAMMA_Q_DEFAULT) | _mhz(0.0, 1e3)),
+                    beta_ps=beta_ps, beta_pd=1.0 - beta_ps,
+                    mass=draw(st.floats(min_value=1.0, max_value=300.0)) * AMU_KG)
+    motion = MotionSpec(enabled=draw(st.booleans()), trap_frequency=draw(_mhz(1e-3, 1e2)),
+                        amplitude=draw(st.floats(min_value=0.0, max_value=1e3)))
+    return SystemConfig(laser(397.0), laser(866.0), laser(729.0), atom=atom, motion=motion)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=valid_configs())
+def test_config_survives_the_json_round_trip(config):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def test_resonance_mismatches():

@@ -23,15 +23,24 @@ def _references(node, module, names, modules):
             yield modules[sub.value.id], sub.attr
 
 
-def _unreachable_public_definitions():
-    """Public top-level functions and classes that no production path reaches.
+def _bound_names(node):
+    """Names a top-level assignment binds: NAME = ..., NAME: T = ... or A, B = ...; dunders excluded."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    elements = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    return [e.id for e in elements if isinstance(e, ast.Name) and not e.id.startswith("__")]
 
-    The roots are the names nscheme/__init__.py exports, the cli.main
-    entry point and each module's top-level statements other than
-    imports; a definition is reached when a reached definition or root
-    refers to it.
+
+def _unreachable_definitions():
+    """Top-level functions, classes and module-level bindings that no production path reaches.
+
+    Private names count as public ones do. The roots are the names
+    nscheme/__init__.py exports, the cli.main entry point and each
+    module's top-level statements other than imports and bindings; a
+    definition is reached when a reached definition or root refers to it.
     """
-    uses, roots, public = {}, {("cli", "main")}, set()
+    uses, roots, defined = {}, {("cli", "main")}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
         names, modules = {}, {}
@@ -47,20 +56,25 @@ def _unreachable_public_definitions():
                         roots.add((node.module, alias.name))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                key = (module, node.name)
-                uses[key] = set(_references(node, module, names, modules)) - {key}
-                if not node.name.startswith("_"):
-                    public.add(key)
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            else:
+                bound = _bound_names(node)
+            if not bound:
                 roots.update(_references(node, module, names, modules))
+            for name in bound:
+                key = (module, name)
+                uses.setdefault(key, set()).update(set(_references(node, module, names, modules)) - {key})
+                defined.add(key)
     reached, todo = set(), list(roots)
     while todo:
         key = todo.pop()
         if key not in reached:
             reached.add(key)
             todo.extend(uses.get(key, ()))
-    return sorted(public - reached)
+    return sorted(defined - reached)
 
 
-def test_every_public_definition_is_reached_from_the_package_surface():
-    assert _unreachable_public_definitions() == []
+def test_every_definition_is_reached_from_the_package_surface():
+    assert _unreachable_definitions() == []

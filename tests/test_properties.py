@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from nscheme.cli import main
 from nscheme.errors import ConfigError
-from nscheme.model import config_from_dict
+from nscheme.model import _SCHEMA, config_from_dict
 
 # finite values of every magnitude and sign, leaning to the physical
 # (non-negative) side so that most configs get past validation
@@ -55,6 +55,12 @@ def config_dicts(draw):
     if draw(st.integers(0, 4)) == 0:
         section = draw(st.sampled_from([None, *doc]))
         (doc if section is None else doc[section])[draw(st.sampled_from(["bogus", "Rabi", "laser_D"]))] = 1.0
+    # JSON values of the wrong type: for a key, then for a whole section
+    if draw(st.integers(0, 4)) == 0:
+        section, key = draw(st.sampled_from(sorted(_SCHEMA)))
+        doc[section][key] = draw(st.sampled_from([None, True, "1", [1], {}]))
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from([None, 5, [], "x"]))
     return doc
 
 

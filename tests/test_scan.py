@@ -16,7 +16,7 @@ from nscheme.errors import ConfigError, SolverError, TooCoarse
 from nscheme.floquet import MAX_ORDER
 from nscheme.liouvillian import build_hamiltonian, build_superoperator, hamiltonian_stack, superoperator_stack
 from nscheme.model import FREQUENCY_FIELDS, ParamTable, config_hash, from_mhz
-from nscheme.scan import BLOCK_POINTS, Peak, ScanSpec, Spectrum, find_peaks, run_scan
+from nscheme.scan import BLOCK_POINTS, MAX_POINTS, Peak, ScanSpec, Spectrum, find_peaks, run_scan
 from nscheme.steady import steady_state
 
 
@@ -48,6 +48,9 @@ def test_scan_spec_validation():
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             ScanSpec(**{**good, field: value})
     assert ScanSpec(**{**good, "points": np.int64(5)}).values_mhz.size == 5
+    assert ScanSpec(**{**good, "points": MAX_POINTS}).points == MAX_POINTS
+    with pytest.raises(ConfigError, match=f"a scan takes at most {MAX_POINTS} points, got {MAX_POINTS + 1}"):
+        ScanSpec(**{**good, "points": MAX_POINTS + 1})
     with pytest.raises(ConfigError):
         ScanSpec(axis="atom.gamma_Q", start=0.0, stop=1.0, points=3, gamma_q_mode="zero")
     for start, stop in [(2.0, np.inf), (-np.inf, 2.0), (np.nan, 2.0), (2.0, np.nan), (-1.7e308, 1.7e308)]:
