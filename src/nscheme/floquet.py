@@ -25,17 +25,40 @@ rows n = 0..N is the correctness gate; row -n is row n mirrored.
 
 Every step runs on a stack of points, given as a model.ParamTable; a
 single solve is a table of one.
+
+A long sweep along one table column takes a second route, a matrix
+pencil (cf. the shifted systems of Frommer and Glassner, SIAM J. Sci.
+Comput. 19, 15 (1998)). The bordered block system A, of size
+16 (2N + 1) with the n = 0 block's first diagonal-element row replaced
+by the trace row, is affine in one coordinate q of every column the
+sweep may move: the column value itself, or 1 / wavelength, since eta
+is direction x amplitude / wavelength and only eta Omega enters C. So
+A(q) = A(q0) + (q - q0) B, and B has nonzero entries in few columns
+(30 for a detuning at order 2), and is of lower rank still along a
+column that moves C, since a commutator superoperator has a kernel.
+With B[:, cols] = P V+ at its numerical rank r,
+FloquetPencil inverts A(q0) at the sweep's middle point and takes one
+eigendecomposition W diag(mu) W^-1 of the r x r matrix
+Z = V+ A(q0)^-1[cols] P; by the Woodbury identity every point's
+solution is then x(q) = A(q0)^-1 e0 - L diag(c(q)) R e0, with
+L = A(q0)^-1 P W, R = W^-1 V+ A(q0)^-1[cols] and
+c_i(q) = (q - q0) / (1 + (q - q0) mu_i).
+Each point then takes one refinement step against the block system
+built from its own M0 and C, and is normalized, hermitized and gated
+as above. A point the pencil cannot answer to the continued
+fraction's accuracy is left to the continued fraction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
 from .liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
-from .model import ParamTable, SystemConfig, level_index, require_integer
+from .model import _TABLE_FIELDS, ParamTable, SystemConfig, level_index, require_integer
 from .steady import bordered_kernel
 
 #: residual bound on the full block system
@@ -52,6 +75,14 @@ DEFAULT_ORDER = 2
 #: Each order costs one stacked 16x16 solve per point; the truncation check
 #: solves once more at order + 1, which solve_floquet_stack still accepts
 MAX_ORDER = 64
+
+#: largest refinement correction max |dx| of a pencil point; past it the
+#: pencil's first solution was too rough for one step to reach the
+#: continued fraction's accuracy, and the continued fraction solves the point
+PENCIL_STEP_TOL = 1e-8
+
+#: largest truncation order a sweep solves on the pencil (see _pencil_pays)
+PENCIL_MAX_ORDER = 16
 
 _DIAG = [5 * k for k in range(4)]  # vec indices of the diagonal of a 4x4 block
 _TRANSPOSE = [4 * (i % 4) + i // 4 for i in range(16)]  # vec(X^T) = vec(X)[_TRANSPOSE]
@@ -246,3 +277,184 @@ def _truncation_delta(config: SystemConfig, solution: FloquetBlockSystem) -> flo
     """Max |rho0_N - rho0_{N+1}| of a solution at order N."""
     finer = _solve(config, solution.order + 1)
     return float(np.abs(finer.block(0) - solution.block(0)).max())
+
+
+def _block_system(table: ParamTable, order: int) -> np.ndarray:
+    """Bordered block systems A (k, 16 (2 order + 1), 16 (2 order + 1)) of the table's points.
+
+    Block rows and columns run over n = -order..order; the first
+    diagonal-element row of the n = 0 block is the trace row, so
+    A x = e0 (e0 at index 16 order) is the truncated block system with
+    trace 1.
+    """
+    parts = hamiltonian_stack(table)
+    m0 = superoperator_stack(parts.h_total, table)
+    c = commutator_superoperator(parts.h_side)
+    shift = -1j * table.trap_frequency[:, None]
+    size = 2 * order + 1
+    a = np.zeros((len(table), size, 16, size, 16), dtype=complex)
+    for b in range(size):
+        a[:, b, :, b] = _shifted(m0, b - order, shift)
+        if b:
+            a[:, b, :, b - 1] = a[:, b - 1, :, b] = c
+    a[:, order, 0] = 0.0
+    a[:, order, 0, order, _DIAG] = 1.0
+    return a.reshape(len(table), 16 * size, 16 * size)
+
+
+def _block_rows(coupling: np.ndarray, shift: np.ndarray, x: np.ndarray, first: int) -> np.ndarray:
+    """Block rows n = first, first + 1, ... of the block system, (k, m, 16).
+
+    coupling is [M0, C] transposed, (k, 32, 16); x (k, m + 2, 16) holds
+    the blocks x_{first - 1} .. x_{first + m}. Row n is
+    (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}), one stacked product.
+    """
+    centre = x[:, 1:-1]
+    n = np.arange(first, first + centre.shape[1])
+    return (np.concatenate([centre, x[:, :-2] + x[:, 2:]], axis=2) @ coupling
+            + (shift * n)[:, :, None] * centre)
+
+
+def _coordinate(values: np.ndarray, reciprocal: bool) -> np.ndarray:
+    """The coordinate q of a column's values in which the block system is affine."""
+    return 1.0 / values if reciprocal else values
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class FloquetPencil:
+    """A sweep's bordered block system, factored once at its middle point (see the module docstring).
+
+    column is the swept ParamTable column and q its coordinate (the
+    value, or 1 / value for a wavelength); q0 is the anchor's
+    coordinate, a0_inv the inverse of A(q0) and x0 = A(q0)^-1 e0. cols
+    are the nonzero columns of B, and B[:, cols] = P V+ at its numerical
+    rank; mu are the eigenvalues of Z = V+ A(q0)^-1 P = W diag(mu) W^-1,
+    left = A(q0)^-1 P W, project = W^-1 V+ (applied to a vector's cols
+    entries) and right = project x0[cols], so that
+    A(q)^-1 y = A(q0)^-1 y - left diag(c(q)) project (A(q0)^-1 y)[cols].
+    """
+
+    column: int
+    reciprocal: bool
+    order: int
+    q0: float
+    a0_inv: np.ndarray
+    cols: np.ndarray
+    mu: np.ndarray
+    project: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    x0: np.ndarray
+
+    def _inverse(self, y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """A(q)^-1 y of each point by the Woodbury identity, y (k, n); coef (k, r) holds c_i(q)."""
+        y = y @ self.a0_inv.T
+        return y - (coef * (y[:, self.cols] @ self.project.T)) @ self.left.T
+
+    def solve(self, table: ParamTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Populations (k, 4), residuals (k,), pairing defects (k,) and solved mask (k,) of a block of the sweep.
+
+        A point is solved when its refined solution passes every gate of
+        solve_floquet_stack and its refinement correction is at most
+        PENCIL_STEP_TOL; the other points hold NaN and are left to the
+        continued fraction, as is every point of a block whose
+        generators hold a non-finite value.
+        """
+        k, order = len(table), self.order
+        populations, residual, pairing = np.full((k, 4), np.nan), np.full(k, np.nan), np.full(k, np.nan)
+        solved = np.zeros(k, dtype=bool)
+        with np.errstate(all="ignore"):
+            parts = hamiltonian_stack(table)
+            m0 = superoperator_stack(parts.h_total, table)
+            c = commutator_superoperator(parts.h_side)
+            coupling = np.concatenate([m0, c], axis=2).mT
+            if not np.isfinite(coupling).all():
+                return populations, residual, pairing, solved
+            shift = -1j * table.trap_frequency[:, None]
+            delta = (_coordinate(table.data[:, self.column], self.reciprocal) - self.q0)[:, None]
+            coef = delta / (1.0 + delta * self.mu)
+            x = self.x0 - (coef * self.right) @ self.left.T
+            # one refinement step x += A(q)^-1 (e0 - A(q) x) against the point's own system
+            blocks = x.reshape(k, 2 * order + 1, 16)
+            pad = np.zeros((k, 1, 16), dtype=complex)
+            defect = -_block_rows(coupling, shift, np.concatenate([pad, blocks, pad], axis=1), -order)
+            defect[:, order, 0] = 1.0 - blocks[:, order, _DIAG].sum(axis=1)
+            step = self._inverse(defect.reshape(k, -1), coef)
+            x += step
+            blocks = x.reshape(k, 2 * order + 1, 16)[:, order:]  # x_0..x_order
+            trace = blocks[:, 0, _DIAG].sum(axis=1)
+            blocks = blocks / trace[:, None, None]
+            mirrored = blocks[:, 0, _TRANSPOSE].conj()
+            pairing = np.abs(blocks[:, 0] - mirrored).max(axis=1)
+            blocks[:, 0] = 0.5 * (blocks[:, 0] + mirrored)  # rho(0) hermitized
+            # rows n = 0..order, x_{-1} = x_1+ and x_{order+1} = 0, as solve_floquet_stack computes them
+            padded = np.concatenate([blocks[:, 1:2, _TRANSPOSE].conj(), blocks, pad], axis=1)
+            residual = np.abs(_block_rows(coupling, shift, padded, 0)).max(axis=(1, 2))
+            passed = ((np.abs(trace) >= 1e-300) & np.isfinite(trace) & (residual <= FLOQUET_RESIDUAL_TOL)
+                      & (np.abs(step).max(axis=1) <= PENCIL_STEP_TOL))
+            rho0 = np.swapaxes(blocks[:, 0].reshape(k, 4, 4), -1, -2)
+        try:
+            lowest = np.linalg.eigvalsh(np.where(passed[:, None, None], rho0, np.eye(4) / 4))[:, 0]
+        except np.linalg.LinAlgError:
+            lowest = np.full(k, -np.inf)  # the continued fraction decides every point
+        solved = passed & (lowest >= -1e-8)
+        populations[solved] = blocks[solved, 0][:, _DIAG].real
+        residual[~solved] = pairing[~solved] = np.nan
+        return populations, residual, pairing, solved
+
+
+def _pencil_pays(points: int, order: int) -> bool:
+    """Whether a sweep of this many points costs fewer operations on the pencil than on the continued fraction.
+
+    The continued fraction makes order + 1 16x16 solves per point, the
+    pencil one inverse of the 16 (2 order + 1) block system per sweep.
+    Each pencil point also multiplies by that inverse, (16 (2 order + 1))^2
+    operations, which nears the continued fraction's cost per point as
+    the order grows (measured at 256 points, one BLAS thread: 155 against
+    341 us per point at order 16, 438 against 653 at order 32), while
+    the inverse grows as the cube; so past PENCIL_MAX_ORDER the
+    continued fraction solves every sweep.
+    """
+    return order <= PENCIL_MAX_ORDER and points * (order + 1) >= (2 * order + 1) ** 3
+
+
+def floquet_pencil(table: ParamTable, column: int, order: int) -> Optional[FloquetPencil]:
+    """The pencil of a sweep that moves one table column, or None to solve every point by the continued fraction.
+
+    None when the column has no affine coordinate (motion.enabled),
+    when the continued fraction costs fewer operations (_pencil_pays),
+    when motion is off at a point, or when the anchor's system does not
+    factor into finite values. B is A(1) - A(0) in the column's
+    coordinate, exact up to rounding; every point is refined against
+    its own system in any case.
+    """
+    field = _TABLE_FIELDS[column][1]
+    if field == "enabled" or not _pencil_pays(len(table), order) or not table.enabled.all():
+        return None
+    reciprocal = field == "wavelength"
+    anchor = table.data[len(table) // 2]
+    probe = np.repeat(anchor[None], 3, axis=0)
+    probe[1:, column] = (np.inf, 1.0) if reciprocal else (0.0, 1.0)  # the points q = 0 and q = 1
+    with np.errstate(all="ignore"):
+        a = _block_system(ParamTable(probe), order)
+        b = a[2] - a[1]
+        cols = np.flatnonzero((b != 0.0).any(axis=0))
+        if not (np.isfinite(a[0]).all() and np.isfinite(b).all()):
+            return None
+        try:
+            # B[:, cols] = P V+ at its numerical rank, so that Z has no null space of B's making
+            u, sing, vh = np.linalg.svd(b[:, cols], full_matrices=False)
+            rank = int((sing > sing[:1] * max(b.shape) * np.finfo(float).eps).sum())
+            a0_inv = np.linalg.inv(a[0])
+            inv_p = a0_inv @ (u[:, :rank] * sing[:rank])
+            mu, w = np.linalg.eig(vh[:rank] @ inv_p[cols])
+            project = np.linalg.solve(w, vh[:rank])
+        except np.linalg.LinAlgError:
+            return None
+        x0 = a0_inv[:, 16 * order]
+        pencil = FloquetPencil(column=column, reciprocal=reciprocal, order=order,
+                               q0=float(_coordinate(anchor[column], reciprocal)), a0_inv=a0_inv, cols=cols,
+                               mu=mu, project=project, left=inv_p @ w, right=project @ x0[cols], x0=x0)
+    if not all(np.isfinite(v).all() for v in (a0_inv, mu, project, pencil.left)):
+        return None
+    return pencil

@@ -517,8 +517,8 @@ class ParamTable:
     def __len__(self) -> int:
         return len(self.data)
 
-    def __getitem__(self, rows: slice) -> ParamTable:
-        """The table of a slice of the points."""
+    def __getitem__(self, rows) -> ParamTable:
+        """The table of some of the points: a slice, or an index array in any order."""
         return ParamTable(self.data[rows])
 
     @classmethod

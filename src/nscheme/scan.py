@@ -9,6 +9,11 @@ It then solves slices of the table in blocks of BLOCK_POINTS, each
 block as stacked linear algebra: one stacked generator build and one
 stacked steady-state (or Floquet continued-fraction) solve. The fixed
 block size bounds the memory of the stacked arrays on long sweeps.
+A Floquet sweep long enough to pay for it is first factored once, as
+a floquet.FloquetPencil anchored at its middle point; each block then
+solves its points from the pencil, and the points the pencil does not
+solve (or every point of a block whose generators are not finite) take
+the continued fraction, with the verdict they would get without it.
 The blocks are independent, so a sweep hands them to `workers`
 threads (the calling thread and workers - 1 helpers) that take block
 indices in axis order from one shared counter; numpy's LAPACK calls
@@ -36,10 +41,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SolverError, TooCoarse
-from .floquet import DEFAULT_ORDER, require_order, solve_floquet_stack
+from .floquet import DEFAULT_ORDER, FloquetPencil, floquet_pencil, require_order, solve_floquet_stack
 from .liouvillian import hamiltonian_stack, superoperator_stack
-from .model import (FREQUENCY_FIELDS, ParamTable, SystemConfig, config_hash, from_mhz,
-                    level_index, require_integer, with_gamma_q)
+from .model import (_COLUMN, FREQUENCY_FIELDS, ParamTable, SystemConfig, _resolve_path, config_hash,
+                    from_mhz, level_index, require_integer, with_gamma_q)
 from .steady import residuals, steady_states
 
 _SOLVERS = ("carrier", "floquet")
@@ -103,7 +108,9 @@ class Spectrum:
     error name for NaN rows. metadata records enough context (package
     version, base-config hash, solver settings) to reproduce the sweep;
     a Floquet sweep's adds max_pairing_defect, the largest hermiticity
-    defect of a solved point's rho(0) before it was hermitized.
+    defect of a solved point's rho(0) before it was hermitized, and
+    solved_by, the number of points solved by the pencil and by the
+    continued fraction.
     """
 
     axis_mhz: np.ndarray
@@ -125,8 +132,22 @@ class Spectrum:
                      + "".join(["%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % row for row in rows]))
 
     def to_json(self, stream) -> None:
-        json.dump(self.as_dict(), stream, indent=2)
-        stream.write("\n")
+        """The bytes of json.dump(self.as_dict(), stream, indent=2) and a newline.
+
+        The float columns are joined from float.__repr__, which is what
+        json writes for a finite float, rather than passed through the
+        pure-Python indenting encoder; json writes the rest.
+        """
+        def nested(value) -> str:
+            return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+        populations = ",\n".join(f'    "{lbl}": {_json_floats(col, "      ", null_nan=True)}'
+                                  for lbl, col in zip("SPDQ", self.populations.T))
+        stream.write(f'{{\n  "metadata": {nested(dict(self.metadata))},\n'
+                     f'  "axis_MHz": {_json_floats(self.axis_mhz, "    ", null_nan=False)},\n'
+                     f'  "populations": {{\n{populations}\n  }},\n'
+                     f'  "residuals": {_json_floats(self.residuals, "    ", null_nan=True)},\n'
+                     f'  "flags": {nested(list(self.flags))}\n}}\n')
 
     def as_dict(self) -> dict:
         def column(values):
@@ -141,6 +162,17 @@ class Spectrum:
         }
 
 
+def _json_floats(values: np.ndarray, indent: str, *, null_nan: bool) -> str:
+    """A float column as json.dumps(..., indent=2) writes it at the given item indent; NaN as null if null_nan."""
+    if not len(values):
+        return "[]"
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        value = float(values[i])
+        texts[i] = json.dumps(None if null_nan and math.isnan(value) else value)
+    return f"[\n{indent}" + f",\n{indent}".join(texts) + f"\n{indent[:-2]}]"
+
+
 def _sweep_table(config: SystemConfig, spec: ScanSpec, values: np.ndarray) -> ParamTable:
     """Parameter columns of the sweep's points at the axis values (MHz), validated before any solve."""
     if spec.axis in FREQUENCY_FIELDS:
@@ -151,8 +183,21 @@ def _sweep_table(config: SystemConfig, spec: ScanSpec, values: np.ndarray) -> Pa
     return ParamTable.sweep(config, spec.axis, values)
 
 
-def _solve_block(table: ParamTable, spec: ScanSpec):
-    """(populations, residuals, pairing defects, flags) of one block of points."""
+def _solve_block(table: ParamTable, spec: ScanSpec, pencil: Optional[FloquetPencil] = None):
+    """(populations, residuals, pairing defects, flags, solved-by-pencil mask) of one block of points.
+
+    With a pencil, the points it does not solve take the continued
+    fraction, which gives them the verdict they get without it.
+    """
+    if pencil is not None:
+        pops, res, pairing, by_pencil = pencil.solve(table)
+        flags = [""] * len(table)
+        rest = np.flatnonzero(~by_pencil)
+        if rest.size:
+            pops[rest], res[rest], pairing[rest], rest_flags, _ = _solve_block(table[rest], spec)
+            for i, flag in zip(rest, rest_flags):
+                flags[i] = flag
+        return pops, res, pairing, flags, by_pencil
     try:
         if spec.solver == "floquet":
             blocks, res, pairing, errors = solve_floquet_stack(table, spec.floquet_order)
@@ -167,13 +212,15 @@ def _solve_block(table: ParamTable, spec: ScanSpec):
             return _join([_solve_block(table[i:i + 1], spec) for i in range(len(table))])
         rho, res, pairing, errors = np.full((1, 4, 4), np.nan), np.full(1, np.nan), np.full(1, np.nan), [exc]
     flags = ["" if e is None else type(e).__name__ for e in errors]
-    return np.real(np.diagonal(rho, axis1=-2, axis2=-1)), res, pairing, flags
+    # a copy, so the block's density matrices (every harmonic on the Floquet route) are freed now
+    pops = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).copy()
+    return pops, res, pairing, flags, np.zeros(len(table), dtype=bool)
 
 
 def _join(blocks):
-    pops, res, pairing, flags = zip(*blocks)
+    pops, res, pairing, flags, by_pencil = zip(*blocks)
     return (np.concatenate(pops), np.concatenate(res), np.concatenate(pairing),
-            [f for block in flags for f in block])
+            [f for block in flags for f in block], np.concatenate(by_pencil))
 
 
 def _usable_cpus() -> int:
@@ -183,7 +230,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _solve_blocks(table: ParamTable, spec: ScanSpec, workers: int):
+def _solve_blocks(table: ParamTable, spec: ScanSpec, workers: int, pencil: Optional[FloquetPencil] = None):
     """_solve_block over the table's BLOCK_POINTS slices on `workers` threads, joined in axis order.
 
     The calling thread works too; each helper runs in a copy of the
@@ -204,7 +251,7 @@ def _solve_blocks(table: ParamTable, spec: ScanSpec, workers: int):
             if i is None:
                 return
             try:
-                results[i] = _solve_block(table[starts[i]:starts[i] + BLOCK_POINTS], spec)
+                results[i] = _solve_block(table[starts[i]:starts[i] + BLOCK_POINTS], spec, pencil)
             except BaseException as exc:  # re-raised in the caller below
                 with lock:
                     failures[i] = exc
@@ -239,7 +286,10 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
         raise ConfigError(f"workers must be >= 1, got {workers}")
     values = spec.values_mhz
     table = _sweep_table(config, spec, values)
-    populations, res, pairing, flags = _solve_blocks(table, spec, workers)
+    pencil = None
+    if spec.solver == "floquet":
+        pencil = floquet_pencil(table, _COLUMN[_resolve_path(spec.axis)], spec.floquet_order)
+    populations, res, pairing, flags, by_pencil = _solve_blocks(table, spec, workers, pencil)
     flags = tuple(flags)
 
     metadata = {
@@ -258,6 +308,8 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
         metadata["floquet_order"] = int(spec.floquet_order)
         solved = pairing[~np.isnan(pairing)]
         metadata["max_pairing_defect"] = float(solved.max()) if solved.size else None
+        pencil_points = int(by_pencil.sum())
+        metadata["solved_by"] = {"pencil": pencil_points, "continued_fraction": int(spec.points) - pencil_points}
 
     for arr in (values, populations, res):
         arr.setflags(write=False)

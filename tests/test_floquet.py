@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, floquet_lower_ratios, make_config,
                       solve_floquet_blocks, sup_of, two_plus_one, with_linewidths)
-from nscheme import floquet
+from nscheme import floquet, scan
 from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, TruncationNotConverged
 from nscheme.floquet import (
     SOLVE_TRUNCATION_TOL,
@@ -17,7 +17,8 @@ from nscheme.floquet import (
     solve_floquet_steady,
 )
 from nscheme.liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
-from nscheme.model import ParamTable
+from nscheme.model import _TABLE_FIELDS, TWO_PI, ParamTable, _resolve_path
+from nscheme.scan import ScanSpec
 from nscheme.steady import steady_state
 
 # counter-propagating oscillating-ion point, order 2, solved once and pinned
@@ -209,3 +210,94 @@ def test_to_json_shape():
     assert data["order"] == 2
     assert set(data["blocks"]) == {"-2", "-1", "0", "1", "2"}
     assert "residual" in data and "pairing_defect" in data
+
+
+def _column_span(field, base):
+    """An axis range of a table column around a config's value (zero-based for rates that may vanish).
+
+    A Rabi frequency of zero at gamma_Q = 0 leaves a degenerate kernel, so
+    the gq0 family holds flagged points.
+    """
+    return {"rabi": (0.0, 1.5 * base), "detuning": (base - TWO_PI, base + TWO_PI),
+            "linewidth": (0.0, 0.5 * TWO_PI), "wavelength": (0.9 * base, 1.1 * base), "direction": (-1.0, 1.0),
+            "gamma_p": (0.5 * base, 1.5 * base), "gamma_q": (0.0, 1e-3), "beta_ps": (0.0, 1.0),
+            "beta_pd": (0.0, 1.0), "trap_frequency": (0.5 * base, 1.5 * base),
+            "amplitude": (0.0, 1.5 * base)}[field]
+
+
+# every column a sweep may move; motion.enabled is never swept (a float column is no bool)
+_SWEPT_COLUMNS = [j for j, (_, field) in enumerate(_TABLE_FIELDS) if field != "enabled"]
+
+
+@pytest.mark.parametrize("config", SIDEBAND_CONFIGS, ids=SIDEBAND_IDS)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_pencil_sweeps_match_the_continued_fraction(config, order):
+    # the fewest points at which a sweep takes the pencil; the table is built directly, so the
+    # direction and branching columns, which no validated sweep can move far, are swept too
+    points = -(-(2 * order + 1) ** 3 // (order + 1))
+    # the blocks read only the solver and the order off the spec
+    spec = ScanSpec("laser_R.detuning", 0.0, 1.0, points, solver="floquet", floquet_order=order)
+    base = ParamTable.of([config]).data[0]
+    by_pencil = 0
+    for j in _SWEPT_COLUMNS:
+        data = np.repeat(base[None], points, axis=0)
+        data[:, j] = np.linspace(*_column_span(_TABLE_FIELDS[j][1], base[j]), points)
+        table = ParamTable(data)
+        pencil = floquet.floquet_pencil(table, j, order)
+        assert pencil is not None
+        pops, res, _, flags, solved = scan._solve_blocks(table, spec, 1, pencil)
+        want, _, _, want_flags, _ = scan._solve_blocks(table, spec, 1)  # the continued fraction alone
+        assert flags == want_flags, _TABLE_FIELDS[j]
+        assert np.array_equal(np.isnan(pops), np.isnan(want))
+        assert np.nanmax(np.abs(pops - want), initial=0.0) < 1e-12, _TABLE_FIELDS[j]
+        assert np.nanmax(res, initial=0.0) <= floquet.FLOQUET_RESIDUAL_TOL
+        by_pencil += solved.sum()
+    # the pencil, not its fallback, solves the battery
+    assert by_pencil >= 0.9 * points * len(_SWEPT_COLUMNS)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_system_is_affine_in_each_columns_coordinate(order):
+    base = ParamTable.of([make_config(motion=True, counter=True)]).data[0]
+    points = -(-(2 * order + 1) ** 3 // (order + 1))  # enough to take the pencil
+    for j, (section, field) in enumerate(_TABLE_FIELDS):
+        pencil = floquet.floquet_pencil(ParamTable(np.repeat(base[None], points, axis=0)), j, order)
+        if field == "enabled":
+            # the one column with no coordinate: A jumps from enabled = 0 to any nonzero value
+            assert pencil is None
+            continue
+        assert pencil is not None and pencil.reciprocal == (field == "wavelength")
+        q = floquet._coordinate(base[j], pencil.reciprocal) * np.array([0.5, 1.25, 2.0]) + np.array([0.0, 0.1, 0.7])
+        data = np.repeat(base[None], 3, axis=0)
+        data[:, j] = floquet._coordinate(q, pencil.reciprocal)  # 1/q is its own inverse map
+        a = floquet._block_system(ParamTable(data), order)
+        slope = (a[1] - a[0]) / (q[1] - q[0])
+        scale = np.abs(a).max()
+        assert np.abs(a[2] - a[0] - (q[2] - q[0]) * slope).max() <= 1e-13 * scale, (section, field)
+        assert np.abs(slope).max() > 1e-6 * scale / abs(q[2] - q[0]), (section, field)  # the column moves A
+
+
+def test_block_system_is_the_reference_generator_bordered():
+    config = make_config(motion=True, counter=True)
+    order = 2
+    gen = build_floquet_generator(config, order)
+    a = floquet._block_system(ParamTable.of([config]), order)[0]
+    trace_row = 16 * order
+    assert np.array_equal(np.delete(a, trace_row, axis=0), np.delete(gen, trace_row, axis=0))
+    assert np.array_equal(np.flatnonzero(a[trace_row]), trace_row + np.array(floquet._DIAG))
+
+
+def test_pencil_is_refused_where_the_continued_fraction_is_cheaper():
+    config = make_config(motion=True, counter=True)
+    column = floquet._TABLE_FIELDS.index(_resolve_path("laser_R.detuning"))
+    for order in (1, 2, 3, floquet.PENCIL_MAX_ORDER, floquet.PENCIL_MAX_ORDER + 1, floquet.MAX_ORDER):
+        threshold = -(-(2 * order + 1) ** 3 // (order + 1))
+        for points, expected in ((threshold - 1, False), (threshold, order <= floquet.PENCIL_MAX_ORDER)):
+            table = ParamTable(np.repeat(ParamTable.of([config]).data, points, axis=0))
+            assert (floquet.floquet_pencil(table, column, order) is not None) == expected
+    # motion off at a point, or an anchor whose inverse overflows (entries near 1e306), leaves every
+    # point to the continued fraction
+    off = ParamTable.of([make_config(motion=False)] * 64)
+    assert floquet.floquet_pencil(off, column, 1) is None
+    huge = ParamTable.of([make_config(motion=True, counter=True, ob=1e306)] * 64)
+    assert floquet.floquet_pencil(huge, column, 1) is None

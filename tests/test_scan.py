@@ -1,6 +1,7 @@
 """Parameter sweeps: determinism, failure flagging, peak extraction."""
 
 import io
+import json
 import sys
 import threading
 
@@ -10,10 +11,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config, point_configs, replace_param
-from nscheme import model, scan
+from nscheme import floquet, model, scan
 from nscheme.cli import _load_config_arg
 from nscheme.errors import ConfigError, SolverError, TooCoarse
-from nscheme.floquet import MAX_ORDER
+from nscheme.floquet import MAX_ORDER, solve_floquet_stack
 from nscheme.liouvillian import build_hamiltonian, build_superoperator, hamiltonian_stack, superoperator_stack
 from nscheme.model import FREQUENCY_FIELDS, ParamTable, config_hash, from_mhz
 from nscheme.scan import BLOCK_POINTS, MAX_POINTS, Peak, ScanSpec, Spectrum, find_peaks, run_scan
@@ -95,14 +96,14 @@ def _blocks_by_thread(monkeypatch):
     """
     caller, calls, helper_started = threading.current_thread(), [], threading.Event()
 
-    def recorded(table, spec):
+    def recorded(table, spec, *pencil):
         in_helper = threading.current_thread() is not caller
         if in_helper:
             helper_started.set()
         elif not calls:
             helper_started.wait(timeout=60)
         calls.append((in_helper, len(table)))
-        return _SOLVE_BLOCK(table, spec)
+        return _SOLVE_BLOCK(table, spec, *pencil)
 
     monkeypatch.setattr(scan, "_solve_block", recorded)
     return calls
@@ -128,9 +129,9 @@ def test_more_workers_than_cores_solve_every_block_once(monkeypatch):
     serial = run_scan(config, spec, workers=1)
     firsts = []
 
-    def counted(table, spec):
+    def counted(table, spec, *pencil):
         firsts.append(float(table.detuning[0, 1]))
-        return _SOLVE_BLOCK(table, spec)
+        return _SOLVE_BLOCK(table, spec, *pencil)
 
     monkeypatch.setattr(scan, "_solve_block", counted)
     interval = sys.getswitchinterval()
@@ -146,12 +147,12 @@ def test_more_workers_than_cores_solve_every_block_once(monkeypatch):
 def test_block_error_in_a_helper_reaches_the_caller(monkeypatch):
     caller, helpers, solved, helper_started = threading.current_thread(), [], [], threading.Event()
 
-    def failing_block(table, spec):
+    def failing_block(table, spec, *pencil):
         if threading.current_thread() is caller:
             assert helper_started.wait(timeout=60)
             helpers[0].join(timeout=60)  # the helper has failed and stopped
             solved.append(len(table))
-            return _SOLVE_BLOCK(table, spec)
+            return _SOLVE_BLOCK(table, spec, *pencil)
         helpers.append(threading.current_thread())
         helper_started.set()
         raise RuntimeError("block failed in a helper")
@@ -175,9 +176,9 @@ def test_caller_errstate_holds_in_every_worker(monkeypatch, errstate):
         calls = _blocks_by_thread(monkeypatch) if workers > 1 else []
         solve_block, seen = scan._solve_block, []
 
-        def errstate_recorded(table, spec):
+        def errstate_recorded(table, spec, *pencil):
             seen.append(np.geterr())
-            return solve_block(table, spec)
+            return solve_block(table, spec, *pencil)
 
         monkeypatch.setattr(scan, "_solve_block", errstate_recorded)
         with np.errstate(**errstate):
@@ -269,8 +270,8 @@ def test_sweep_table_equals_per_point_configs(axis, start, width, points, mode, 
                           superoperator_stack(parts[1].h_total, want), equal_nan=True)
     for solver in ("carrier", "floquet") if motion else ("carrier",):
         spec_s = ScanSpec(axis=axis, start=spec.start, stop=spec.stop, points=points, solver=solver)
-        got_pops, _, _, got_flags = scan._solve_block(got, spec_s)
-        want_pops, _, _, want_flags = scan._solve_block(want, spec_s)
+        got_pops, _, _, got_flags, _ = scan._solve_block(got, spec_s)
+        want_pops, _, _, want_flags, _ = scan._solve_block(want, spec_s)
         assert got_flags == want_flags
         assert np.array_equal(got_pops, want_pops, equal_nan=True)
 
@@ -298,6 +299,101 @@ def test_floquet_scan_metadata_and_pairing():
     assert sp.metadata["floquet_order"] == 2
     assert sp.metadata["max_pairing_defect"] < 1e-10
     assert sp.n_failed == 0
+
+
+def _routes(spectrum):
+    return spectrum.metadata["solved_by"]
+
+
+@pytest.mark.parametrize("points, order, pencil", [(2, 2, False), (9, 2, False), (801, 2, True),
+                                                   (65, MAX_ORDER, False)])
+def test_floquet_sweep_metadata_counts_each_route(points, order, pencil):
+    spec = ScanSpec("laser_R.detuning", 1.8, 4.2, points, solver="floquet", floquet_order=order)
+    sp = run_scan(_load_config_arg("fig6_counter"), spec, workers=1)
+    assert set(_routes(sp)) == {"pencil", "continued_fraction"}
+    assert _routes(sp)["pencil"] + _routes(sp)["continued_fraction"] == points == sp.metadata["points"]
+    assert (_routes(sp)["pencil"] == points) == pencil
+    assert (_routes(sp)["continued_fraction"] == points) == (not pencil)
+    assert "solved_by" not in run_scan(make_config(), ScanSpec("laser_R.detuning", 2.0, 4.0, points)).metadata
+
+
+def test_a_point_the_pencil_gets_wrong_takes_the_continued_fraction(monkeypatch):
+    config, spec = _load_config_arg("fig6_counter"), ScanSpec("laser_R.detuning", 1.8, 4.2, 801, solver="floquet")
+    clean = run_scan(config, spec, workers=1)
+    assert _routes(clean) == {"pencil": 801, "continued_fraction": 0}
+    # the pencil's own solve of point 100 uses a coordinate 1% off; its refinement cannot recover
+    table = scan._sweep_table(config, spec, spec.values_mhz)
+    target = table.detuning[100, 1]
+    coordinate = floquet._coordinate
+    monkeypatch.setattr(floquet, "_coordinate", lambda values, reciprocal: coordinate(
+        np.where(values == target, 1.01 * values, values), reciprocal))
+    corrupted = run_scan(config, spec, workers=1)
+    assert _routes(corrupted) == {"pencil": 800, "continued_fraction": 1}
+    blocks, res, _, errors = solve_floquet_stack(table[100:101], spec.floquet_order)
+    assert errors == [None] and corrupted.flags[100] == ""
+    assert np.array_equal(corrupted.populations[100], np.real(np.diag(blocks[0, spec.floquet_order])))
+    assert corrupted.residuals[100] == res[0]
+    keep = np.arange(801) != 100
+    assert np.array_equal(corrupted.populations[keep], clean.populations[keep])
+    assert corrupted.flags == clean.flags
+
+
+def test_a_block_with_a_non_finite_generator_takes_the_continued_fraction():
+    config, spec = _load_config_arg("fig6_counter"), ScanSpec("laser_R.detuning", 1.8, 4.2, 801, solver="floquet")
+    table = scan._sweep_table(config, spec, spec.values_mhz)
+    pencil = floquet.floquet_pencil(table, model._COLUMN["laser_r", "detuning"], spec.floquet_order)
+    data = table[:BLOCK_POINTS].data.copy()
+    data[5, [model._COLUMN["laser_b", "detuning"], model._COLUMN["laser_r", "detuning"]]] = -1.7e308, 1.7e308
+    block = ParamTable(data)  # Delta_R - Delta_B overflows at point 5 only
+    got = scan._solve_block(block, spec, pencil)
+    want = scan._solve_block(block, spec)
+    assert not got[4].any()
+    assert got[3] == want[3] and got[3][5] == "NoConvergence" and got[3].count("") == BLOCK_POINTS - 1
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b, equal_nan=True)
+    # the same block with point 5 finite is the pencil's
+    assert scan._solve_block(table[:BLOCK_POINTS], spec, pencil)[4].all()
+
+
+def _json_dump(spectrum):
+    buf = io.StringIO()
+    json.dump(spectrum.as_dict(), buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+def _written(spectrum):
+    buf = io.StringIO()
+    spectrum.to_json(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("config, spec, n_failed", [
+    (make_config(), ScanSpec("laser_R.detuning", 2.0, 4.0, 101), 0),
+    (make_config(), ScanSpec("laser_R.detuning", 2.0, 4.0, 101, gamma_q_mode="zero"), 0),
+    (make_config(orr=0.0, oc=0.0, gq=0.0), ScanSpec("laser_B.rabi", 0.0, 1.0, 3, gamma_q_mode="zero"), 1),
+    (make_config(motion=True, counter=True), ScanSpec("laser_R.detuning", 1.8, 4.2, 101, solver="floquet"), 0),
+    (make_config(motion=True, counter=True), ScanSpec("laser_B.rabi", 10.0, 1e301, 3, solver="floquet"), 2),
+    # every point flagged: max_pairing_defect is None
+    (make_config(db=-2.8e307, dr=2.8e307, motion=True), ScanSpec("laser_B.rabi", 5.0, 15.0, 3, solver="floquet"), 3),
+], ids=["carrier", "gamma_zero", "flagged", "floquet", "floquet_flagged", "all_flagged"])
+def test_json_bytes_are_the_json_module_dump(config, spec, n_failed):
+    sp = run_scan(config, spec, workers=1)
+    assert sp.n_failed == n_failed
+    if n_failed == spec.points:
+        assert sp.metadata["max_pairing_defect"] is None
+    assert _written(sp) == _json_dump(sp)
+
+
+def test_json_bytes_of_edge_floats():
+    values = np.array([-0.0, 5e-324, 1e300, np.nan, 0.1, 1.0 / 3.0, -1e-300, np.inf])
+    sp = Spectrum(axis_mhz=values, populations=np.stack([values, -values, values[::-1], values], axis=1),
+                  residuals=values[::-1].copy(), flags=("", "x", "", "NoConvergence", "", "", "", ""),
+                  metadata={"nested": {"list": [1, 2.5, None], "text": "a\nb"}, "none": None})
+    assert _written(sp) == _json_dump(sp)
+    assert '"axis_MHz": [\n    -0.0,\n    5e-324,\n    1e+300,\n    NaN,' in _written(sp)
+    empty = Spectrum(axis_mhz=values[:0], populations=np.zeros((0, 4)), residuals=values[:0], flags=(),
+                     metadata={})
+    assert _written(empty) == _json_dump(empty)
 
 
 def test_gamma_q_mode_changes_the_answer():

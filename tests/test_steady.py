@@ -191,9 +191,9 @@ def test_exactly_singular_bordered_block_is_decided_by_the_svd(monkeypatch):
     calls = []
     solve_block = scan._solve_block
 
-    def counted(table, s):
+    def counted(table, s, *pencil):
         calls.append(len(table))
-        return solve_block(table, s)
+        return solve_block(table, s, *pencil)
 
     monkeypatch.setattr(scan, "_solve_block", counted)
     _, _, flags = _assert_same_as_oracle(monkeypatch, config, spec)
