@@ -16,9 +16,10 @@ ratio is T_1 = P conj(S_1) P, with P the vec-transpose permutation,
 and the lower blocks are the mirrored upper ones, rho(-n) = rho(n)+.
 The n = 0 row leaves the 16x16 effective generator M0 + C S_1 + C
 T_1, whose kernel one LU of the bordered system gives; rho(0) is
-normalized and hermitized, the upper blocks follow from it, and each
-lower block is set to its upper block's conjugate transpose. The
-n = 0 block carries the physical populations; blocks with n != 0 are
+normalized and hermitized, and the upper blocks follow from it. A
+stack solve returns the upper blocks only; a single solve sets each
+lower block to its upper block's conjugate transpose. The n = 0
+block carries the physical populations; blocks with n != 0 are
 traceless. The pairing defect is the hermiticity defect of rho(0)
 before it was hermitized, rounding only. The residual over the block
 rows n = 0..N is the correctness gate; row -n is row n mirrored.
@@ -44,15 +45,20 @@ solution is then x(q) = A(q0)^-1 e0 - L diag(c(q)) R e0, with
 L = A(q0)^-1 P W, R = W^-1 V+ A(q0)^-1[cols] and
 c_i(q) = (q - q0) / (1 + (q - q0) mu_i).
 Each point then takes one refinement step against the block system
-built from its own M0 and C, and is normalized, hermitized and gated
-as above. A point the pencil cannot answer to the continued
-fraction's accuracy is left to the continued fraction.
+built from its own M0 and C. A point the pencil cannot answer to the
+continued fraction's accuracy is left to the continued fraction.
+
+Both routes build M0, C and the shift -i nu in one place
+(_generators) and end in one verdict (_verdict): the same trace
+normalization, hermitized rho(0) and pairing defect, the same
+residual over rows 0..N (_block_rows) and the same gates, so a point
+passes or fails for the same reasons on either route.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,77 +137,85 @@ class FloquetBlockSystem:
 
 
 def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Stationary Floquet blocks of every point of the table at one truncation order.
+    """Stationary upper Floquet blocks of every point of the table at one truncation order.
 
-    Returns the blocks (k, 2 order + 1, 4, 4) ordered n =
-    -order..order (NaN where a point failed), the block-system
-    residuals (k,) over rows n = 0..order, the pairing defects (k,),
-    and for each point None or the SolverError it failed with. It
-    makes order + 1 stacked solves, one per upper ratio S_n and one
-    for the kernel. The lower blocks are the mirrored upper ones,
-    rho(-n) = rho(n)+, so the pairing defect is the hermiticity defect
-    of rho(0) before it was hermitized. A point fails when its trace is
-    not finite or vanishes, its residual exceeds 1e-9 or rho(0) has an
-    eigenvalue below -1e-8. order must lie in [1, MAX_ORDER + 1]. A
-    LAPACK failure of a stacked call raises the SolverError it maps to
-    for the whole stack.
+    Returns the blocks rho(0)..rho(order), (k, order + 1, 4, 4) (NaN
+    where a point failed), the block-system residuals (k,) over rows n
+    = 0..order, the pairing defects (k,), and for each point None or the
+    SolverError it failed with (see _verdict). It makes order + 1
+    stacked solves, one per upper ratio S_n and one for the kernel. The
+    lower blocks are the mirrored upper ones, rho(-n) = rho(n)+. order
+    must lie in [1, MAX_ORDER + 1]. A LAPACK failure of a stacked call
+    raises the SolverError it maps to for the whole stack.
     """
     if not table.enabled.all():
         raise MotionDisabled("the Floquet expansion needs motion enabled")
     if not 1 <= require_integer(order, "Floquet order") <= MAX_ORDER + 1:
         raise ConfigError(f"Floquet order must lie in [1, {MAX_ORDER + 1}], got {order}")
-    shift = -1j * table.trap_frequency[:, None]  # the diagonal of d/dt over one harmonic, (k, 1)
-
     # non-finite values of an overflowing point stay in that point and fail its gates
     with np.errstate(all="ignore"):
-        parts = hamiltonian_stack(table)
-        m0 = superoperator_stack(parts.h_total, table)
-        c = commutator_superoperator(parts.h_side)
+        m0, c, coupling, shift = _generators(table)
         upper = _fraction(m0, c, shift, order)
         t_1 = upper[0][:, _TRANSPOSE][:, :, _TRANSPOSE].conj()  # T_1 = P conj(S_1) P
         x0 = bordered_kernel(m0 + c @ upper[0] + c @ t_1, 4)
-        trace = x0[:, _DIAG].sum(axis=1)
-        x0 = (x0 / trace[:, None])[..., None]  # column vectors (k, 16, 1)
-        mirrored = _mirror(x0)
-        pairing = np.abs(x0 - mirrored).max(axis=(1, 2))
-        x = [0.5 * (x0 + mirrored)]  # x_0..x_order, rho(0) hermitized
-        for s_n in upper:
-            x.append(s_n @ x[-1])
-        # block rows n = 0..order of (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}), x_{order+1} = 0;
-        # row -n is row n mirrored, since M0 and C commute with X -> X+
-        padded = [_mirror(x[1]), *x, 0.0]
-        residual = np.zeros(len(table))
-        for n in range(order + 1):
-            row = _shifted(m0, n, shift) @ x[n] + c @ (padded[n] + padded[n + 2])
-            residual = np.maximum(residual, np.abs(row).max(axis=(1, 2)))
-        # rho(-n) = rho(n)+: x stacked (k, 2 order + 1, 16, 1) over n = -order..order
-        x = np.stack([_mirror(x_n) for x_n in x[:0:-1]] + x, axis=1)
-        blocks = np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2)
+    x, residual, pairing, errors = _verdict(x0[:, None], coupling, shift, upper)
+    return np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2), residual, pairing, errors
 
-    errors = [None] * len(table)
-    for i in range(len(table)):
-        if not np.isfinite(trace[i]):
-            errors[i] = NoConvergence("Floquet solution overflowed")
-        elif abs(trace[i]) < 1e-300:
-            errors[i] = DegenerateKernel("Floquet solution has vanishing trace")
-        elif residual[i] > FLOQUET_RESIDUAL_TOL:
-            errors[i] = NoConvergence(f"Floquet residual {residual[i]:.3e} exceeds {FLOQUET_RESIDUAL_TOL:.0e}")
+
+def _generators(table: ParamTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M0, C, [M0, C] transposed (k, 32, 16) and the shift -i nu (k, 1) of the table's points."""
+    parts = hamiltonian_stack(table)
+    m0 = superoperator_stack(parts.h_total, table)
+    c = commutator_superoperator(parts.h_side)
+    return m0, c, np.concatenate([m0, c], axis=2).mT, -1j * table.trap_frequency[:, None]
+
+
+def _verdict(x: np.ndarray, coupling: np.ndarray, shift: np.ndarray,
+             upper: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Normalized blocks x_0..x_order (k, order + 1, 16), residuals, pairing defects and errors of a stack.
+
+    x (k, m, 16) holds each point's blocks x_0..x_{m-1} up to a factor;
+    they are divided by the trace of rho(0), rho(0) is hermitized, and
+    each ratio S_n of upper appends x_n = S_n x_{n-1}. errors[i] is None
+    or the SolverError of the first gate point i fails: a trace not
+    finite or vanishing, a residual not at most FLOQUET_RESIDUAL_TOL, a
+    rho(0) eigenvalue below -1e-8; a failed point's values are NaN. A
+    LAPACK failure of the stacked eigvalsh raises NoConvergence.
+    """
+    with np.errstate(all="ignore"):
+        trace = x[:, 0, _DIAG].sum(axis=1)
+        x = x / trace[:, None, None]
+        mirrored = x[:, 0, _TRANSPOSE].conj()
+        pairing = np.abs(x[:, 0] - mirrored).max(axis=1)
+        x[:, 0] = 0.5 * (x[:, 0] + mirrored)
+        if len(upper):
+            column = [x[:, 0].reshape(-1, 16, 1)]
+            for s_n in upper:
+                column.append(s_n @ column[-1])
+            x = np.concatenate([x, np.concatenate(column[1:], axis=2).mT], axis=1)
+        # rows n = 0..order with x_{-1} = x_1+ (row -n is row n mirrored) and x_{order+1} = 0
+        padded = np.concatenate([x[:, 1:2, _TRANSPOSE].conj(), x, np.zeros_like(x[:, :1])], axis=1)
+        residual = np.abs(_block_rows(coupling, shift, padded, 0)).max(axis=(1, 2))
+    errors = [None] * len(x)
+    # the gates in reverse order, so that the first gate a point fails names its error
+    for i in np.flatnonzero(~(residual <= FLOQUET_RESIDUAL_TOL)):
+        errors[i] = NoConvergence(f"Floquet residual {residual[i]:.3e} exceeds {FLOQUET_RESIDUAL_TOL:.0e}")
+    for i in np.flatnonzero(np.abs(trace) < 1e-300):
+        errors[i] = DegenerateKernel("Floquet solution has vanishing trace")
+    for i in np.flatnonzero(~np.isfinite(trace)):
+        errors[i] = NoConvergence("Floquet solution overflowed")
     failed = np.array([e is not None for e in errors])
     try:
         # a valid stand-in keeps the failed points out of the stacked call
-        lowest = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(4) / 4, blocks[:, order]))[:, 0]
+        lowest = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(4) / 4,
+                                             np.swapaxes(x[:, 0].reshape(-1, 4, 4), -1, -2)))[:, 0]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalues of rho(0): {exc}") from None
     for i in np.flatnonzero(lowest < -1e-8):
         errors[i] = NoConvergence(f"rho(0) eigenvalue {lowest[i]:.3e} below -1e-8")
     failed = [e is not None for e in errors]
-    blocks[failed] = residual[failed] = pairing[failed] = np.nan
-    return blocks, residual, pairing, errors
-
-
-def _mirror(x: np.ndarray) -> np.ndarray:
-    """vec(X+) of a stack of column vectors vec(X), (k, 16, 1)."""
-    return x[:, _TRANSPOSE].conj()
+    x[failed] = residual[failed] = pairing[failed] = np.nan
+    return x, residual, pairing, errors
 
 
 def require_order(order, what: str = "Floquet order") -> int:
@@ -261,7 +275,7 @@ def _solve(config: SystemConfig, order: int) -> FloquetBlockSystem:
     return FloquetBlockSystem(
         order=order,
         nu=config.motion.trap_frequency,
-        blocks={n: blocks[0, n + order] for n in range(-order, order + 1)},
+        blocks={n: blocks[0, n] if n >= 0 else blocks[0, -n].conj().T for n in range(-order, order + 1)},
         residual=float(residual[0]),
         pairing_defect=float(pairing[0]),
     )
@@ -287,10 +301,7 @@ def _block_system(table: ParamTable, order: int) -> np.ndarray:
     A x = e0 (e0 at index 16 order) is the truncated block system with
     trace 1.
     """
-    parts = hamiltonian_stack(table)
-    m0 = superoperator_stack(parts.h_total, table)
-    c = commutator_superoperator(parts.h_side)
-    shift = -1j * table.trap_frequency[:, None]
+    m0, c, _, shift = _generators(table)
     size = 2 * order + 1
     a = np.zeros((len(table), size, 16, size, 16), dtype=complex)
     for b in range(size):
@@ -354,23 +365,18 @@ class FloquetPencil:
     def solve(self, table: ParamTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Populations (k, 4), residuals (k,), pairing defects (k,) and solved mask (k,) of a block of the sweep.
 
-        A point is solved when its refined solution passes every gate of
-        solve_floquet_stack and its refinement correction is at most
-        PENCIL_STEP_TOL; the other points hold NaN and are left to the
-        continued fraction, as is every point of a block whose
-        generators hold a non-finite value.
+        A point is solved when _verdict passes its refined solution and
+        its refinement correction is at most PENCIL_STEP_TOL; the other
+        points hold NaN and are left to the continued fraction, as is
+        every point of a block whose generators hold a non-finite value
+        or whose stacked eigvalsh fails.
         """
         k, order = len(table), self.order
-        populations, residual, pairing = np.full((k, 4), np.nan), np.full(k, np.nan), np.full(k, np.nan)
-        solved = np.zeros(k, dtype=bool)
+        unsolved = np.full((k, 4), np.nan), np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=bool)
         with np.errstate(all="ignore"):
-            parts = hamiltonian_stack(table)
-            m0 = superoperator_stack(parts.h_total, table)
-            c = commutator_superoperator(parts.h_side)
-            coupling = np.concatenate([m0, c], axis=2).mT
+            _, _, coupling, shift = _generators(table)
             if not np.isfinite(coupling).all():
-                return populations, residual, pairing, solved
-            shift = -1j * table.trap_frequency[:, None]
+                return unsolved
             delta = (_coordinate(table.data[:, self.column], self.reciprocal) - self.q0)[:, None]
             coef = delta / (1.0 + delta * self.mu)
             x = self.x0 - (coef * self.right) @ self.left.T
@@ -380,27 +386,14 @@ class FloquetPencil:
             defect = -_block_rows(coupling, shift, np.concatenate([pad, blocks, pad], axis=1), -order)
             defect[:, order, 0] = 1.0 - blocks[:, order, _DIAG].sum(axis=1)
             step = self._inverse(defect.reshape(k, -1), coef)
-            x += step
-            blocks = x.reshape(k, 2 * order + 1, 16)[:, order:]  # x_0..x_order
-            trace = blocks[:, 0, _DIAG].sum(axis=1)
-            blocks = blocks / trace[:, None, None]
-            mirrored = blocks[:, 0, _TRANSPOSE].conj()
-            pairing = np.abs(blocks[:, 0] - mirrored).max(axis=1)
-            blocks[:, 0] = 0.5 * (blocks[:, 0] + mirrored)  # rho(0) hermitized
-            # rows n = 0..order, x_{-1} = x_1+ and x_{order+1} = 0, as solve_floquet_stack computes them
-            padded = np.concatenate([blocks[:, 1:2, _TRANSPOSE].conj(), blocks, pad], axis=1)
-            residual = np.abs(_block_rows(coupling, shift, padded, 0)).max(axis=(1, 2))
-            passed = ((np.abs(trace) >= 1e-300) & np.isfinite(trace) & (residual <= FLOQUET_RESIDUAL_TOL)
-                      & (np.abs(step).max(axis=1) <= PENCIL_STEP_TOL))
-            rho0 = np.swapaxes(blocks[:, 0].reshape(k, 4, 4), -1, -2)
+            x += step  # blocks is a view of x
         try:
-            lowest = np.linalg.eigvalsh(np.where(passed[:, None, None], rho0, np.eye(4) / 4))[:, 0]
-        except np.linalg.LinAlgError:
-            lowest = np.full(k, -np.inf)  # the continued fraction decides every point
-        solved = passed & (lowest >= -1e-8)
-        populations[solved] = blocks[solved, 0][:, _DIAG].real
+            blocks, residual, pairing, errors = _verdict(blocks[:, order:], coupling, shift)
+        except NoConvergence:  # the stacked eigvalsh failed: the continued fraction decides every point
+            return unsolved
+        solved = np.array([e is None for e in errors]) & (np.abs(step).max(axis=1) <= PENCIL_STEP_TOL)
         residual[~solved] = pairing[~solved] = np.nan
-        return populations, residual, pairing, solved
+        return np.where(solved[:, None], blocks[:, 0, _DIAG].real, np.nan), residual, pairing, solved
 
 
 def _pencil_pays(points: int, order: int) -> bool:

@@ -17,11 +17,12 @@ the continued fraction, with the verdict they would get without it.
 The blocks are independent, so a sweep hands them to `workers`
 threads (the calling thread and workers - 1 helpers) that take block
 indices in axis order from one shared counter; numpy's LAPACK calls
-release the GIL, so the threads share the cores. The results are
-joined in axis order, so the output does not depend on the number of
-workers. Points that fail with a solver error are kept in-band as NaN
-rows with the error name in the flag column, so a long sweep survives
-isolated degeneracies. A LAPACK failure of a stacked call fails the
+release the GIL, so the threads share the cores. A sweep on a pencil
+runs on the calling thread alone, whatever `workers` is: its blocks
+hold the GIL. The results are joined in axis order, so the output
+does not depend on the number of workers. Points that fail with a
+solver error are kept in-band as NaN rows with the error name in the
+flag column, so a long sweep survives isolated degeneracies. A LAPACK failure of a stacked call fails the
 whole block; the block is then solved again point by point through
 the same function, so every point gets the verdict it gets alone.
 
@@ -201,7 +202,7 @@ def _solve_block(table: ParamTable, spec: ScanSpec, pencil: Optional[FloquetPenc
     try:
         if spec.solver == "floquet":
             blocks, res, pairing, errors = solve_floquet_stack(table, spec.floquet_order)
-            rho = blocks[:, spec.floquet_order]
+            rho = blocks[:, 0]
         else:
             m = superoperator_stack(hamiltonian_stack(table).h_total, table)
             rho, errors = steady_states(m)
@@ -212,7 +213,7 @@ def _solve_block(table: ParamTable, spec: ScanSpec, pencil: Optional[FloquetPenc
             return _join([_solve_block(table[i:i + 1], spec) for i in range(len(table))])
         rho, res, pairing, errors = np.full((1, 4, 4), np.nan), np.full(1, np.nan), np.full(1, np.nan), [exc]
     flags = ["" if e is None else type(e).__name__ for e in errors]
-    # a copy, so the block's density matrices (every harmonic on the Floquet route) are freed now
+    # a copy, so the block's density matrices (every upper harmonic on the Floquet route) are freed now
     pops = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).copy()
     return pops, res, pairing, flags, np.zeros(len(table), dtype=bool)
 
@@ -277,9 +278,9 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
     configuration errors (bad axis, an axis value that makes an
     invalid config, motion off for the floquet solver) abort the
     whole sweep before any point is solved. workers is the number of
-    threads that solve the sweep's blocks, an integer >= 1; None means
-    the CPUs this process may use. The output does not depend on it:
-    every count gives the bytes of the workers=1 run.
+    threads that solve the sweep's blocks (one on a pencil), an integer
+    >= 1; None means the CPUs this process may use. The output does not
+    depend on it: every count gives the bytes of the workers=1 run.
     """
     workers = _usable_cpus() if workers is None else require_integer(workers, "workers")
     if workers < 1:
@@ -289,7 +290,8 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
     pencil = None
     if spec.solver == "floquet":
         pencil = floquet_pencil(table, _COLUMN[_resolve_path(spec.axis)], spec.floquet_order)
-    populations, res, pairing, flags, by_pencil = _solve_blocks(table, spec, workers, pencil)
+    # a pencil block is small numpy calls that hold the GIL, so helper threads would only wait
+    populations, res, pairing, flags, by_pencil = _solve_blocks(table, spec, 1 if pencil else workers, pencil)
     flags = tuple(flags)
 
     metadata = {

@@ -1,6 +1,7 @@
 """Motional-sideband steady states from the block-tridiagonal expansion."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, floquet_lower_ratios, make_config,
                       solve_floquet_blocks, sup_of, two_plus_one, with_linewidths)
 from nscheme import floquet, scan
-from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, TruncationNotConverged
+from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
 from nscheme.floquet import (
     SOLVE_TRUNCATION_TOL,
     TRUNCATION_TOL,
@@ -17,7 +18,7 @@ from nscheme.floquet import (
     solve_floquet_steady,
 )
 from nscheme.liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
-from nscheme.model import _TABLE_FIELDS, TWO_PI, ParamTable, _resolve_path
+from nscheme.model import _COLUMN, _TABLE_FIELDS, TWO_PI, ParamTable, _resolve_path
 from nscheme.scan import ScanSpec
 from nscheme.steady import steady_state
 
@@ -80,6 +81,79 @@ def test_lower_ratios_are_mirrored_upper_ratios(config, order):
     upper = floquet._fraction(m0, commutator_superoperator(parts.h_side), shift, order)
     for s_n, t_n in zip(upper, floquet_lower_ratios(config, order)):
         assert np.abs(s_n[0][np.ix_(transpose, transpose)].conj() - t_n).max() < 1e-14
+
+
+@pytest.mark.parametrize("config", SIDEBAND_CONFIGS, ids=SIDEBAND_IDS)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_the_stack_returns_the_upper_blocks_and_the_lower_ones_are_mirrored(config, order):
+    blocks, _, _, errors = floquet.solve_floquet_stack(ParamTable.of([config]), order)
+    assert blocks.shape == (1, order + 1, 4, 4) and errors == [None]
+    fb = floquet._solve(config, order)
+    assert sorted(fb.blocks) == list(range(-order, order + 1))
+    for n in range(order + 1):
+        assert fb.block(n).tobytes() == blocks[0, n].tobytes()
+    for n in range(1, order + 1):
+        assert fb.block(-n).tobytes() == blocks[0, n].conj().T.tobytes()
+    assert blocks[0, 0].tobytes() == solve_floquet_steady(config, order, check_truncation=False).block(0).tobytes()
+
+
+def _vec(matrix):
+    return np.asarray(matrix, dtype=complex).flatten(order="F")
+
+
+_NO_COUPLING = np.zeros((32, 16))
+# the first 16 rows of [M0, C] transposed are M0^T: with M0 = 1 and C = 0, row 0 is x_0 itself
+_UNIT_M0 = np.vstack([np.eye(16), np.zeros((16, 16))])
+# each gate: (error, message, the failing point's x_0 up to a factor, its [M0, C] transposed)
+_GATES = {
+    "overflow": (NoConvergence, "Floquet solution overflowed", np.full(16, np.inf), _NO_COUPLING),
+    "vanishing_trace": (DegenerateKernel, "Floquet solution has vanishing trace",
+                        _vec([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), _NO_COUPLING),
+    "residual": (NoConvergence, "Floquet residual 2.500e-01 exceeds 1e-09", _vec(np.eye(4)), _UNIT_M0),
+    "eigenvalue": (NoConvergence, "rho(0) eigenvalue -5.000e-01 below -1e-8",
+                   _vec(np.diag([1.5, -0.5, 0.0, 0.0])), _NO_COUPLING),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_GATES))
+def test_each_gate_fails_its_point_on_both_routes(monkeypatch, gate):
+    error, message, x_0, coupling_t = _GATES[gate]
+    order, points, target = 1, 16, 5
+    column = _COLUMN["motion", "trap_frequency"]
+    base = ParamTable.of([make_config(motion=True, counter=True)]).data[0]
+    data = np.repeat(base[None], points, axis=0)
+    data[:, column] *= np.linspace(0.8, 1.2, points)
+    table = ParamTable(data)
+    spec = ScanSpec("motion.trap_frequency_mhz", 1.0, 2.0, points, solver="floquet", floquet_order=order)
+    pencil = floquet.floquet_pencil(table, column, order)
+    assert pencil.solve(table)[3].all()
+    verdict, target_shift = floquet._verdict, -1j * table.trap_frequency[target]
+
+    def crafted(x, coupling, shift, upper=()):
+        # the target point's blocks and generators are replaced before the shared verdict sees them
+        hit = shift[:, 0] == target_shift
+        x, coupling = x.copy(), coupling.copy()
+        x[hit] = 0.0
+        x[hit, 0] = x_0
+        coupling[hit] = coupling_t
+        return verdict(x, coupling, shift, [np.where(hit[:, None, None], 0.0, s_n) for s_n in upper])
+
+    monkeypatch.setattr(floquet, "_verdict", crafted)
+    others = np.arange(points) != target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks, res, pairing, errors = floquet.solve_floquet_stack(table, order)
+        pops, pencil_res, _, solved = pencil.solve(table)
+        flags, by_pencil = scan._solve_block(table, spec, pencil)[3:]
+    # the continued fraction
+    assert type(errors[target]) is error and str(errors[target]) == message
+    assert errors[:target] + errors[target + 1:] == [None] * (points - 1)
+    assert np.isnan(blocks[target]).all() and np.isnan([res[target], pairing[target]]).all()
+    assert np.isfinite(blocks[others]).all()
+    # the pencil leaves the point to the continued fraction, which gives it the same verdict
+    assert np.array_equal(solved, others) and np.isnan(pops[target]).all() and np.isnan(pencil_res[target])
+    assert np.array_equal(by_pencil, others)
+    assert flags == ["" if i != target else error.__name__ for i in range(points)]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

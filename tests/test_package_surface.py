@@ -78,3 +78,32 @@ def _unreachable_definitions():
 
 def test_every_definition_is_reached_from_the_package_surface():
     assert _unreachable_definitions() == []
+
+
+def _unused_imports():
+    """(module, name) of every module-level import binding that its module never refers to.
+
+    __init__.py is left out, since its imports are the exports. A use is
+    any bare name in the module other than the import itself, an
+    attribute base such as np in np.linalg included; names in strings
+    and docstrings do not count, and __future__ imports bind nothing.
+    """
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append((path.stem, bound))
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert _unused_imports() == []

@@ -73,8 +73,10 @@ _SOLVE_BLOCK = scan._solve_block
 _THREADED_SWEEPS = {
     # 13 blocks; 10 points are DegenerateKernel
     "carrier": (_load_config_arg("fig3a"), ScanSpec("laser_C.rabi", 0.0, 0.2, 801), 10),
+    # above PENCIL_MAX_ORDER: the continued fraction solves every block
     "floquet": (_load_config_arg("fig6_counter"),
-                ScanSpec("laser_R.detuning", 1.8, 4.2, 801, solver="floquet"), 0),
+                ScanSpec("laser_R.detuning", 1.8, 4.2, 801, solver="floquet",
+                         floquet_order=floquet.PENCIL_MAX_ORDER + 1), 0),
     # Delta_R - Delta_B overflows: each block's stacked solve fails, and its points are solved alone
     "overflow": (make_config(db=-2.8e307, dr=2.8e307),
                  ScanSpec("laser_B.rabi", 5.0, 15.0, 2 * BLOCK_POINTS + 1), 2 * BLOCK_POINTS + 1),
@@ -121,6 +123,25 @@ def test_worker_count_does_not_change_output(monkeypatch, sweep):
         if sweep == "overflow":
             assert (True, 1) in calls  # a helper solved a failed block point by point
     assert _outputs(run_scan(config, spec)) == _outputs(serial)
+
+
+def test_a_pencil_sweep_solves_every_block_on_the_calling_thread(monkeypatch):
+    config, spec = _load_config_arg("fig6_counter"), ScanSpec("laser_R.detuning", 1.8, 4.2, 801, solver="floquet")
+    serial = run_scan(config, spec, workers=1)
+    assert _routes(serial) == {"pencil": 801, "continued_fraction": 0}
+    caller, threads = threading.current_thread(), []
+
+    def recorded(table, spec, *pencil):
+        threads.append(threading.current_thread())
+        return _SOLVE_BLOCK(table, spec, *pencil)
+
+    monkeypatch.setattr(scan, "_solve_block", recorded)
+    before = threading.active_count()
+    for workers in (2, 3):
+        threads.clear()
+        assert _outputs(run_scan(config, spec, workers=workers)) == _outputs(serial)
+        assert threads == [caller] * -(-spec.points // BLOCK_POINTS)
+    assert threading.active_count() == before
 
 
 def test_more_workers_than_cores_solve_every_block_once(monkeypatch):
@@ -331,7 +352,7 @@ def test_a_point_the_pencil_gets_wrong_takes_the_continued_fraction(monkeypatch)
     assert _routes(corrupted) == {"pencil": 800, "continued_fraction": 1}
     blocks, res, _, errors = solve_floquet_stack(table[100:101], spec.floquet_order)
     assert errors == [None] and corrupted.flags[100] == ""
-    assert np.array_equal(corrupted.populations[100], np.real(np.diag(blocks[0, spec.floquet_order])))
+    assert np.array_equal(corrupted.populations[100], np.real(np.diag(blocks[0, 0])))
     assert corrupted.residuals[100] == res[0]
     keep = np.arange(801) != 100
     assert np.array_equal(corrupted.populations[keep], clean.populations[keep])
