@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dressed import doppler_rate, lambda_eigensystem, three_photon_report
-from .dynamics import evolve, fit_timescales, g2
+from .dynamics import EIG_COND_LIMIT, evolve, fit_timescales, g2
 from .errors import ConfigError, PerturbationInvalid, SolverError
 from .floquet import DEFAULT_ORDER, solve_floquet_steady
 from .liouvillian import build_hamiltonian, build_superoperator
@@ -325,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", choices=("S", "P", "D", "Q"), default="S")
     p.add_argument("--t-max", type=float, required=True, help="final time in us")
     p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--method", choices=("auto", "eig", "rk"), default="auto")
+    p.add_argument("--method", choices=("auto", "eig", "rk"), default="auto",
+                   help=f"auto and eig: eigen-propagation (exit 2 past eigenbasis condition number "
+                        f"{EIG_COND_LIMIT:.0e}); rk: RK45 stepping, the independent check")
     p.add_argument("--gamma-q-zero", action="store_true")
     p.add_argument("--fit", action="store_true",
                    help="write fitted timescales as JSON instead of the trace")
@@ -382,15 +384,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SolverError, OSError) as exc:
         print(f"nscheme: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"nscheme: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"nscheme: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SolverError) else 1
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 The generator spans rates from gamma_P ~ 1e2 rad/us down to gamma_Q ~
 1e-6 rad/us, so rho(t) = exp(M t) rho0 is evaluated through the
 eigendecomposition of the 16x16 generator rather than by ODE
-stepping; an adaptive Runge-Kutta integrator is kept as fallback for
-ill-conditioned eigenbases and as an independent cross-check. The
+stepping; an adaptive Runge-Kutta integrator runs only on request
+(method "rk"), as an independent oracle for the eigen route. The
 generator is trace preserving, so its kernel eigenvalue is exactly 0;
 eig returns it off zero by rounding (|lambda| ~ 1e-15 rad/us), which
 exp(lambda t) would turn into a steady state growing or decaying
@@ -101,15 +101,15 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
 def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "auto") -> np.ndarray:
     """Stack of vectorized rho(t), shape (n_times, 16).
 
-    method "eig" forces eigen-propagation, "rk" the stepwise
-    integrator, "auto" picks eig unless the eigenbasis condition
-    number exceeds EIG_COND_LIMIT. Eigen-propagation pins the kernel
-    eigenvalues (|lambda| <= KERNEL_EIG_TOL ||M||_1) to 0, so the
-    steady state neither grows nor decays however long the span. The
-    stepwise integrator refuses a span whose ||M||_1 (t_end - t_0)
-    exceeds RK_SPAN_LIMIT with NoConvergence, so its run time stays
-    bounded. A generator whose ||M||_1 overflows is refused on both
-    routes.
+    method "auto" (the default) and "eig" name one route,
+    eigen-propagation: it refuses an eigenbasis with condition number
+    past EIG_COND_LIMIT with DefectiveGenerator, and pins the kernel
+    eigenvalues (|lambda| <= KERNEL_EIG_TOL ||M||_1) to 0, so the steady
+    state neither grows nor decays however long the span. "rk" runs the
+    stepwise integrator on request, as an independent oracle; it refuses
+    a span whose ||M||_1 (t_end - t_0) exceeds RK_SPAN_LIMIT with
+    NoConvergence, so its run time stays bounded. A generator whose
+    ||M||_1 overflows is refused on both routes.
     """
     times = _check_grid(times)
     v0 = vec(_as_matrix(rho0))
@@ -121,19 +121,18 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
         norm = np.abs(m).sum(axis=0).max()  # ||M||_1
     if not np.isfinite(norm):
         raise NoConvergence("||M||_1 of the generator overflows the float range")
-    if method in ("auto", "eig"):
+    if method != "rk":
         lam, v, v_inv, cond = superop.eig()
-        if cond <= EIG_COND_LIMIT:
-            lam = np.where(np.abs(lam) <= KERNEL_EIG_TOL * norm, 0.0, lam)
-            coeff = v_inv @ v0
-            # rho_vec(t) = V diag(exp(lam t)) V^-1 rho_vec(0); an overflow shows as a non-finite stack
-            with np.errstate(over="ignore", invalid="ignore"):
-                stack = (v @ (coeff[:, None] * np.exp(np.outer(lam, times)))).T
-            if not np.isfinite(stack).all():
-                raise NoConvergence("eigen-propagation overflowed")
-            return stack
-        if method == "eig":
+        if cond > EIG_COND_LIMIT:
             raise DefectiveGenerator(f"eigenbasis condition number {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}")
+        lam = np.where(np.abs(lam) <= KERNEL_EIG_TOL * norm, 0.0, lam)
+        coeff = v_inv @ v0
+        # rho_vec(t) = V diag(exp(lam t)) V^-1 rho_vec(0); an overflow shows as a non-finite stack
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = (v @ (coeff[:, None] * np.exp(np.outer(lam, times)))).T
+        if not np.isfinite(stack).all():
+            raise NoConvergence("eigen-propagation overflowed")
+        return stack
 
     with np.errstate(over="ignore"):  # an overflowing span is inf, and refused
         span = norm * (times[-1] - times[0])

@@ -51,8 +51,12 @@ def test_long_time_limit_is_steady_state():
     assert np.abs(np.real(np.diag(rho_inf)) - rho_ss.populations).max() < 1e-6
 
 
-def test_eig_and_rk_routes_agree():
-    c = make_config()
+@pytest.mark.parametrize("c", [
+    make_config(),
+    # exceptional point Omega_B = gamma_P / 2: two modes nearly merge, cond(V) = 1.4e8
+    make_config(ob=11.0, orr=0.0, oc=0.0, db=0.0),
+], ids=["default", "exceptional_point"])
+def test_eig_and_rk_routes_agree(c):
     times = np.linspace(0.0, 20.0, 21)
     p_eig = evolve(sup_of(c), pure_state("S"), times, method="eig").populations
     p_rk = evolve(sup_of(c), pure_state("S"), times, method="rk").populations
@@ -88,14 +92,15 @@ def test_eig_overflow_is_no_convergence_without_warnings():
     assert [str(w.message) for w in caught] == []
 
 
-def test_singular_eigenbasis_is_defective():
-    # a Jordan block whose second eigenvector underflows onto the first
+@pytest.mark.parametrize("method", ["auto", "eig"])
+def test_singular_eigenbasis_is_defective(method):
+    # a Jordan block whose second eigenvector underflows onto the first; "auto" is eig, with no fallback
     m = np.zeros((16, 16))
     m[0, 1] = 1e308
     sup = Superoperator(m)
     assert sup.eig()[2] is None and sup.eig()[3] == np.inf
     with pytest.raises(DefectiveGenerator):
-        propagate_vectors(sup, pure_state("S"), np.linspace(0.0, 1.0, 3), method="eig")
+        propagate_vectors(sup, pure_state("S"), np.linspace(0.0, 1.0, 3), method=method)
 
 
 @pytest.mark.parametrize("method", ["auto", "eig", "rk"])

@@ -1,12 +1,14 @@
 """Property test: any config either solves or fails with a documented exit code.
 
 Each config goes through steady, dressed, a 3-point carrier and
-Floquet scan, a single-point floquet, and a short eig-propagated
-evolve with and without --fit; dressed also runs with a --velocity of
-any magnitude, NaN or infinite. A solved run prints strict JSON (no NaN
-or Infinity tokens) or a CSV of finite numbers; a failed one exits 1
-(config) or 2 (solver) with one `nscheme: ...` line on standard error.
-No run raises a Python warning.
+Floquet scan, a single-point floquet, a short evolve on the default
+route with and without --fit, a short g2, and two short trajectories
+as a photon list and as --stats; dressed also runs with a --velocity
+of any magnitude, NaN or infinite. A solved run prints strict JSON (no
+NaN or Infinity tokens), a time or delay CSV of finite numbers, or a
+photon list of finite jump times on known channels; a failed one exits
+1 (config) or 2 (solver) with one `nscheme: ...` line on standard
+error. No run raises a Python warning.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from nscheme.cli import main
 from nscheme.errors import ConfigError
+from nscheme.mcwf import CHANNELS
 from nscheme.model import _SCHEMA, config_from_dict
 
 # finite values of every magnitude and sign, leaning to the physical
@@ -69,10 +72,13 @@ def _reject(token):
 
 
 def _check_output(out):
-    """Strict JSON, or a CSV whose every field below the header is a finite number."""
-    if out.startswith("t_us,"):
-        rows = [line.split(",") for line in out.splitlines()[1:]]
+    """Strict JSON, a time or delay CSV whose every field below the header is a finite
+    number, or a photon list whose every jump time is finite and channel known."""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    if out.startswith(("t_us,", "tau_us,")):
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row), out
+    elif out.startswith("trajectory_id,"):
+        assert all(math.isfinite(float(t)) and channel in CHANNELS for _, t, channel in rows), out
     else:
         json.loads(out, parse_constant=_reject)
 
@@ -101,9 +107,11 @@ def test_any_config_solves_or_fails_with_one_line(doc):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         sweep = ["--axis", "laser_R.detuning", "--range", "2:4", "--points", "3", "--json"]
-        evolve = ["evolve", "--method", "eig", "--t-max", "5", "--points", "5"]
+        evolve = ["evolve", "--t-max", "5", "--points", "5"]
+        traj = ["traj", "--t-max", "5", "--n-traj", "2"]
         for command in (["steady"], ["dressed"], ["scan", *sweep], ["scan", "--solver", "floquet", *sweep],
-                        ["floquet", "--json"], evolve, [*evolve, "--fit"]):
+                        ["floquet", "--json"], evolve, [*evolve, "--fit"],
+                        ["g2", "--tau-max", "5", "--points", "5"], traj, [*traj, "--stats"]):
             code, out, err = _run([*command, "--config", path])
             assert code in (0, 1, 2), (command, code)
             if code:

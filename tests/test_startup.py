@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import nscheme
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nscheme.__file__)))
@@ -60,6 +62,20 @@ assert not before
 assert out.getvalue().count("\\n") == 6
 """
     assert _loaded(code) == ["scipy.integrate"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "fig3a", "--t-max", "1", "--points", "5"],
+    ["g2", "--config", "fig3e", "--tau-max", "1", "--points", "5"],
+], ids=["evolve", "g2"])
+def test_default_propagation_loads_no_scipy_subpackage(argv):
+    code = f"""
+import contextlib, io
+from nscheme.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
+    assert _loaded(code) == []
 
 
 def test_find_peaks_loads_scipy_signal_on_demand():
