@@ -25,7 +25,7 @@ from .model import (
 from .liouvillian import Superoperator, build_hamiltonian, build_superoperator
 from .steady import steady_state
 from .dynamics import PopulationTrace, TimescaleFit, evolve, fit_timescales, g2
-from .mcwf import TrajectoryRecord, bright_dark_statistics, ensemble_populations, run_trajectories, run_trajectory
+from .mcwf import TrajectoryRecord, bright_dark_statistics, ensemble_populations, run_trajectories
 from .dressed import LambdaEigensystem, PerturbativeReport, doppler_rate, lambda_eigensystem, three_photon_report
 from .floquet import FloquetBlockSystem, convergence_check, solve_floquet_steady
-from .scan import Peak, ScanSpec, Spectrum, find_peaks, run_scan
+from .scan import ScanSpec, Spectrum, run_scan

@@ -26,7 +26,7 @@ from .errors import ConfigError, PerturbationInvalid, SolverError
 from .floquet import DEFAULT_ORDER, solve_floquet_steady
 from .liouvillian import build_hamiltonian, build_superoperator
 from .mcwf import (bright_dark_statistics, check_trajectory_request, default_dark_threshold,
-                   photon_records_to_csv, run_trajectories, statistics_as_dict)
+                   run_trajectories, statistics_as_dict)
 from .model import (SystemConfig, config_hash, load_config, pure_state,
                     to_mhz, with_gamma_q)
 from .scan import MAX_POINTS, ScanSpec, run_scan
@@ -104,6 +104,18 @@ def _dump(doc: dict, stream) -> None:
     stream.write("\n")
 
 
+def _csv_rows(columns, prefix: str = "") -> str:
+    """CSV rows of equal-length columns, each row led by prefix.
+
+    A numpy column is written at 12 significant digits (%.12g of each
+    float), any other column, such as a flag or channel column of
+    strings, as str() of each entry.
+    """
+    row = prefix + ",".join("%.12g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return "".join([row % values for values in zip(*lists)])
+
+
 def _steady_populations(config: SystemConfig) -> tuple:
     sup = build_superoperator(build_hamiltonian(config).h_total, config)
     rho = steady_state(sup)
@@ -137,7 +149,8 @@ def _cmd_scan(args) -> int:
         if args.json:
             spectrum.to_json(fh)
         else:
-            spectrum.to_csv(fh)
+            fh.write("axis_MHz,P_S,P_P,P_D,P_Q,residual,flag\n" + _csv_rows(
+                (spectrum.axis_mhz, *spectrum.populations.T, spectrum.residuals, spectrum.flags)))
     if spectrum.n_failed:
         print(f"nscheme: {spectrum.n_failed} of {spec.points} points flagged", file=sys.stderr)
     return 0
@@ -162,7 +175,7 @@ def _cmd_evolve(args) -> int:
             }
             _dump(doc, fh)
         else:
-            trace.to_csv(fh)
+            fh.write("t_us,P_S,P_P,P_D,P_Q\n" + _csv_rows((trace.times, *trace.populations.T)))
     return 0
 
 
@@ -183,7 +196,10 @@ def _cmd_traj(args) -> int:
             doc["seed"] = args.seed
             _dump(doc, fh)
         else:
-            photon_records_to_csv(records, fh)
+            # one write per trajectory, so the text of every photon is never held at once
+            fh.write("trajectory_id,jump_time_us,channel\n")
+            for i, record in enumerate(records):
+                fh.write(_csv_rows((record.jump_times, record.jump_channels), prefix=f"{i},"))
     return 0
 
 
@@ -194,7 +210,7 @@ def _cmd_g2(args) -> int:
     tau = np.linspace(0.0, tau_max, _points(args.points))
     values = g2(sup, rho, tau, config, channel=args.channel)
     with _output(args.out) as fh:
-        fh.write("tau_us,g2\n" + "".join(["%.12g,%.12g\n" % row for row in zip(tau.tolist(), values.tolist())]))
+        fh.write("tau_us,g2\n" + _csv_rows((tau, values)))
     return 0
 
 

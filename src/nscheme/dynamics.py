@@ -75,11 +75,6 @@ class PopulationTrace:
         """Series of one level's population."""
         return self.populations[:, level_index(label)]
 
-    def to_csv(self, stream) -> None:
-        """Write `t_us,P_S,P_P,P_D,P_Q` rows at 12 significant digits."""
-        rows = zip(self.times.tolist(), *self.populations.T.tolist())
-        stream.write("t_us,P_S,P_P,P_D,P_Q\n" + "".join(["%.12g,%.12g,%.12g,%.12g,%.12g\n" % row for row in rows]))
-
 
 def _as_matrix(rho0) -> np.ndarray:
     if isinstance(rho0, DensityMatrix):
@@ -231,7 +226,7 @@ def _tail_decay_time(times: np.ndarray, series: np.ndarray, t_start: float) -> f
 
 
 def _hann(n: int) -> np.ndarray:
-    """scipy.signal.windows.hann(n), by scipy's own general-cosine formula."""
+    """scipy's Hann window signal.windows.hann(n), by scipy's own general-cosine formula."""
     fac = np.linspace(-np.pi, np.pi, n)
     w = np.zeros(n)
     w += 0.5 * np.cos(0 * fac)

@@ -59,7 +59,7 @@ class NonPhysicalState(ConfigError):
 
     An invalid density matrix or initial ket, jump times out of order, a
     trajectory length or dark threshold that is not finite and positive,
-    or fewer than one trajectory.
+    fewer than one trajectory, or a negative seed.
     """
 
 
@@ -93,10 +93,6 @@ class FitFailed(SolverError):
 
 class NoJumps(SolverError):
     """Photon statistics requested but no trajectory recorded a jump."""
-
-
-class TooCoarse(SolverError):
-    """Scan grid too coarse to resolve a detected peak."""
 
 
 class PerturbationInvalid(UserWarning):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -87,16 +88,14 @@ TRAJECTORY_WORK_LIMIT = 5e8
 class TrajectoryRecord:
     """Jump times and channels of one trajectory.
 
-    seed is whatever was passed to run_trajectory (an integer, or a
-    (seed, index) tuple for ensemble members). sampled_states holds
-    (time, normalized 4-amplitude) pairs when sampling was requested.
+    seed is the trajectory's seed as passed to run_trajectories (an
+    integer, or a (seed, index) tuple for ensemble members).
     """
 
     seed: object
     t_max: float
     jump_times: np.ndarray
     jump_channels: tuple[str, ...]
-    sampled_states: list | None = None
 
     def __post_init__(self):
         t = np.asarray(self.jump_times, dtype=float)
@@ -469,44 +468,31 @@ def _prepare(config: SystemConfig, psi0, t_max: float) -> tuple[_EffectiveModel,
     return model, model.source(key, psi)
 
 
-def _sample_grid(sample_times, t_max: float) -> np.ndarray:
-    """sample_times as a 1-d float array of finite times in [0, t_max]."""
-    try:
-        grid = np.asarray(sample_times, dtype=float)
-    except (TypeError, ValueError):
-        raise NonPhysicalState("sample times must be real numbers") from None
-    if grid.ndim != 1:
-        raise NonPhysicalState(f"sample times must be a 1-d array, got shape {grid.shape}")
-    if not np.all((grid >= 0.0) & (grid <= t_max)):
-        raise NonPhysicalState(f"sample times must be finite and lie in [0, t_max = {t_max!r}]")
-    return grid
+def _check_seeds(seeds: list) -> None:
+    """Refuse a seed (an integer or a tuple of them) with a negative entry.
 
-
-def run_trajectory(config: SystemConfig, psi0, t_max: float, seed, *, sample_times=None) -> TrajectoryRecord:
-    """One quantum-jump trajectory of length t_max (us).
-
-    psi0 is a level label or a normalized 4-amplitude vector. The
-    random stream comes from numpy's SeedSequence of the seed value
-    exactly as passed, so an integer and the tuple (base, index) used
-    by ensembles are both reproducible addresses. sample_times, if
-    given, is a 1-d array of finite times in [0, t_max] at which the
-    normalized state is recorded. Motion and laser linewidth are not
-    part of the trajectory model.
+    SeedSequence refuses it too, but only once its trajectory's stack
+    has started sampling.
     """
-    check_trajectory_request(config, t_max, 1)
-    model, first = _prepare(config, psi0, t_max)
-    grid = None if sample_times is None else _sample_grid(sample_times, t_max)
-    (record,) = _sample_records(model, first, t_max, [seed])
-    if grid is not None:
-        states = _states_on_grid(model, record, first, grid)
-        record = dataclasses.replace(record, sampled_states=[(float(t), s) for t, s in zip(grid, states)])
-    return record
+    for seed in seeds:
+        entries = seed if isinstance(seed, tuple) else (seed,)
+        if any(isinstance(e, numbers.Integral) and e < 0 for e in entries):
+            raise NonPhysicalState(f"a seed must be a non-negative integer or a tuple of them, got {seed!r}")
 
 
 def run_trajectories(config: SystemConfig, psi0, t_max: float, seeds) -> list[TrajectoryRecord]:
-    """One trajectory per seed, as run_trajectory gives it, sharing one H_eff model."""
+    """One quantum-jump trajectory of length t_max (us) per seed, sharing one H_eff model.
+
+    psi0 is a level label or a normalized 4-amplitude vector. Each
+    trajectory's random stream comes from numpy's SeedSequence of its
+    seed exactly as passed, so an integer and the tuple (base, index)
+    used by ensembles are both reproducible addresses; a negative entry
+    raises NonPhysicalState. Motion and laser linewidth are not part of
+    the trajectory model.
+    """
     seeds = list(seeds)
     check_trajectory_request(config, t_max, len(seeds))
+    _check_seeds(seeds)
     model, first = _prepare(config, psi0, t_max)
     return list(_sample_records(model, first, t_max, seeds))
 
@@ -516,12 +502,14 @@ def ensemble_populations(config: SystemConfig, psi0, t_grid, n_traj: int, seed: 
 
     Trajectory i draws its random stream from SeedSequence((seed, i)),
     so the ensemble is reproducible and independent of evaluation
-    order. The request must pass check_trajectory_request. Returns a
-    PopulationTrace; with return_records=True, a (trace, records) pair.
+    order. The request must pass check_trajectory_request, and seed
+    must not be negative. Returns a PopulationTrace; with
+    return_records=True, a (trace, records) pair.
     """
     times = _check_grid(t_grid)
     t_max = float(times[-1])
     n_traj = check_trajectory_request(config, t_max, n_traj)
+    _check_seeds([seed])
     model, first = _prepare(config, psi0, t_max)
 
     total = np.zeros((times.size, 4))
@@ -620,14 +608,6 @@ def bright_dark_statistics(records, dark_threshold: float) -> BrightDarkStats:
         n_dark=len(dark_durations),
         threshold=float(dark_threshold),
     )
-
-
-def photon_records_to_csv(records, stream) -> None:
-    """`trajectory_id,jump_time_us,channel` rows, one per photon, one write per trajectory."""
-    stream.write("trajectory_id,jump_time_us,channel\n")
-    for i, record in enumerate(records):
-        row = f"{i},%.12g,%s\n"
-        stream.write("".join([row % jump for jump in zip(record.jump_times.tolist(), record.jump_channels)]))
 
 
 def statistics_as_dict(stats: BrightDarkStats) -> dict:

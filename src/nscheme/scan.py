@@ -25,9 +25,6 @@ solver error are kept in-band as NaN rows with the error name in the
 flag column, so a long sweep survives isolated degeneracies. A LAPACK failure of a stacked call fails the
 whole block; the block is then solved again point by point through
 the same function, so every point gets the verdict it gets alone.
-
-scipy.signal is imported on demand by find_peaks, so importing this
-module costs numpy alone.
 """
 
 import contextvars
@@ -36,12 +33,12 @@ import json
 import math
 import os
 import threading
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SolverError, TooCoarse
+from .errors import ConfigError, SolverError
 from .floquet import DEFAULT_ORDER, FloquetPencil, floquet_pencil, require_order, solve_floquet_stack
 from .liouvillian import hamiltonian_stack, superoperator_stack
 from .model import (_COLUMN, FREQUENCY_FIELDS, ParamTable, SystemConfig, _resolve_path, config_hash,
@@ -126,11 +123,6 @@ class Spectrum:
     @property
     def n_failed(self) -> int:
         return sum(1 for f in self.flags if f)
-
-    def to_csv(self, stream) -> None:
-        rows = zip(self.axis_mhz.tolist(), *self.populations.T.tolist(), self.residuals.tolist(), self.flags)
-        stream.write("axis_MHz,P_S,P_P,P_D,P_Q,residual,flag\n"
-                     + "".join(["%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % row for row in rows]))
 
     def to_json(self, stream) -> None:
         """The bytes of json.dump(self.as_dict(), stream, indent=2) and a newline.
@@ -317,49 +309,3 @@ def run_scan(config: SystemConfig, spec: ScanSpec, *, workers: Optional[int] = N
         arr.setflags(write=False)
     return Spectrum(axis_mhz=values, populations=populations, residuals=res,
                     flags=flags, metadata=metadata)
-
-
-class Peak(NamedTuple):
-    """A local maximum: location and FWHM in axis units, height in population."""
-
-    location: float
-    height: float
-    fwhm: float
-
-
-def find_peaks(spectrum: Spectrum, level: str = "Q", min_prominence: float = 0.01) -> list:
-    """Local maxima of one population along the scan axis.
-
-    Peak locations are refined by a parabola through the three samples
-    around each maximum, so they resolve below the grid step. Widths
-    are full widths at half prominence-height from peak_widths. The
-    grid must resolve every reported peak with at least 5 samples
-    across its FWHM; coarser input raises TooCoarse rather than
-    returning locations that would be dominated by the step size.
-    """
-    from scipy.signal import find_peaks as _local_maxima
-    from scipy.signal import peak_widths
-
-    y = spectrum.population(level)
-    if np.isnan(y).any():
-        raise SolverError(
-            f"{int(np.isnan(y).sum())} flagged point(s) in the spectrum; "
-            "peak search needs a fully solved scan")
-    step = float(spectrum.axis_mhz[1] - spectrum.axis_mhz[0])
-    idx, _ = _local_maxima(y, prominence=min_prominence)
-    if idx.size == 0:
-        return []
-    widths = peak_widths(y, idx, rel_height=0.5)[0]
-    if widths.min() < 5.0:
-        raise TooCoarse(
-            f"narrowest peak spans {widths.min():.2f} samples at half height; "
-            "need at least 5 - refine the axis grid")
-
-    peaks = []
-    for k, w in zip(idx, widths):
-        denom = y[k - 1] - 2.0 * y[k] + y[k + 1]
-        shift = 0.5 * (y[k - 1] - y[k + 1]) / denom if denom < 0 else 0.0
-        height = y[k] - 0.25 * (y[k - 1] - y[k + 1]) * shift
-        peaks.append(Peak(location=float(spectrum.axis_mhz[k] + shift * step),
-                          height=float(height), fwhm=float(w * step)))
-    return peaks

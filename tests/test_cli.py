@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, presets, exit codes, determinism."""
 
-import io
 import json
 import os
 import subprocess
@@ -15,7 +14,7 @@ from nscheme import __version__, cli, scan
 from nscheme.cli import main
 from nscheme.dynamics import PopulationTrace
 from nscheme.liouvillian import build_hamiltonian, build_superoperator
-from nscheme.mcwf import TrajectoryRecord, default_dark_threshold, photon_records_to_csv, run_trajectory
+from nscheme.mcwf import TrajectoryRecord, default_dark_threshold, run_trajectories
 from nscheme.model import (GAMMA_Q_DEFAULT, _SCHEMA, config_from_dict, config_to_dict,
                            lamb_dicke_parameters, load_config)
 from nscheme.scan import ScanSpec, Spectrum, run_scan
@@ -148,14 +147,16 @@ def test_traj_csv_matches_per_trajectory_records(capsys):
                        "--n-traj", "3", "--seed", "4")
     assert code == 0
     config = load_config_from_preset("fig3a")
-    buf = io.StringIO()
-    photon_records_to_csv([run_trajectory(config, "S", 20.0, (4, i)) for i in range(3)], buf)
-    assert out == buf.getvalue()
+    records = [run_trajectories(config, "S", 20.0, [(4, i)])[0] for i in range(3)]
+    assert out == "trajectory_id,jump_time_us,channel\n" + "".join(
+        cli._csv_rows((rec.jump_times, rec.jump_channels), prefix=f"{i},") for i, rec in enumerate(records))
 
 
 @pytest.mark.parametrize("args", [("--t-max", "-5"), ("--t-max", "0"), ("--t-max", "nan"),
                                   ("--t-max", "5", "--n-traj", "0"),
-                                  ("--t-max", "5", "--n-traj", "-1", "--stats")])
+                                  ("--t-max", "5", "--n-traj", "-1", "--stats"),
+                                  ("--t-max", "5", "--seed", "-1"),
+                                  ("--t-max", "5", "--n-traj", "3", "--seed", "-1", "--stats")])
 def test_traj_rejects_bad_arguments(capsys, args):
     code, out, err = run(capsys, "traj", "--config", "fig3a", *args)
     assert code == 1
@@ -326,7 +327,7 @@ def test_traj_stats_undefined_values_are_null(capsys):
 
 
 def test_traj_stats_single_dark_gap_has_null_standard_error(capsys):
-    record = run_trajectory(load_config_from_preset("fig3a"), "S", 5.0, (0, 0))
+    (record,) = run_trajectories(load_config_from_preset("fig3a"), "S", 5.0, [(0, 0)])
     gaps = np.sort(np.diff(record.jump_times))
     threshold = 0.5 * (gaps[-1] + gaps[-2])  # only the longest gap is dark
     code, out, _ = run(capsys, "traj", "--config", "fig3a", "--t-max", "5", "--stats",
@@ -726,32 +727,36 @@ _EDGES = np.array([float("nan"), -0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-7, 1e16, 
 
 def test_writers_keep_the_per_row_bytes(capsys, monkeypatch):
     # each expected text is the per-row formatting of numpy scalars that
-    # the writers used before they formatted whole columns at once
+    # the writers used before they formatted whole columns at once; every
+    # output goes through cli.main, with the solver it calls stubbed
     n = _EDGES.size
     pops = np.zeros((n, 4))
     pops[:, 0] = [1.0, -0.0, 5e-324, 0.5, 1.0 / 3.0, 0.25, 1e-9, 0.0]
     pops[:, 2] = 1e-300
     pops[:, 3] = 1.0 - pops.sum(axis=1)
-    buf = io.StringIO()
-    PopulationTrace(times=_EDGES, populations=pops).to_csv(buf)
+    monkeypatch.setattr(cli, "evolve", lambda sup, rho0, times, method: PopulationTrace(times=_EDGES, populations=pops))
+    code, out, _ = run(capsys, "evolve", "--config", "fig3a", "--t-max", "1.0", "--points", str(n))
+    assert code == 0
     expected = "t_us,P_S,P_P,P_D,P_Q\n" + "".join(
         "%.12g,%.12g,%.12g,%.12g,%.12g\n" % (t, *row) for t, row in zip(_EDGES, pops))
-    assert buf.getvalue() == expected
+    assert out == expected
 
     flagged = pops.copy()
     flagged[::3] = np.nan
     flags = tuple("DegenerateKernel" if i % 3 == 0 else "" for i in range(n))
     spectrum = Spectrum(axis_mhz=_EDGES[::-1].copy(), populations=flagged, residuals=_EDGES.copy(),
                         flags=flags, metadata={"version": __version__})
-    buf = io.StringIO()
-    spectrum.to_csv(buf)
+    monkeypatch.setattr(cli, "run_scan", lambda config, spec, workers: spectrum)
+    scan_argv = ("scan", "--config", "fig3a", "--axis", "laser_R.detuning", "--range", "2:4", "--points", str(n))
+    code, out, _ = run(capsys, *scan_argv)
+    assert code == 0
     expected = "axis_MHz,P_S,P_P,P_D,P_Q,residual,flag\n"
     for i in range(n):
         nums = [spectrum.axis_mhz[i], *flagged[i], _EDGES[i]]
         expected += ",".join("%.12g" % v for v in nums) + f",{flags[i]}\n"
-    assert buf.getvalue() == expected
-    buf = io.StringIO()
-    spectrum.to_json(buf)
+    assert out == expected
+    code, out, _ = run(capsys, *scan_argv, "--json")
+    assert code == 0
     old = {
         "metadata": {"version": __version__},
         "axis_MHz": [float(v) for v in spectrum.axis_mhz],
@@ -760,18 +765,19 @@ def test_writers_keep_the_per_row_bytes(capsys, monkeypatch):
         "residuals": [None if np.isnan(v) else float(v) for v in _EDGES],
         "flags": list(flags),
     }
-    assert buf.getvalue() == json.dumps(old, indent=2) + "\n"
+    assert out == json.dumps(old, indent=2) + "\n"
 
     times = [-0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e16, 1e300]
     records = [TrajectoryRecord(seed=0, t_max=1e300, jump_times=times, jump_channels=("P->S", "P->D", "Q->S") * 2),
                TrajectoryRecord(seed=1, t_max=1.0, jump_times=[], jump_channels=()),
                TrajectoryRecord(seed=2, t_max=1.0, jump_times=[0.5], jump_channels=("P->D",))]
-    buf = io.StringIO()
-    photon_records_to_csv(records, buf)
+    monkeypatch.setattr(cli, "run_trajectories", lambda config, psi0, t_max, seeds: records)
+    code, out, _ = run(capsys, "traj", "--config", "fig3a", "--t-max", "1.0", "--n-traj", str(len(records)))
+    assert code == 0
     expected = "trajectory_id,jump_time_us,channel\n" + "".join(
         "%d,%.12g,%s\n" % (i, t, ch)
         for i, rec in enumerate(records) for t, ch in zip(rec.jump_times, rec.jump_channels))
-    assert buf.getvalue() == expected
+    assert out == expected
 
     monkeypatch.setattr(cli, "g2", lambda sup, rho, tau, config, channel: _EDGES[:tau.size].copy())
     code, out, _ = run(capsys, "g2", "--config", "fig3a", "--tau-max", "3.0", "--points", str(n))

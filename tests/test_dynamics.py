@@ -1,6 +1,5 @@
 """Time evolution: propagation routes, physicality, fits, correlations."""
 
-import io
 import math
 import warnings
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, propagate, sup_of, two_plus_one
+from nscheme.cli import main
 from nscheme.dressed import lambda_eigensystem
 from nscheme.dynamics import (
     KERNEL_EIG_TOL,
@@ -137,12 +137,9 @@ def test_hann_matches_scipy_bitwise(n):
     assert _hann(n).tobytes() == hann(n).tobytes()
 
 
-def test_trace_csv_format():
-    c = make_config()
-    trace = evolve(sup_of(c), pure_state("S"), np.linspace(0.0, 1.0, 3))
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+def test_trace_csv_format(capsys):
+    assert main(["evolve", "--config", "fig3a", "--t-max", "1", "--points", "3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "t_us,P_S,P_P,P_D,P_Q"
     assert len(lines) == 4
     first = [float(x) for x in lines[1].split(",")]

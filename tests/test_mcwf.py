@@ -1,7 +1,6 @@
 """Quantum-jump trajectories: determinism, analytics, segmentation."""
 
 import dataclasses
-import io
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ from nscheme.dynamics import evolve
 from nscheme.errors import (LinewidthUnsupported, MotionUnsupported, NoJumps, NonPhysicalState,
                             ZeroFluorescence)
 from nscheme import mcwf
+from nscheme.cli import _load_config_arg, main
 from nscheme.mcwf import (
     CHANNELS,
     TRAJECTORY_WORK_LIMIT,
@@ -34,9 +34,7 @@ from nscheme.mcwf import (
     check_trajectory_request,
     default_dark_threshold,
     ensemble_populations,
-    photon_records_to_csv,
     run_trajectories,
-    run_trajectory,
     statistics_as_dict,
 )
 from nscheme.model import AtomSpec, pure_state
@@ -45,19 +43,25 @@ from nscheme.model import AtomSpec, pure_state
 JUMP_TIME_TOL = 1e-7
 
 
+def _trajectory(config, psi0, t_max, seed):
+    """The one record of run_trajectories for a single seed."""
+    (record,) = run_trajectories(config, psi0, t_max, [seed])
+    return record
+
+
 def test_trajectories_are_deterministic():
     c = make_config()
-    a = run_trajectory(c, "S", 30.0, 42)
-    b = run_trajectory(c, "S", 30.0, 42)
+    a = _trajectory(c, "S", 30.0, 42)
+    b = _trajectory(c, "S", 30.0, 42)
     assert np.array_equal(a.jump_times, b.jump_times)
     assert a.jump_channels == b.jump_channels
-    other = run_trajectory(c, "S", 30.0, 43)
+    other = _trajectory(c, "S", 30.0, 43)
     assert not np.array_equal(a.jump_times, other.jump_times)
 
 
 def test_no_drive_no_jumps():
     c = make_config(ob=0.0, orr=0.0, oc=0.0, gq=0.0)
-    rec = run_trajectory(c, "S", 100.0, 1)
+    rec = _trajectory(c, "S", 100.0, 1)
     assert rec.jump_times.size == 0
     assert len(rec.jump_channels) == 0
 
@@ -66,7 +70,7 @@ def test_bare_metastable_decay_time_is_analytic():
     """One undriven decay: the jump time inverts the first uniform draw."""
     gamma = 0.05
     c = make_config(ob=0.0, orr=0.0, oc=0.0, gq=gamma)
-    rec = run_trajectory(c, "Q", 400.0, 7)
+    rec = _trajectory(c, "Q", 400.0, 7)
     u0 = default_rng(SeedSequence(7)).random()
     assert rec.jump_times.size == 1
     assert tuple(rec.jump_channels) == ("Q->S",)
@@ -75,7 +79,7 @@ def test_bare_metastable_decay_time_is_analytic():
 
 def test_jump_times_sorted_and_in_range():
     c = make_config()
-    rec = run_trajectory(c, "S", 40.0, 3)
+    rec = _trajectory(c, "S", 40.0, 3)
     assert rec.jump_times.size > 50
     assert np.all(np.diff(rec.jump_times) > 0)
     assert rec.jump_times[0] > 0.0
@@ -83,30 +87,15 @@ def test_jump_times_sorted_and_in_range():
     assert set(rec.jump_channels) <= {"P->S", "P->D", "Q->S"}
 
 
-def test_sampled_states_are_normalized():
-    c = make_config()
-    sample = np.linspace(0.0, 20.0, 11)
-    rec = run_trajectory(c, "S", 20.0, 5, sample_times=sample)
-    assert len(rec.sampled_states) == 11
-    stamps = np.array([t for t, _ in rec.sampled_states])
-    states = np.array([s for _, s in rec.sampled_states])
-    assert np.array_equal(stamps, sample)
-    assert states.shape == (11, 4)
-    norms = np.linalg.norm(states, axis=1)
-    assert np.abs(norms - 1.0).max() < 1e-9
-
-
 def test_motion_unsupported():
     with pytest.raises(MotionUnsupported):
-        run_trajectory(make_config(motion=True), "S", 1.0, 0)
+        run_trajectories(make_config(motion=True), "S", 1.0, [0])
     with pytest.raises(MotionUnsupported):
         ensemble_populations(make_config(motion=True), "S", np.linspace(0, 1, 2), 2, 0)
 
 
 def test_linewidth_unsupported():
     c = with_linewidths(make_config(), 0.5)
-    with pytest.raises(LinewidthUnsupported):
-        run_trajectory(c, "S", 1.0, 0)
     with pytest.raises(LinewidthUnsupported):
         run_trajectories(c, "S", 1.0, [0])
     with pytest.raises(LinewidthUnsupported):
@@ -115,8 +104,6 @@ def test_linewidth_unsupported():
 
 @pytest.mark.parametrize("t_max", [0.0, -5.0, float("nan"), float("inf")])
 def test_trajectory_length_must_be_finite_and_positive(t_max):
-    with pytest.raises(NonPhysicalState):
-        run_trajectory(make_config(), "S", t_max, 0)
     with pytest.raises(NonPhysicalState):
         run_trajectories(make_config(), "S", t_max, [0])
 
@@ -144,8 +131,6 @@ def test_trajectory_work_is_refused_before_any_seed_is_made():
     with pytest.raises(NonPhysicalState, match=r"exceed n_traj \(32 \+ \(gamma_P \+ gamma_Q\) t_max\) <= 5e\+08"):
         check_trajectory_request(c, 20.0, most + 1)
     with pytest.raises(NonPhysicalState, match="exceed n_traj"):
-        run_trajectory(c, "S", 1e9, 0)
-    with pytest.raises(NonPhysicalState, match="exceed n_traj"):
         run_trajectories(c, "S", 1e9, [0])
     with pytest.raises(NonPhysicalState, match="exceed n_traj"):
         ensemble_populations(c, "S", np.linspace(0.0, 20.0, 3), 10**12, 0)
@@ -162,18 +147,17 @@ def test_trajectory_count_accepts_numpy_integers():
     assert np.array_equal(a.populations, b.populations)
 
 
-@pytest.mark.parametrize("sample_times", [
-    pytest.param([-0.5, 1.0], id="below-zero"),
-    pytest.param([1.0, 20.5], id="above-t_max"),
-    pytest.param([1.0, float("nan")], id="nan"),
-    pytest.param([0.0, float("inf")], id="inf"),
-    pytest.param([[0.0, 1.0], [2.0, 3.0]], id="2-d"),
-    pytest.param(5.0, id="scalar"),
-    pytest.param(["a", "b"], id="not-numbers"),
-])
-def test_sample_times_must_lie_in_the_record(sample_times):
-    with pytest.raises(NonPhysicalState):
-        run_trajectory(make_config(), "S", 20.0, 5, sample_times=sample_times)
+@pytest.mark.parametrize("seed", [-1, (-1, 0), (3, -2), np.int64(-5)], ids=str)
+def test_negative_seed_is_refused_before_sampling(seed, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(mcwf, "_sample_records", no_sampling)
+    with pytest.raises(NonPhysicalState, match="non-negative"):
+        run_trajectories(make_config(), "S", 5.0, [0, seed])
+    if not isinstance(seed, tuple):
+        with pytest.raises(NonPhysicalState, match="non-negative"):
+            ensemble_populations(make_config(), "S", np.linspace(0.0, 5.0, 3), 2, seed)
 
 
 def test_ensemble_tracks_master_equation():
@@ -223,8 +207,7 @@ def _synthetic_record():
     times = np.concatenate([first, second])
     return TrajectoryRecord(seed=0, t_max=float(times[-1]) + 1.0,
                             jump_times=times,
-                            jump_channels=["P->S"] * times.size,
-                            sampled_states=None)
+                            jump_channels=["P->S"] * times.size)
 
 
 def test_bright_dark_segmentation():
@@ -246,23 +229,22 @@ def test_threshold_above_all_gaps_means_one_bright_period():
 
 def test_statistics_require_photons():
     rec = TrajectoryRecord(seed=0, t_max=1.0, jump_times=np.array([]),
-                           jump_channels=[], sampled_states=None)
+                           jump_channels=[])
     with pytest.raises(NoJumps):
         bright_dark_statistics([rec], 1.0)
 
 
-def test_photon_csv_format():
-    c = make_config()
-    rec = run_trajectory(c, "S", 5.0, 9)
-    buf = io.StringIO()
-    photon_records_to_csv([rec, rec], buf)
-    lines = buf.getvalue().strip().split("\n")
+def test_photon_csv_format(capsys):
+    records = run_trajectories(_load_config_arg("fig3a"), "S", 5.0, [(9, 0), (9, 1)])
+    assert main(["traj", "--config", "fig3a", "--t-max", "5", "--n-traj", "2", "--seed", "9"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "trajectory_id,jump_time_us,channel"
-    assert len(lines) == 1 + 2 * rec.jump_times.size
+    assert len(lines) == 1 + sum(rec.jump_times.size for rec in records)
     tid, t, ch = lines[1].split(",")
     assert tid == "0"
-    assert float(t) == pytest.approx(rec.jump_times[0])
+    assert float(t) == pytest.approx(records[0].jump_times[0])
     assert ch in ("P->S", "P->D", "Q->S")
+    assert lines[-1].split(",")[0] == "1"
 
 
 def test_statistics_json_keys():
@@ -329,7 +311,7 @@ def _oracle_trajectory(config, psi0, t_max, seed):
 
 def _assert_matches_oracle(config, psi0, t_max, seed):
     model, sources, jumps = _oracle_trajectory(config, psi0, t_max, seed)
-    rec = run_trajectory(config, psi0, t_max, seed)
+    rec = _trajectory(config, psi0, t_max, seed)
     assert rec.jump_channels == tuple(CHANNELS[ch] for _, _, _, ch in jumps)
     waits = np.array([dt for _, _, dt, _ in jumps])
     assert np.abs(np.diff(rec.jump_times, prepend=0.0) - waits).max(initial=0.0) < JUMP_TIME_TOL
@@ -504,7 +486,6 @@ def test_stacked_sampler_equals_chain_per_trajectory_count(n_traj):
     expected = [_chain_record(model, first, 60.0, seed) for seed in seeds]
     assert n_traj == 1 or n_traj > _STACK
     _assert_records_equal(run_trajectories(config, _MIXED, 60.0, seeds), expected)
-    _assert_records_equal([run_trajectory(config, _MIXED, 60.0, seeds[0])], expected[:1])
 
 
 def test_ensemble_equals_chain_built_ensemble():

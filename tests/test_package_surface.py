@@ -7,6 +7,12 @@ import nscheme
 
 PACKAGE = pathlib.Path(nscheme.__file__).parent
 
+#: entry points kept for callers outside the command line, each with its reason
+API_ONLY = {
+    ("mcwf", "ensemble_populations"): "the traj_fig3a benchmark and the acceptance fixture average trajectories",
+    ("floquet", "convergence_check"): "reports the order+1 truncation delta, which no output prints yet",
+}
+
 
 def _references(node, module, names, modules):
     """(module, name) of every top-level definition a node may refer to.
@@ -35,12 +41,13 @@ def _bound_names(node):
 def _unreachable_definitions():
     """Top-level functions, classes and module-level bindings that no production path reaches.
 
-    Private names count as public ones do. The roots are the names
-    nscheme/__init__.py exports, the cli.main entry point and each
-    module's top-level statements other than imports and bindings; a
-    definition is reached when a reached definition or root refers to it.
+    Private names count as public ones do. The roots are the cli.main
+    entry point, each module's top-level statements other than imports
+    and bindings, and the API_ONLY entry points; what nscheme/__init__.py
+    exports is no root. A definition is reached when a reached
+    definition or root refers to it.
     """
-    uses, roots, defined = {}, {("cli", "main")}, set()
+    uses, roots, defined = {}, {("cli", "main"), *API_ONLY}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
         names, modules = {}, {}
@@ -52,8 +59,6 @@ def _unreachable_definitions():
                         names[bound] = (node.module, alias.name)
                     else:
                         modules[bound] = alias.name
-                    if module == "__init__" and node.module:
-                        roots.add((node.module, alias.name))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 bound = [node.name]

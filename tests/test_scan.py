@@ -1,4 +1,4 @@
-"""Parameter sweeps: determinism, failure flagging, peak extraction."""
+"""Parameter sweeps: determinism, failure flagging, output formats."""
 
 import io
 import json
@@ -11,20 +11,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config, point_configs, replace_param
-from nscheme import floquet, model, scan
+from nscheme import cli, floquet, model, scan
 from nscheme.cli import _load_config_arg
-from nscheme.errors import ConfigError, SolverError, TooCoarse
+from nscheme.errors import ConfigError, SolverError
 from nscheme.floquet import MAX_ORDER, solve_floquet_stack
 from nscheme.liouvillian import build_hamiltonian, build_superoperator, hamiltonian_stack, superoperator_stack
 from nscheme.model import FREQUENCY_FIELDS, ParamTable, config_hash, from_mhz
-from nscheme.scan import BLOCK_POINTS, MAX_POINTS, Peak, ScanSpec, Spectrum, find_peaks, run_scan
+from nscheme.scan import BLOCK_POINTS, MAX_POINTS, ScanSpec, Spectrum, run_scan
 from nscheme.steady import steady_state
 
 
 def _csv(spectrum):
-    buf = io.StringIO()
-    spectrum.to_csv(buf)
-    return buf.getvalue()
+    """The spectrum's CSV rows as `nscheme scan` writes them."""
+    return cli._csv_rows((spectrum.axis_mhz, *spectrum.populations.T, spectrum.residuals, spectrum.flags))
 
 
 def test_scan_spec_validation():
@@ -445,61 +444,13 @@ def test_failed_points_are_flagged_not_fatal():
     assert data["flags"][0] == "DegenerateKernel"
 
 
-def test_csv_format():
-    sp = run_scan(make_config(), ScanSpec(axis="laser_R.detuning", start=3.0,
-                                          stop=3.1, points=2), workers=1)
-    lines = _csv(sp).strip().split("\n")
+def test_csv_format(capsys):
+    assert cli.main(["scan", "--config", "fig3a", "--axis", "laser_R.detuning", "--range", "3:3.1",
+                     "--points", "2"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "axis_MHz,P_S,P_P,P_D,P_Q,residual,flag"
     assert len(lines) == 3
     row = lines[1].split(",")
     assert len(row) == 7
     assert float(row[0]) == 3.0
 
-
-def _gaussian_spectrum(n, sigma):
-    axis = np.linspace(2.0, 4.0, n)
-    q = 0.8 * np.exp(-0.5 * ((axis - 3.0) / sigma) ** 2)
-    pops = np.zeros((n, 4))
-    pops[:, 3] = q
-    pops[:, 0] = 1.0 - q
-    return Spectrum(axis_mhz=axis, populations=pops,
-                    residuals=np.zeros(n), flags=("",) * n, metadata={})
-
-
-def test_find_peaks_on_synthetic_line():
-    sp = _gaussian_spectrum(201, 0.05)
-    peaks = find_peaks(sp)
-    assert len(peaks) == 1
-    peak = peaks[0]
-    assert isinstance(peak, Peak)
-    assert peak.location == pytest.approx(3.0, abs=1e-3)
-    assert peak.height == pytest.approx(0.8, abs=1e-3)
-    assert peak.fwhm == pytest.approx(2.3548 * 0.05, rel=0.02)
-
-
-def test_find_peaks_rejects_undersampled_line():
-    with pytest.raises(TooCoarse):
-        find_peaks(_gaussian_spectrum(41, 0.01))
-
-
-def test_find_peaks_rejects_flagged_spectra():
-    c = make_config(orr=0.0, oc=0.0, gq=0.0)
-    sp = run_scan(c, ScanSpec(axis="laser_B.rabi", start=0.0, stop=1.0, points=3,
-                              gamma_q_mode="zero"), workers=1)
-    with pytest.raises(SolverError):
-        find_peaks(sp)
-
-
-def test_find_peaks_prominence_filter():
-    sp = _gaussian_spectrum(201, 0.05)
-    assert find_peaks(sp, min_prominence=0.9) == []
-
-
-def test_find_peaks_on_real_trapping_resonance():
-    c = make_config(gq=0.0)
-    sp = run_scan(c, ScanSpec(axis="laser_R.detuning", start=2.5, stop=3.5,
-                              points=161, gamma_q_mode="zero"), workers=1)
-    peaks = find_peaks(sp, min_prominence=0.3)
-    assert len(peaks) == 1
-    assert peaks[0].location == pytest.approx(3.0, abs=0.01)
-    assert peaks[0].height > 0.9

@@ -14,7 +14,6 @@ import pytest
 import nscheme
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nscheme.__file__)))
-HEAVY = ("scipy.integrate", "scipy.signal")
 
 # runs main once per argv in this process and prints [[code, stdout, stderr], ...]
 CALLS = """
@@ -39,8 +38,9 @@ def _python(code, *args):
 
 
 def _loaded(code):
-    """Which of HEAVY are in sys.modules after running code, as a list."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    """The scipy subpackages (scipy.<name>, private ones included) in sys.modules after running code, sorted."""
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1)))")
     return json.loads(_python(probe).strip().split("\n")[-1])
 
 
@@ -61,13 +61,23 @@ with contextlib.redirect_stdout(out):
 assert not before
 assert out.getvalue().count("\\n") == 6
 """
-    assert _loaded(code) == ["scipy.integrate"]
+    assert "scipy.integrate" in _loaded(code)
+
+
+SWEEP = ["--axis", "laser_C.detuning", "--range", "4.99:5.01", "--points", "3"]
 
 
 @pytest.mark.parametrize("argv", [
+    ["steady", "--config", "fig3a"],
+    ["scan", "--config", "fig3a", *SWEEP],
+    ["scan", "--config", "fig6_counter", "--solver", "floquet", *SWEEP],
+    ["floquet", "--config", "fig6_counter"],
+    ["dressed", "--config", "fig3a", "--velocity", "1"],
+    ["traj", "--config", "fig3a", "--t-max", "5", "--n-traj", "2"],
     ["evolve", "--config", "fig3a", "--t-max", "1", "--points", "5"],
+    ["evolve", "--config", "fig4d", "--t-max", "800", "--points", "4001", "--fit"],
     ["g2", "--config", "fig3e", "--tau-max", "1", "--points", "5"],
-], ids=["evolve", "g2"])
+], ids=["steady", "scan-carrier", "scan-floquet", "floquet", "dressed", "traj", "evolve", "evolve-fit", "g2"])
 def test_default_propagation_loads_no_scipy_subpackage(argv):
     code = f"""
 import contextlib, io
@@ -78,28 +88,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert _loaded(code) == []
 
 
-def test_find_peaks_loads_scipy_signal_on_demand():
-    code = """
-import sys
-from nscheme.scan import ScanSpec, find_peaks, run_scan
-from nscheme.cli import _load_config_arg
-spectrum = run_scan(_load_config_arg("fig3a"),
-                    ScanSpec("laser_R.detuning", 2.5, 3.5, 161, gamma_q_mode="zero"))
-assert "scipy.signal" not in sys.modules
-peaks = find_peaks(spectrum, min_prominence=0.3)
-assert len(peaks) == 1 and abs(peaks[0].location - 3.0) < 0.01
-"""
-    assert "scipy.signal" in _loaded(code)
-
-
 def test_cached_parser_keeps_no_state_between_calls():
-    sweep = ["--axis", "laser_C.detuning", "--range", "4.99:5.01", "--points", "3"]
     calls = [
         ["steady"],  # usage error: --config missing
         ["--version"],
         ["steady", "--config", "fig3a", "--gamma-q-zero"],
         ["steady", "--config", "fig3a"],
-        ["floquet", "--config", "fig6_counter", *sweep],
+        ["floquet", "--config", "fig6_counter", *SWEEP],
         ["floquet", "--config", "fig6_counter"],
     ]
     in_one_process = json.loads(_python(CALLS, json.dumps(calls)))
