@@ -87,6 +87,18 @@ def test_jump_times_sorted_and_in_range():
     assert set(rec.jump_channels) <= {"P->S", "P->D", "Q->S"}
 
 
+def test_sampled_states_are_normalized():
+    c = make_config()
+    sample = np.linspace(0.0, 20.0, 11)
+    model, first = _prepare(c, "S", 20.0)
+    rec = _trajectory(c, "S", 20.0, 5)
+    assert rec.jump_times.size > 0
+    states = _states_on_grid(model, rec, first, sample)
+    assert states.shape == (11, 4)
+    norms = np.linalg.norm(states, axis=1)
+    assert np.abs(norms - 1.0).max() < 1e-9
+
+
 def test_motion_unsupported():
     with pytest.raises(MotionUnsupported):
         run_trajectories(make_config(motion=True), "S", 1.0, [0])
