@@ -27,5 +27,5 @@ from .steady import steady_state
 from .dynamics import PopulationTrace, TimescaleFit, evolve, fit_timescales, g2
 from .mcwf import TrajectoryRecord, bright_dark_statistics, ensemble_populations, run_trajectories
 from .dressed import LambdaEigensystem, PerturbativeReport, doppler_rate, lambda_eigensystem, three_photon_report
-from .floquet import FloquetBlockSystem, convergence_check, solve_floquet_steady
+from .floquet import FloquetBlockSystem, solve_floquet_steady
 from .scan import ScanSpec, Spectrum, run_scan

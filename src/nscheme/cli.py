@@ -25,8 +25,7 @@ from .dynamics import EIG_COND_LIMIT, evolve, fit_timescales, g2
 from .errors import ConfigError, PerturbationInvalid, SolverError
 from .floquet import DEFAULT_ORDER, solve_floquet_steady
 from .liouvillian import build_hamiltonian, build_superoperator
-from .mcwf import (bright_dark_statistics, check_trajectory_request, default_dark_threshold,
-                   run_trajectories, statistics_as_dict)
+from .mcwf import bright_dark_statistics, default_dark_threshold, run_trajectories, statistics_as_dict
 from .model import (SystemConfig, config_hash, load_config, pure_state,
                     to_mhz, with_gamma_q)
 from .scan import MAX_POINTS, ScanSpec, run_scan
@@ -181,8 +180,8 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_traj(args) -> int:
     config = _load_config_arg(args.config)
-    seeds = [(args.seed, i) for i in range(check_trajectory_request(config, args.t_max, args.n_traj))]
-    records = run_trajectories(config, args.initial, args.t_max, seeds)
+    # checked here; sampled one stack at a time as the records are written or counted below
+    records = run_trajectories(config, args.initial, args.t_max, args.n_traj, args.seed)
     with _output(args.out) as fh:
         if args.stats:
             threshold = args.dark_threshold
@@ -196,7 +195,7 @@ def _cmd_traj(args) -> int:
             doc["seed"] = args.seed
             _dump(doc, fh)
         else:
-            # one write per trajectory, so the text of every photon is never held at once
+            # one write per trajectory, so neither the records nor their text are held at once
             fh.write("trajectory_id,jump_time_us,channel\n")
             for i, record in enumerate(records):
                 fh.write(_csv_rows((record.jump_times, record.jump_channels), prefix=f"{i},"))

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, PerturbationInvalid, ZeroCoupling, ZeroDetuningC
-from .model import SystemConfig, lamb_dicke_parameters, resonance_mismatches
+from .model import SystemConfig, lamb_dicke_parameters
 
 #: |alpha_C| above which the second-order expansion is flagged
 PERTURBATION_GUARD = 0.1
@@ -57,7 +57,7 @@ def three_photon_report(config: SystemConfig) -> PerturbativeReport:
         raise ZeroDetuningC("three_photon_report undefined at Delta_C = 0")
     if config.laser_r.rabi == 0.0:
         raise ZeroCoupling("epsilon undefined for Omega_R = 0")
-    mism = resonance_mismatches(config).three_photon
+    mism = config.laser_b.detuning - config.laser_r.detuning - dc
     scale = max(abs(config.laser_b.detuning), abs(dc), 1.0)
     if abs(mism) > 1e-9 * scale:
         raise ConfigError(

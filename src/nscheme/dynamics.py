@@ -45,14 +45,12 @@ class PopulationTrace:
 
     populations has one row per time, columns ordered (S, P, D, Q).
     standard_errors is filled by stochastic ensembles, None for
-    deterministic propagation. states optionally retains the full
-    rho(t) stack (n, 4, 4) including coherences.
+    deterministic propagation.
     """
 
     times: np.ndarray
     populations: np.ndarray
     standard_errors: np.ndarray | None = None
-    states: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -82,10 +80,20 @@ def _as_matrix(rho0) -> np.ndarray:
     return DensityMatrix(np.asarray(rho0, dtype=complex)).matrix
 
 
-def _check_grid(times: np.ndarray) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
+def _check_grid(times) -> np.ndarray:
+    """times as a float array, once it is a finite, strictly increasing 1-d grid from 0.
+
+    Anything else raises ConfigError before any work: every comparison
+    with a NaN is false, so a NaN would pass the ordering test.
+    """
+    grid = np.asarray(times)
+    if grid.dtype.kind not in "iuf":
+        raise ConfigError(f"time grid must hold real numbers, got dtype {grid.dtype}")
+    times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("time grid must be a 1-d array with at least two points")
+    if not np.isfinite(times).all():
+        raise ConfigError("time grid must be finite")
     if times[0] != 0.0:
         raise ConfigError(f"time grid must start at 0, got {times[0]}")
     if np.any(np.diff(times) <= 0):
@@ -151,7 +159,7 @@ def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "aut
     return sol.y.T
 
 
-def evolve(superop: Superoperator, rho0, times, *, method: str = "auto", keep_states: bool = False) -> PopulationTrace:
+def evolve(superop: Superoperator, rho0, times, *, method: str = "auto") -> PopulationTrace:
     """Populations of rho(t) = exp(M t) rho0 on the given grid.
 
     The grid must start at 0 and increase strictly. Populations are
@@ -167,11 +175,7 @@ def evolve(superop: Superoperator, rho0, times, *, method: str = "auto", keep_st
     # scrub eigen-propagation roundoff so exact-zero populations stay in range
     tiny = (pops < 0.0) & (pops > -1e-10)
     pops[tiny] = 0.0
-    return PopulationTrace(
-        times=times,
-        populations=pops,
-        states=rhos if keep_states else None,
-    )
+    return PopulationTrace(times=times, populations=pops)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,11 +231,7 @@ def _tail_decay_time(times: np.ndarray, series: np.ndarray, t_start: float) -> f
 
 def _hann(n: int) -> np.ndarray:
     """scipy's Hann window signal.windows.hann(n), by scipy's own general-cosine formula."""
-    fac = np.linspace(-np.pi, np.pi, n)
-    w = np.zeros(n)
-    w += 0.5 * np.cos(0 * fac)
-    w += 0.5 * np.cos(fac)
-    return w
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n))
 
 
 def _dominant_frequency(times: np.ndarray, series: np.ndarray) -> float | None:

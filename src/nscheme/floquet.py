@@ -64,20 +64,16 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
 from .liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
-from .model import _TABLE_FIELDS, ParamTable, SystemConfig, level_index, require_integer
+from .model import _TABLE_FIELDS, ParamTable, SystemConfig, require_integer
 from .steady import bordered_kernel
 
 #: residual bound on the full block system
 FLOQUET_RESIDUAL_TOL = 1e-9
-#: |rho0_N - rho0_{N+1}| bound for flagging a truncation as converged
-TRUNCATION_TOL = 1e-8
-#: looser bound at which solve_floquet_steady refuses to return a result.
-#: Between the two the solve is usable but convergence_check reports False;
-#: order-2 vs order-3 deltas sit near 1e-6 at typical sideband parameters,
-#: so the strict flag cannot double as the solve gate.
+#: |rho0_N - rho0_{N+1}| bound at which solve_floquet_steady refuses to return a
+#: result; order-2 vs order-3 deltas sit near 1e-6 at typical sideband parameters
 SOLVE_TRUNCATION_TOL = 1e-5
 DEFAULT_ORDER = 2
-#: largest truncation order a solve, a convergence check or a sweep may ask for.
+#: largest truncation order a solve or a sweep may ask for.
 #: Each order costs one stacked 16x16 solve per point; the truncation check
 #: solves once more at order + 1, which solve_floquet_stack still accepts
 MAX_ORDER = 64
@@ -119,16 +115,9 @@ class FloquetBlockSystem:
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.blocks[0]))
 
-    def population(self, label: str) -> float:
-        return float(self.populations[level_index(label)])
-
     def to_json(self) -> dict:
         """All blocks as nested [re, im] lists, for cross-checking."""
         return {
-            "order": self.order,
-            "trap_frequency": self.nu,
-            "residual": self.residual,
-            "pairing_defect": self.pairing_defect,
             "blocks": {
                 str(n): [[[float(z.real), float(z.imag)] for z in row] for row in self.blocks[n]]
                 for n in sorted(self.blocks)
@@ -254,8 +243,7 @@ def solve_floquet_steady(config: SystemConfig, order: int = DEFAULT_ORDER, *,
     The solution must make the full (untruncated-row) system residual
     smaller than 1e-9; with check_truncation the n = 0 block is also
     compared against the order + 1 solution and the solve fails with
-    TruncationNotConverged when they differ by more than 1e-5. The
-    stricter 1e-8 convergence flag is reported by convergence_check.
+    TruncationNotConverged when they differ by more than 1e-5.
     """
     solution = _solve(config, require_order(order))
     if check_truncation:
@@ -279,12 +267,6 @@ def _solve(config: SystemConfig, order: int) -> FloquetBlockSystem:
         residual=float(residual[0]),
         pairing_defect=float(pairing[0]),
     )
-
-
-def convergence_check(config: SystemConfig, order: int) -> tuple[float, bool]:
-    """Max |rho0_N - rho0_{N+1}| and whether it is below 1e-8."""
-    delta = _truncation_delta(config, solve_floquet_steady(config, order, check_truncation=False))
-    return delta, bool(delta < TRUNCATION_TOL)
 
 
 def _truncation_delta(config: SystemConfig, solution: FloquetBlockSystem) -> float:

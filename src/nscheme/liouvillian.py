@@ -46,34 +46,29 @@ def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class HamiltonianParts:
-    """Static part, carrier couplings, and the sideband coupling.
+    """Carrier Hamiltonian and the sideband coupling.
 
     h_side multiplies both exp(+i nu t) and exp(-i nu t) in the
     interaction Hamiltonian (the motion is a cosine) and vanishes with
     motion disabled. 4x4, or (k, 4, 4) stacks, in rad/us.
     """
 
-    h0: np.ndarray
-    h_carrier: np.ndarray
+    h_total: np.ndarray
     h_side: np.ndarray
 
     def __post_init__(self):
-        for m in (self.h0, self.h_carrier, self.h_side):
+        for m in (self.h_total, self.h_side):
             m.setflags(write=False)
-
-    @property
-    def h_total(self) -> np.ndarray:
-        """Carrier Hamiltonian h0 + h_carrier."""
-        return self.h0 + self.h_carrier
 
 
 def hamiltonian_stack(table: ParamTable) -> HamiltonianParts:
     """Rotating-frame Hamiltonians of the three-laser N scheme, one per point of the table.
 
-    h0 = diag(0, -Delta_B, Delta_R - Delta_B, -Delta_C); the carrier
-    couples S-P, D-P and S-Q with half the respective Rabi
-    frequencies. With motion enabled, first order in the modulation
-    indices eta gives h_side = sum_j i eta_j (Omega_j/2) x
+    h_total is h0 = diag(0, -Delta_B, Delta_R - Delta_B, -Delta_C) plus
+    the carrier couplings of S-P, D-P and S-Q at half the respective
+    Rabi frequencies; the sum turns a -0.0 of h0 into 0.0, so no -0.0
+    reaches the diagonal. With motion enabled, first order in the
+    modulation indices eta gives h_side = sum_j i eta_j (Omega_j/2) x
     (coupling_j) + h.c. Each part is a (k, 4, 4) stack. A value past
     the float range (Delta_R - Delta_B, eta Omega) is inf, as in Python
     float arithmetic, and stays in its point.
@@ -84,7 +79,7 @@ def hamiltonian_stack(table: ParamTable) -> HamiltonianParts:
     with np.errstate(over="ignore", invalid="ignore"):
         h0[:, _P, _P], h0[:, _D, _D], h0[:, _Q, _Q] = -db, dr - db, -dc
         h_side = _couplings(1j * table.lamb_dicke() * rabi / 2.0)
-    return HamiltonianParts(h0=h0, h_carrier=_couplings(rabi / 2.0), h_side=h_side)
+    return HamiltonianParts(h_total=h0 + _couplings(rabi / 2.0), h_side=h_side)
 
 
 def _couplings(values: np.ndarray) -> np.ndarray:
@@ -101,7 +96,7 @@ def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
     the float range) raises NoConvergence, as every solve of it would.
     """
     parts = hamiltonian_stack(ParamTable.of([config]))
-    parts = HamiltonianParts(h0=parts.h0[0], h_carrier=parts.h_carrier[0], h_side=parts.h_side[0])
+    parts = HamiltonianParts(h_total=parts.h_total[0], h_side=parts.h_side[0])
     if not np.isfinite(parts.h_total).all():
         raise NoConvergence("carrier Hamiltonian overflows the float range")
     return parts

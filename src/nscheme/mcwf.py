@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -88,8 +88,8 @@ TRAJECTORY_WORK_LIMIT = 5e8
 class TrajectoryRecord:
     """Jump times and channels of one trajectory.
 
-    seed is the trajectory's seed as passed to run_trajectories (an
-    integer, or a (seed, index) tuple for ensemble members).
+    seed is (seed, i), the SeedSequence entropy of trajectory i of a
+    request made with that seed.
     """
 
     seed: object
@@ -259,44 +259,27 @@ class _EffectiveModel:
         #: decay rate out of each level: d||psi||^2/dt = -pops @ decay
         self.decay = np.array([0.0, atom.gamma_p, 0.0, atom.gamma_q])
         self.t_table = np.concatenate(([0.0], np.geomspace(1e-7, max(t_max, 1e-6), _TABLE_POINTS)))
-        self._sources: dict[str, _Source] = {}
+        self._sources: dict[int, _Source] = {}
 
-    def source(self, key: str, psi: np.ndarray | None = None) -> _Source:
-        """Cached source for a level label, or for psi under a custom key."""
-        src = self._sources.get(key)
+    def source(self, label: str) -> _Source:
+        """Cached source for a level label; anything else raises UnknownLevel."""
+        level = level_index(label)
+        src = self._sources.get(level)
         if src is None:
-            src = _Source(self, _basis_ket(key) if psi is None else psi)
-            self._sources[key] = src
+            src = self._sources[level] = _Source(self, np.eye(4, dtype=complex)[level])
         return src
 
 
-def _initial_vector(psi0) -> tuple[str, np.ndarray]:
-    """Normalize psi0 to (cache key, 4-amplitude vector)."""
-    if isinstance(psi0, str):
-        return psi0.upper(), _basis_ket(psi0)
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (4,):
-        raise NonPhysicalState(f"initial state must be a 4-amplitude vector, got shape {psi.shape}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise NonPhysicalState(f"initial state norm {norm:.12f} deviates from 1 by more than 1e-9")
-    return "__init__", psi / norm
+def _sample_records(model: _EffectiveModel, first: _Source, t_max: float, n_traj: int, seed: int):
+    """The records of trajectories (seed, 0) .. (seed, n_traj - 1), all starting from first, in order.
 
-
-def _basis_ket(key: str) -> np.ndarray:
-    psi = np.zeros(4, dtype=complex)
-    psi[level_index(key)] = 1.0
-    return psi
-
-
-def _sample_records(model: _EffectiveModel, first: _Source, t_max: float, seeds: list):
-    """One TrajectoryRecord per seed, all starting from first, yielded in order.
-
-    Trajectories run in lockstep stacks of at most _STACK, so the block
-    arrays stay small however many seeds are asked for.
+    Trajectories run in lockstep stacks of at most _STACK, each sampled
+    when its first record is taken, so the block arrays and the records
+    held stay small however many trajectories are asked for.
     """
-    for start in range(0, len(seeds), _STACK):
-        yield from _run_stack(model, first, t_max, seeds[start:start + _STACK])
+    for start in range(0, n_traj, _STACK):
+        stop = min(start + _STACK, n_traj)
+        yield from _run_stack(model, first, t_max, [(seed, i) for i in range(start, stop)])
 
 
 def _run_stack(model: _EffectiveModel, first: _Source, t_max: float, seeds: list) -> list[TrajectoryRecord]:
@@ -461,61 +444,59 @@ def check_trajectory_request(config: SystemConfig, t_max: float, n_traj) -> int:
     return count
 
 
-def _prepare(config: SystemConfig, psi0, t_max: float) -> tuple[_EffectiveModel, _Source]:
-    """The shared model and the first segment's source of a checked trajectory request."""
-    key, psi = _initial_vector(psi0)
+def _check_seed(seed) -> int:
+    """seed as an int once it is a non-negative integer.
+
+    SeedSequence refuses a negative seed too, but only once its
+    trajectory's stack has started sampling.
+    """
+    number = require_integer(seed, "seed", NonPhysicalState)
+    if number < 0:
+        raise NonPhysicalState(f"seed must be a non-negative integer, got {seed!r}")
+    return number
+
+
+def _prepare(config: SystemConfig, psi0: str, t_max: float, n_traj, seed):
+    """(model, first segment's source, n_traj as an int, seed as an int) of a checked trajectory request."""
+    n_traj = check_trajectory_request(config, t_max, n_traj)
+    seed = _check_seed(seed)
     model = _EffectiveModel(config, t_max)
-    return model, model.source(key, psi)
+    return model, model.source(psi0), n_traj, seed
 
 
-def _check_seeds(seeds: list) -> None:
-    """Refuse a seed (an integer or a tuple of them) with a negative entry.
+def run_trajectories(config: SystemConfig, psi0: str, t_max: float, n_traj,
+                     seed) -> Iterator[TrajectoryRecord]:
+    """The records of n_traj quantum-jump trajectories of length t_max (us), sharing one H_eff model.
 
-    SeedSequence refuses it too, but only once its trajectory's stack
-    has started sampling.
+    psi0 is a level label. Trajectory i draws its random stream from
+    numpy's SeedSequence((seed, i)), so every record is reproducible
+    and independent of how many others are asked for. The request is
+    checked when this is called: it must pass check_trajectory_request,
+    and seed must be a non-negative integer (else NonPhysicalState).
+    The records are then sampled lazily, one lockstep stack of at most
+    _STACK trajectories at a time, as the iterator is advanced. Motion
+    and laser linewidth are not part of the trajectory model.
     """
-    for seed in seeds:
-        entries = seed if isinstance(seed, tuple) else (seed,)
-        if any(isinstance(e, numbers.Integral) and e < 0 for e in entries):
-            raise NonPhysicalState(f"a seed must be a non-negative integer or a tuple of them, got {seed!r}")
+    model, first, n_traj, seed = _prepare(config, psi0, t_max, n_traj, seed)
+    return _sample_records(model, first, t_max, n_traj, seed)
 
 
-def run_trajectories(config: SystemConfig, psi0, t_max: float, seeds) -> list[TrajectoryRecord]:
-    """One quantum-jump trajectory of length t_max (us) per seed, sharing one H_eff model.
-
-    psi0 is a level label or a normalized 4-amplitude vector. Each
-    trajectory's random stream comes from numpy's SeedSequence of its
-    seed exactly as passed, so an integer and the tuple (base, index)
-    used by ensembles are both reproducible addresses; a negative entry
-    raises NonPhysicalState. Motion and laser linewidth are not part of
-    the trajectory model.
-    """
-    seeds = list(seeds)
-    check_trajectory_request(config, t_max, len(seeds))
-    _check_seeds(seeds)
-    model, first = _prepare(config, psi0, t_max)
-    return list(_sample_records(model, first, t_max, seeds))
-
-
-def ensemble_populations(config: SystemConfig, psi0, t_grid, n_traj: int, seed: int, *, return_records: bool = False):
+def ensemble_populations(config: SystemConfig, psi0: str, t_grid, n_traj, seed, *, return_records: bool = False):
     """Trajectory-averaged populations with per-point standard errors.
 
-    Trajectory i draws its random stream from SeedSequence((seed, i)),
-    so the ensemble is reproducible and independent of evaluation
-    order. The request must pass check_trajectory_request, and seed
-    must not be negative. Returns a PopulationTrace; with
-    return_records=True, a (trace, records) pair.
+    The trajectories are those of run_trajectories(config, psi0,
+    t_grid[-1], n_traj, seed), checked the same way before any is
+    sampled. Returns a PopulationTrace; with return_records=True, a
+    (trace, records) pair.
     """
     times = _check_grid(t_grid)
     t_max = float(times[-1])
-    n_traj = check_trajectory_request(config, t_max, n_traj)
-    _check_seeds([seed])
-    model, first = _prepare(config, psi0, t_max)
+    model, first, n_traj, seed = _prepare(config, psi0, t_max, n_traj, seed)
 
     total = np.zeros((times.size, 4))
     total_sq = np.zeros((times.size, 4))
     records = []
-    for record in _sample_records(model, first, t_max, [(seed, i) for i in range(n_traj)]):
+    for record in _sample_records(model, first, t_max, n_traj, seed):
         pops = np.abs(_states_on_grid(model, record, first, times)) ** 2
         pops /= pops.sum(axis=1, keepdims=True)
         total += pops

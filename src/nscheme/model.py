@@ -226,25 +226,6 @@ class SystemConfig:
     motion: MotionSpec = dataclasses.field(default_factory=MotionSpec)
 
 
-class ResonanceMismatches(NamedTuple):
-    three_photon: float  # Delta_B - Delta_R - Delta_C
-    two_photon: float    # Delta_R - Delta_B
-    carrier_c: float     # Delta_C
-
-
-def resonance_mismatches(config: SystemConfig) -> ResonanceMismatches:
-    """Detuning combinations whose zeros mark the two resonance conditions.
-
-    three_photon = 0 (with carrier_c != 0) is the three-photon
-    resonance; two_photon = 0 together with carrier_c = 0 is the
-    two+one-photon resonance. All in rad/us.
-    """
-    db = config.laser_b.detuning
-    dr = config.laser_r.detuning
-    dc = config.laser_c.detuning
-    return ResonanceMismatches(db - dr - dc, dr - db, dc)
-
-
 class LambDicke(NamedTuple):
     eta_b: float
     eta_r: float

@@ -75,13 +75,17 @@ def unvec(v):
     return np.asarray(v, dtype=complex).reshape((4, 4), order="F")
 
 
+def propagate_states(superop, rho0, times, *, method="auto"):
+    """Hermitized rho(t) on a time grid, (n, 4, 4): the states whose diagonals evolve reports."""
+    rhos = propagate_vectors(superop, rho0, times, method=method).reshape(-1, 4, 4).transpose(0, 2, 1)
+    return 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+
+
 def propagate(superop, rho0, t, *, method="auto"):
     """Single-time propagation; returns the hermitized 4x4 rho(t)."""
     if t == 0.0:
         return _as_matrix(rho0)
-    stack = propagate_vectors(superop, rho0, np.array([0.0, float(t)]), method=method)
-    rho = unvec(stack[-1])
-    return 0.5 * (rho + rho.conj().T)
+    return propagate_states(superop, rho0, np.array([0.0, float(t)]), method=method)[-1]
 
 
 def point_configs(config, spec):

@@ -13,7 +13,7 @@ everything else finishes in seconds.
 import numpy as np
 import pytest
 
-from conftest import make_config, propagate, sup_of, two_plus_one, with_linewidths
+from conftest import make_config, propagate, propagate_states, sup_of, two_plus_one, with_linewidths
 from nscheme.dressed import three_photon_report
 from nscheme.dynamics import evolve, fit_timescales, g2
 from nscheme.liouvillian import build_hamiltonian, build_superoperator
@@ -274,8 +274,8 @@ def test_criterion_12_global_invariant_suite():
                              db=signs[0] * mags[3], dr=signs[1] * mags[4],
                              dc=signs[2] * mags[5])
         sup = build_superoperator(build_hamiltonian(config).h_total, config)
-        trace = evolve(sup, pure_state("S"), t_grid, method="eig", keep_states=True)
-        for rho in trace.states:
+        trace = evolve(sup, pure_state("S"), t_grid, method="eig")
+        for rho in propagate_states(sup, pure_state("S"), t_grid, method="eig"):
             worst["trace"] = max(worst["trace"], abs(np.trace(rho).real - 1.0))
             worst["herm"] = max(worst["herm"], np.abs(rho - rho.conj().T).max())
             worst["positivity"] = max(worst["positivity"], max(0.0, -np.linalg.eigvalsh(rho).min()))

@@ -147,7 +147,7 @@ def test_traj_csv_matches_per_trajectory_records(capsys):
                        "--n-traj", "3", "--seed", "4")
     assert code == 0
     config = load_config_from_preset("fig3a")
-    records = [run_trajectories(config, "S", 20.0, [(4, i)])[0] for i in range(3)]
+    records = list(run_trajectories(config, "S", 20.0, 3, 4))
     assert out == "trajectory_id,jump_time_us,channel\n" + "".join(
         cli._csv_rows((rec.jump_times, rec.jump_channels), prefix=f"{i},") for i, rec in enumerate(records))
 
@@ -327,7 +327,7 @@ def test_traj_stats_undefined_values_are_null(capsys):
 
 
 def test_traj_stats_single_dark_gap_has_null_standard_error(capsys):
-    (record,) = run_trajectories(load_config_from_preset("fig3a"), "S", 5.0, [(0, 0)])
+    (record,) = run_trajectories(load_config_from_preset("fig3a"), "S", 5.0, 1, 0)
     gaps = np.sort(np.diff(record.jump_times))
     threshold = 0.5 * (gaps[-1] + gaps[-2])  # only the longest gap is dark
     code, out, _ = run(capsys, "traj", "--config", "fig3a", "--t-max", "5", "--stats",
@@ -771,7 +771,7 @@ def test_writers_keep_the_per_row_bytes(capsys, monkeypatch):
     records = [TrajectoryRecord(seed=0, t_max=1e300, jump_times=times, jump_channels=("P->S", "P->D", "Q->S") * 2),
                TrajectoryRecord(seed=1, t_max=1.0, jump_times=[], jump_channels=()),
                TrajectoryRecord(seed=2, t_max=1.0, jump_times=[0.5], jump_channels=("P->D",))]
-    monkeypatch.setattr(cli, "run_trajectories", lambda config, psi0, t_max, seeds: records)
+    monkeypatch.setattr(cli, "run_trajectories", lambda config, psi0, t_max, n, seed: iter(records))
     code, out, _ = run(capsys, "traj", "--config", "fig3a", "--t-max", "1.0", "--n-traj", str(len(records)))
     assert code == 0
     expected = "trajectory_id,jump_time_us,channel\n" + "".join(

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_config, propagate, sup_of, two_plus_one
+from conftest import make_config, propagate, propagate_states, sup_of, two_plus_one
 from nscheme.cli import main
 from nscheme.dressed import lambda_eigensystem
 from nscheme.dynamics import (
@@ -19,7 +19,9 @@ from nscheme.dynamics import (
     propagate_vectors,
 )
 from nscheme.errors import ConfigError, DefectiveGenerator, NoConvergence, NonPhysicalState
+from nscheme import mcwf
 from nscheme.liouvillian import Superoperator
+from nscheme.mcwf import ensemble_populations
 from nscheme.model import pure_state
 from nscheme.steady import steady_state
 
@@ -35,9 +37,7 @@ def test_semigroup_composition():
 
 def test_positivity_along_the_path():
     c = make_config(gq=0.2)
-    trace = evolve(sup_of(c), pure_state("S"), np.linspace(0.0, 30.0, 301),
-                   keep_states=True)
-    for rho in trace.states:
+    for rho in propagate_states(sup_of(c), pure_state("S"), np.linspace(0.0, 30.0, 301)):
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-8
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
@@ -72,14 +72,25 @@ def test_decoupled_metastable_decay_is_exponential():
     assert np.abs(trace.population("S") - (1 - expect)).max() < 1e-9
 
 
-def test_grid_validation():
+def test_grid_validation(monkeypatch):
     c = make_config()
+    sup = sup_of(c)
+    rho_ss = steady_state(sup)
+
+    def no_sampling(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(mcwf, "_run_stack", no_sampling)
+    # a NaN passes every ordering comparison, so finiteness is its own check
+    for grid in ([1.0, 2.0], [0.0, 2.0, 1.0], [0.0, np.nan, 2.0], [0.0, np.inf], ["a", "b"]):
+        with pytest.raises(ConfigError):
+            evolve(sup, pure_state("S"), np.array(grid))
+        with pytest.raises(ConfigError):
+            g2(sup, rho_ss, grid, c)
+        with pytest.raises(ConfigError):
+            ensemble_populations(c, "S", grid, 2, 0)
     with pytest.raises(ConfigError):
-        evolve(sup_of(c), pure_state("S"), np.array([1.0, 2.0]))
-    with pytest.raises(ConfigError):
-        evolve(sup_of(c), pure_state("S"), np.array([0.0, 2.0, 1.0]))
-    with pytest.raises(ConfigError):
-        evolve(sup_of(c), pure_state("S"), np.array([0.0, 1.0]), method="rk9")
+        evolve(sup, pure_state("S"), np.array([0.0, 1.0]), method="rk9")
 
 
 def test_eig_overflow_is_no_convergence_without_warnings():
@@ -130,7 +141,7 @@ def test_trace_rejects_non_finite_populations(bad):
         PopulationTrace(times=np.array([0.0, 1.0]), populations=pops)
 
 
-@pytest.mark.parametrize("n", [2, 3, 10, 4096])
+@pytest.mark.parametrize("n", [2, 3, 10, 4096, 4097])
 def test_hann_matches_scipy_bitwise(n):
     from scipy.signal.windows import hann
 

@@ -11,12 +11,7 @@ from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, floquet_lower_r
                       solve_floquet_blocks, sup_of, two_plus_one, with_linewidths)
 from nscheme import floquet, scan
 from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
-from nscheme.floquet import (
-    SOLVE_TRUNCATION_TOL,
-    TRUNCATION_TOL,
-    convergence_check,
-    solve_floquet_steady,
-)
+from nscheme.floquet import SOLVE_TRUNCATION_TOL, _truncation_delta, solve_floquet_steady
 from nscheme.liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
 from nscheme.model import _COLUMN, _TABLE_FIELDS, TWO_PI, ParamTable, _resolve_path
 from nscheme.scan import ScanSpec
@@ -192,7 +187,7 @@ def test_block_structure_invariants():
     assert np.trace(fb.block(0)).real == pytest.approx(1.0, abs=1e-10)
     assert abs(np.trace(fb.block(1))) < 1e-10
     assert abs(np.trace(fb.block(2))) < 1e-10
-    assert fb.population("Q") == pytest.approx(PQ_COUNTER_OSC, abs=1e-9)
+    assert fb.populations[3] == pytest.approx(PQ_COUNTER_OSC, abs=1e-9)
     assert fb.residual < 1e-9
 
 
@@ -222,19 +217,19 @@ def test_first_harmonic_linear_in_amplitude():
     assert scale == pytest.approx(2.0, rel=0.01)
 
 
+def _order_gap(c, order):
+    """Max |rho0_N - rho0_{N+1}| at order N, the delta that solve_floquet_steady gates on."""
+    return _truncation_delta(c, solve_floquet_steady(c, order, check_truncation=False))
+
+
 def test_convergence_check_reports_order_gap():
     c = make_config(motion=True, counter=True)
-    delta, converged = convergence_check(c, 2)
-    assert 1e-8 < delta < 1e-5
-    assert not converged  # strict flag, see TRUNCATION_TOL
-    assert TRUNCATION_TOL < SOLVE_TRUNCATION_TOL
+    assert 1e-8 < _order_gap(c, 2) < SOLVE_TRUNCATION_TOL
 
 
 def test_large_modulation_refused():
     c = _with_amplitude(make_config(motion=True, counter=True), 8 * OSC_AMPLITUDE_NM)
-    delta, converged = convergence_check(c, 2)
-    assert delta > SOLVE_TRUNCATION_TOL
-    assert not converged
+    assert _order_gap(c, 2) > SOLVE_TRUNCATION_TOL
     with pytest.raises(TruncationNotConverged):
         solve_floquet_steady(c, 2)
     fb = solve_floquet_steady(c, 2, check_truncation=False)
@@ -260,7 +255,7 @@ def test_motion_required_and_order_validated():
         with pytest.raises(ConfigError, match=rf"Floquet order must lie in \[1, {floquet.MAX_ORDER}\], got {order}"):
             solve_floquet_steady(make_config(motion=True, counter=True), order)
         with pytest.raises(ConfigError):
-            convergence_check(make_config(motion=True, counter=True), order)
+            solve_floquet_steady(make_config(motion=True, counter=True), order, check_truncation=False)
     for order in (1.5, True):
         with pytest.raises(ConfigError, match=f"Floquet order must be an integer, got {order!r}"):
             solve_floquet_steady(make_config(motion=True, counter=True), order)
@@ -271,7 +266,7 @@ def test_largest_order_solves_with_its_truncation_check():
     c = make_config(motion=True, counter=True)
     fb = solve_floquet_steady(c, floquet.MAX_ORDER)
     assert sorted(fb.blocks) == list(range(-floquet.MAX_ORDER, floquet.MAX_ORDER + 1))
-    assert convergence_check(c, floquet.MAX_ORDER)[1]
+    assert _truncation_delta(c, fb) < 1e-8
     table = ParamTable.of([c])
     floquet.solve_floquet_stack(table, floquet.MAX_ORDER + 1)
     with pytest.raises(ConfigError, match=rf"must lie in \[1, {floquet.MAX_ORDER + 1}\]"):
@@ -281,9 +276,8 @@ def test_largest_order_solves_with_its_truncation_check():
 def test_to_json_shape():
     fb = solve_floquet_steady(make_config(motion=True, counter=True), 2)
     data = fb.to_json()
-    assert data["order"] == 2
+    assert set(data) == {"blocks"}
     assert set(data["blocks"]) == {"-2", "-1", "0", "1", "2"}
-    assert "residual" in data and "pairing_defect" in data
 
 
 def _column_span(field, base):

@@ -13,19 +13,17 @@ from scipy.optimize import brentq
 from conftest import make_config, sup_of, with_linewidths
 from nscheme.dynamics import evolve
 from nscheme.errors import (LinewidthUnsupported, MotionUnsupported, NoJumps, NonPhysicalState,
-                            ZeroFluorescence)
+                            UnknownLevel, ZeroFluorescence)
 from nscheme import mcwf
 from nscheme.cli import _load_config_arg, main
 from nscheme.mcwf import (
     CHANNELS,
     TRAJECTORY_WORK_LIMIT,
     TrajectoryRecord,
-    _basis_ket,
     _CHANNEL_TARGET,
     _EffectiveModel,
     _FIRST_BLOCK,
     _MAX_BLOCK,
-    _prepare,
     _sample_block,
     _STACK,
     _TARGET_CODE,
@@ -37,16 +35,20 @@ from nscheme.mcwf import (
     run_trajectories,
     statistics_as_dict,
 )
-from nscheme.model import AtomSpec, pure_state
+from nscheme.model import AtomSpec, level_index, pure_state
 
 #: accuracy bound on each waiting time, us, that the mcwf module docstring states
 JUMP_TIME_TOL = 1e-7
 
 
 def _trajectory(config, psi0, t_max, seed):
-    """The one record of run_trajectories for a single seed."""
-    (record,) = run_trajectories(config, psi0, t_max, [seed])
+    """The record of a one-trajectory request: it draws from SeedSequence((seed, 0))."""
+    (record,) = run_trajectories(config, psi0, t_max, 1, seed)
     return record
+
+
+def _no_sampling(*args):
+    raise AssertionError("sampling started")
 
 
 def test_trajectories_are_deterministic():
@@ -71,7 +73,7 @@ def test_bare_metastable_decay_time_is_analytic():
     gamma = 0.05
     c = make_config(ob=0.0, orr=0.0, oc=0.0, gq=gamma)
     rec = _trajectory(c, "Q", 400.0, 7)
-    u0 = default_rng(SeedSequence(7)).random()
+    u0 = default_rng(SeedSequence((7, 0))).random()
     assert rec.jump_times.size == 1
     assert tuple(rec.jump_channels) == ("Q->S",)
     assert rec.jump_times[0] == pytest.approx(-np.log(u0) / gamma, rel=1e-6)
@@ -90,10 +92,10 @@ def test_jump_times_sorted_and_in_range():
 def test_sampled_states_are_normalized():
     c = make_config()
     sample = np.linspace(0.0, 20.0, 11)
-    model, first = _prepare(c, "S", 20.0)
+    model = _EffectiveModel(c, 20.0)
     rec = _trajectory(c, "S", 20.0, 5)
     assert rec.jump_times.size > 0
-    states = _states_on_grid(model, rec, first, sample)
+    states = _states_on_grid(model, rec, model.source("S"), sample)
     assert states.shape == (11, 4)
     norms = np.linalg.norm(states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-9
@@ -101,7 +103,7 @@ def test_sampled_states_are_normalized():
 
 def test_motion_unsupported():
     with pytest.raises(MotionUnsupported):
-        run_trajectories(make_config(motion=True), "S", 1.0, [0])
+        run_trajectories(make_config(motion=True), "S", 1.0, 1, 0)
     with pytest.raises(MotionUnsupported):
         ensemble_populations(make_config(motion=True), "S", np.linspace(0, 1, 2), 2, 0)
 
@@ -109,7 +111,7 @@ def test_motion_unsupported():
 def test_linewidth_unsupported():
     c = with_linewidths(make_config(), 0.5)
     with pytest.raises(LinewidthUnsupported):
-        run_trajectories(c, "S", 1.0, [0])
+        run_trajectories(c, "S", 1.0, 1, 0)
     with pytest.raises(LinewidthUnsupported):
         ensemble_populations(c, "S", np.linspace(0, 1, 2), 2, 0)
 
@@ -117,12 +119,12 @@ def test_linewidth_unsupported():
 @pytest.mark.parametrize("t_max", [0.0, -5.0, float("nan"), float("inf")])
 def test_trajectory_length_must_be_finite_and_positive(t_max):
     with pytest.raises(NonPhysicalState):
-        run_trajectories(make_config(), "S", t_max, [0])
+        run_trajectories(make_config(), "S", t_max, 1, 0)
 
 
 def test_trajectory_count_must_be_positive():
     with pytest.raises(NonPhysicalState):
-        run_trajectories(make_config(), "S", 1.0, [])
+        run_trajectories(make_config(), "S", 1.0, 0, 0)
     with pytest.raises(NonPhysicalState):
         ensemble_populations(make_config(), "S", np.linspace(0, 1, 2), 0, 0)
 
@@ -130,10 +132,13 @@ def test_trajectory_count_must_be_positive():
 @pytest.mark.parametrize("n_traj", [2.5, True, False, "3", None, np.float64(2.0)])
 def test_trajectory_count_must_be_an_integer(n_traj):
     with pytest.raises(NonPhysicalState):
+        run_trajectories(make_config(), "S", 1.0, n_traj, 0)
+    with pytest.raises(NonPhysicalState):
         ensemble_populations(make_config(), "S", np.linspace(0, 1, 2), n_traj, 0)
 
 
-def test_trajectory_work_is_refused_before_any_seed_is_made():
+def test_trajectory_work_is_refused_before_any_seed_is_made(monkeypatch):
+    monkeypatch.setattr(mcwf, "_run_stack", _no_sampling)
     c = make_config()
     rate = c.atom.gamma_p + c.atom.gamma_q
     # the tier-1 ensemble (500 x 3000 us) fits; one trajectory more than the limit allows does not
@@ -143,7 +148,9 @@ def test_trajectory_work_is_refused_before_any_seed_is_made():
     with pytest.raises(NonPhysicalState, match=r"exceed n_traj \(32 \+ \(gamma_P \+ gamma_Q\) t_max\) <= 5e\+08"):
         check_trajectory_request(c, 20.0, most + 1)
     with pytest.raises(NonPhysicalState, match="exceed n_traj"):
-        run_trajectories(c, "S", 1e9, [0])
+        run_trajectories(c, "S", 20.0, most + 1, 0)
+    with pytest.raises(NonPhysicalState, match="exceed n_traj"):
+        run_trajectories(c, "S", 1e9, 1, 0)
     with pytest.raises(NonPhysicalState, match="exceed n_traj"):
         ensemble_populations(c, "S", np.linspace(0.0, 20.0, 3), 10**12, 0)
     with pytest.raises(NonPhysicalState, match="exceed n_traj"):
@@ -161,15 +168,38 @@ def test_trajectory_count_accepts_numpy_integers():
 
 @pytest.mark.parametrize("seed", [-1, (-1, 0), (3, -2), np.int64(-5)], ids=str)
 def test_negative_seed_is_refused_before_sampling(seed, monkeypatch):
-    def no_sampling(*args):
-        raise AssertionError("sampling started")
+    # a seed is one integer; the tuples are the (seed, i) addresses of trajectories, not seeds
+    monkeypatch.setattr(mcwf, "_run_stack", _no_sampling)
+    message = "seed must be an integer" if isinstance(seed, tuple) else "seed must be a non-negative integer"
+    with pytest.raises(NonPhysicalState, match=message):
+        run_trajectories(make_config(), "S", 5.0, 2, seed)
+    with pytest.raises(NonPhysicalState, match=message):
+        ensemble_populations(make_config(), "S", np.linspace(0.0, 5.0, 3), 2, seed)
 
-    monkeypatch.setattr(mcwf, "_sample_records", no_sampling)
-    with pytest.raises(NonPhysicalState, match="non-negative"):
-        run_trajectories(make_config(), "S", 5.0, [0, seed])
-    if not isinstance(seed, tuple):
-        with pytest.raises(NonPhysicalState, match="non-negative"):
-            ensemble_populations(make_config(), "S", np.linspace(0.0, 5.0, 3), 2, seed)
+
+def test_checks_are_eager_and_sampling_is_lazy(monkeypatch):
+    stacks = []
+    run_stack = mcwf._run_stack
+
+    def counted(model, first, t_max, seeds):
+        stacks.append(seeds)
+        return run_stack(model, first, t_max, seeds)
+
+    monkeypatch.setattr(mcwf, "_run_stack", counted)
+    records = run_trajectories(make_config(), "S", 1.0, _STACK + 1, 3)
+    assert stacks == []
+    first = next(records)
+    assert len(stacks) == 1
+    rest = list(records)
+    assert stacks == [[(3, i) for i in range(_STACK)], [(3, _STACK)]]
+    assert [rec.seed for rec in [first, *rest]] == [(3, i) for i in range(_STACK + 1)]
+
+
+def test_initial_state_is_a_level_label(monkeypatch):
+    monkeypatch.setattr(mcwf, "_run_stack", _no_sampling)
+    for psi0 in ([1.0, 0.0, 0.0, 0.0], "s", "X"):
+        with pytest.raises(UnknownLevel):
+            run_trajectories(make_config(), psi0, 5.0, 1, 0)
 
 
 def test_ensemble_tracks_master_equation():
@@ -247,7 +277,7 @@ def test_statistics_require_photons():
 
 
 def test_photon_csv_format(capsys):
-    records = run_trajectories(_load_config_arg("fig3a"), "S", 5.0, [(9, 0), (9, 1)])
+    records = list(run_trajectories(_load_config_arg("fig3a"), "S", 5.0, 2, 9))
     assert main(["traj", "--config", "fig3a", "--t-max", "5", "--n-traj", "2", "--seed", "9"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "trajectory_id,jump_time_us,channel"
@@ -299,7 +329,8 @@ class _OracleSource:
 def _oracle_trajectory(config, psi0, t_max, seed):
     """Per-jump (source key, uniform, waiting time, channel) of the scalar sampler."""
     model = _EffectiveModel(config, t_max)
-    sources = {key: _OracleSource(model, _basis_ket(key), t_max) for key in {psi0, "S", "D"}}
+    kets = np.eye(4, dtype=complex)
+    sources = {key: _OracleSource(model, kets[level_index(key)], t_max) for key in {psi0, "S", "D"}}
     rng = default_rng(SeedSequence(seed))
     key, t_now, jumps = psi0, 0.0, []
     while True:
@@ -321,9 +352,9 @@ def _oracle_trajectory(config, psi0, t_max, seed):
     return model, sources, jumps
 
 
-def _assert_matches_oracle(config, psi0, t_max, seed):
-    model, sources, jumps = _oracle_trajectory(config, psi0, t_max, seed)
-    rec = _trajectory(config, psi0, t_max, seed)
+def _assert_matches_oracle(config, psi0, t_max, seed, index):
+    model, sources, jumps = _oracle_trajectory(config, psi0, t_max, (seed, index))
+    rec = list(run_trajectories(config, psi0, t_max, index + 1, seed))[index]
     assert rec.jump_channels == tuple(CHANNELS[ch] for _, _, _, ch in jumps)
     waits = np.array([dt for _, _, dt, _ in jumps])
     assert np.abs(np.diff(rec.jump_times, prepend=0.0) - waits).max(initial=0.0) < JUMP_TIME_TOL
@@ -342,18 +373,18 @@ def _assert_matches_oracle(config, psi0, t_max, seed):
 @pytest.mark.parametrize("seed", [(1, 0), (20260819, 1)])
 def test_block_sampler_matches_scalar_oracle(seed):
     # make_config() is the fig3a working point
-    rec = _assert_matches_oracle(make_config(), "S", 60.0, seed)
+    rec = _assert_matches_oracle(make_config(), "S", 60.0, *seed)
     assert rec.jump_times.size > 100
     assert "P->D" in rec.jump_channels
 
 
 def test_block_sampler_matches_oracle_over_several_blocks():
-    rec = _assert_matches_oracle(make_config(), "S", 200.0, 7)
+    rec = _assert_matches_oracle(make_config(), "S", 200.0, 7, 0)
     assert rec.jump_times.size > 32 + 64 + 128 + 256
 
 
 def test_block_sampler_matches_oracle_on_one_jump():
-    rec = _assert_matches_oracle(make_config(ob=0.0, orr=0.0, oc=0.0, gq=0.05), "Q", 400.0, 7)
+    rec = _assert_matches_oracle(make_config(ob=0.0, orr=0.0, oc=0.0, gq=0.05), "Q", 400.0, 7, 0)
     assert rec.jump_channels == ("Q->S",)
 
 
@@ -395,19 +426,14 @@ def _assert_records_equal(records, expected):
         assert rec.jump_channels == ref.jump_channels
 
 
-# a normalized superposition of S and Q, sampled from its own source
-_MIXED = np.array([0.6, 0.0, 0.0, 0.8j])
-
-
-@pytest.mark.parametrize("psi0", ["S", "P", "D", "Q", _MIXED], ids=["S", "P", "D", "Q", "vector"])
+@pytest.mark.parametrize("psi0", ["S", "P", "D", "Q"])
 @pytest.mark.parametrize("t_max", [2.0, 600.0])
 def test_stacked_sampler_equals_chain(psi0, t_max):
     # a fast metastable decay, so that starts in Q jump within t_max
     config = make_config(gq=0.05)
-    model, first = _prepare(config, psi0, t_max)
-    seeds = [(3, i) for i in range(3)]
-    expected = [_chain_record(model, first, t_max, seed) for seed in seeds]
-    _assert_records_equal(run_trajectories(config, psi0, t_max, seeds), expected)
+    model = _EffectiveModel(config, t_max)
+    expected = [_chain_record(model, model.source(psi0), t_max, (3, i)) for i in range(3)]
+    _assert_records_equal(list(run_trajectories(config, psi0, t_max, 3, 3)), expected)
     sizes = [rec.jump_times.size for rec in expected]
     if t_max < 10.0:
         assert max(sizes) < _FIRST_BLOCK
@@ -421,10 +447,9 @@ def test_stacked_sampler_equals_chain_when_sources_cascade():
     # pick another channel than it did from |S>; that moves the source of
     # the next pair, so blocks take several rounds to settle.
     config = make_config(oc=5.0, gq=5.0)
-    model, first = _prepare(config, "S", 100.0)
-    seeds = [(1, i) for i in range(3)]
-    expected = [_chain_record(model, first, 100.0, seed) for seed in seeds]
-    _assert_records_equal(run_trajectories(config, "S", 100.0, seeds), expected)
+    model = _EffectiveModel(config, 100.0)
+    expected = [_chain_record(model, model.source("S"), 100.0, (1, i)) for i in range(3)]
+    _assert_records_equal(list(run_trajectories(config, "S", 100.0, 3, 1)), expected)
     assert all("Q->S" in rec.jump_channels for rec in expected)
 
 
@@ -437,8 +462,9 @@ def _alternating_config():
 
 
 def test_block_sampler_settles_alternating_sources_at_one_inversion_per_pair(monkeypatch):
-    model, first = _prepare(_alternating_config(), _MIXED, 50.0)
-    sources = (model.source("S"), model.source("D"), first)
+    # a start in P gives the block a third source
+    model = _EffectiveModel(_alternating_config(), 50.0)
+    sources = (model.source("S"), model.source("D"), model.source("P"))
     rows, size = 4, _MAX_BLOCK
     u = default_rng(SeedSequence(9)).random((rows, 2 * size))
     u_wait, u_channel = u[:, 0::2], u[:, 1::2]
@@ -474,17 +500,16 @@ def test_block_sampler_settles_alternating_sources_at_one_inversion_per_pair(mon
 
 def test_stacked_sampler_equals_chain_when_sources_alternate():
     config = _alternating_config()
-    model, first = _prepare(config, "S", 50.0)
-    seeds = [(5, i) for i in range(3)]
-    expected = [_chain_record(model, first, 50.0, seed) for seed in seeds]
-    _assert_records_equal(run_trajectories(config, "S", 50.0, seeds), expected)
+    model = _EffectiveModel(config, 50.0)
+    expected = [_chain_record(model, model.source("S"), 50.0, (5, i)) for i in range(3)]
+    _assert_records_equal(list(run_trajectories(config, "S", 50.0, 3, 5)), expected)
     assert all(rec.jump_channels == ("P->D",) for rec in expected)
 
 
 def test_sources_build_without_warnings():
     # a decay rate that underflows at the end of a long survival table
     # used to overflow the inverse slope with a RuntimeWarning
-    model, _ = _prepare(make_config(oc=5.0, gq=5.0), "S", 3000.0)
+    model = _EffectiveModel(make_config(oc=5.0, gq=5.0), 3000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model.source("D")
@@ -493,11 +518,10 @@ def test_sources_build_without_warnings():
 @pytest.mark.parametrize("n_traj", [1, 70])
 def test_stacked_sampler_equals_chain_per_trajectory_count(n_traj):
     config = make_config()
-    model, first = _prepare(config, _MIXED, 60.0)
-    seeds = [(11, i) for i in range(n_traj)]
-    expected = [_chain_record(model, first, 60.0, seed) for seed in seeds]
+    model = _EffectiveModel(config, 60.0)
+    expected = [_chain_record(model, model.source("P"), 60.0, (11, i)) for i in range(n_traj)]
     assert n_traj == 1 or n_traj > _STACK
-    _assert_records_equal(run_trajectories(config, _MIXED, 60.0, seeds), expected)
+    _assert_records_equal(list(run_trajectories(config, "P", 60.0, n_traj, 11)), expected)
 
 
 def test_ensemble_equals_chain_built_ensemble():
@@ -506,7 +530,8 @@ def test_ensemble_equals_chain_built_ensemble():
     n_traj, seed = 70, 4
     trace, records = ensemble_populations(config, "S", grid, n_traj, seed, return_records=True)
 
-    model, first = _prepare(config, "S", float(grid[-1]))
+    model = _EffectiveModel(config, float(grid[-1]))
+    first = model.source("S")
     expected = [_chain_record(model, first, float(grid[-1]), (seed, i)) for i in range(n_traj)]
     _assert_records_equal(records, expected)
     total = np.zeros((grid.size, 4))
@@ -577,8 +602,7 @@ def _survival_residual(source, wait, u):
 @pytest.mark.parametrize("key", ["S", "D"])
 def test_sampler_matches_newton_run_to_a_zero_step(cascade, key):
     config = make_config(oc=5.0, gq=5.0) if cascade else make_config()
-    model, _ = _prepare(config, "S", 3000.0)
-    source = model.source(key)
+    source = _EffectiveModel(config, 3000.0).source(key)
     u_wait, u_channel = default_rng(SeedSequence(3)).random((2, 100_000))
     wait, channel = source.sample(u_wait, u_channel)
     ref_wait, ref_channel = _newton_sample(source, u_wait, u_channel)
@@ -608,7 +632,7 @@ def test_sampler_takes_about_one_evaluation_per_draw(monkeypatch):
 
     monkeypatch.setattr(mcwf._Source, "_invert", counted_invert)
     monkeypatch.setattr(mcwf._Source, "populations_and_derivatives", counted_evaluate)
-    records = run_trajectories(make_config(), "S", 1000.0, [(2, i) for i in range(4)])
+    records = list(run_trajectories(make_config(), "S", 1000.0, 4, 2))
     assert sum(rec.jump_times.size for rec in records) > 10_000
     assert counts["draws"] > 10_000
     assert counts["evaluations"] <= 1.1 * counts["draws"]
@@ -633,7 +657,7 @@ def test_sampler_draws_are_valid_at_any_rates(rabi, detuning, gamma_p, gamma_q, 
     u_wait, u_channel = default_rng(SeedSequence(17)).random((2, 2000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model, _ = _prepare(config, "S", t_max)
+        model = _EffectiveModel(config, t_max)
         for key in ("S", "D"):
             source = model.source(key)
             wait, channel = source.sample(u_wait, u_channel)

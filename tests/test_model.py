@@ -41,7 +41,6 @@ from nscheme.model import (
     level_index,
     load_config,
     pure_state,
-    resonance_mismatches,
     to_mhz,
     with_gamma_q,
 )
@@ -266,15 +265,6 @@ def valid_configs(draw):
 @given(config=valid_configs())
 def test_config_survives_the_json_round_trip(config):
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
-
-
-def test_resonance_mismatches():
-    m = resonance_mismatches(make_config(db=8.0, dr=3.0, dc=5.0))
-    assert m.three_photon == pytest.approx(0.0, abs=1e-12)
-    assert m.two_photon == pytest.approx(from_mhz(-5.0))
-    m2 = resonance_mismatches(make_config(db=8.0, dr=8.0, dc=0.0))
-    assert m2.two_photon == pytest.approx(0.0, abs=1e-12)
-    assert m2.carrier_c == 0.0
 
 
 def test_lamb_dicke_counter_geometry():

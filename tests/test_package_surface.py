@@ -10,7 +10,6 @@ PACKAGE = pathlib.Path(nscheme.__file__).parent
 #: entry points kept for callers outside the command line, each with its reason
 API_ONLY = {
     ("mcwf", "ensemble_populations"): "the traj_fig3a benchmark and the acceptance fixture average trajectories",
-    ("floquet", "convergence_check"): "reports the order+1 truncation delta, which no output prints yet",
 }
 
 
