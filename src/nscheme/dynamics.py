@@ -1,15 +1,21 @@
 """Deterministic time evolution, timescale fits, and photon correlations.
 
 The generator spans rates from gamma_P ~ 1e2 rad/us down to gamma_Q ~
-1e-6 rad/us, so rho(t) = exp(M t) rho0 is evaluated through the
-eigendecomposition of the 16x16 generator rather than by ODE
-stepping; an adaptive Runge-Kutta integrator runs only on request
-(method "rk"), as an independent oracle for the eigen route. The
-generator is trace preserving, so its kernel eigenvalue is exactly 0;
-eig returns it off zero by rounding (|lambda| ~ 1e-15 rad/us), which
-exp(lambda t) would turn into a steady state growing or decaying
-linearly in t. Eigenvalues within KERNEL_EIG_TOL ||M||_1 of zero are
-therefore pinned to 0 before propagation.
+1e-6 rad/us, so rho(t) = exp(M t) rho0 is evaluated through an
+eigendecomposition rather than by ODE stepping; an adaptive Runge-Kutta
+integrator runs only on request (method "rk"), as an independent
+oracle for the eigen route.
+
+Both routes propagate the affine form of the real generator M on the
+coordinates of rho (liouvillian's slot layout). The trace is conserved,
+so p_S = slot 0 is 1 minus the populations in slots 5, 10, 15 (the
+trace row t without slot 0), and the other 15 coordinates obey
+dc/dt = A c + b with A = M[1:, 1:] - M[1:, 0] t[1:] and b = M[1:, 0].
+With A = V diag(lambda) V^-1, c(t) = c0 + V (expm1(lambda t) / lambda)
+V^-1 (A c0 + b), the factor being t where lambda is exactly 0 (a level
+nothing feeds or drains). A holds no kernel mode of the trace, so a
+steady state neither grows nor decays however long the span, and a
+state with A c0 + b = 0 stays exactly where it is.
 
 scipy is imported on demand: scipy.integrate only when the stepwise
 integrator runs, so importing this module costs numpy alone.
@@ -24,18 +30,14 @@ import numpy as np
 
 from .errors import (ConfigError, DefectiveGenerator, FitFailed, NoConvergence, NonPhysicalState,
                      ZeroFluorescence)
-from .liouvillian import Superoperator, vec
+from .liouvillian import _DIAG, Superoperator, vec
 from .model import DensityMatrix, SystemConfig, level_index
 
 #: eigenbasis condition number beyond which eigen-propagation is distrusted
 EIG_COND_LIMIT = 1e12
-#: eigenvalues with |lambda| <= KERNEL_EIG_TOL ||M||_1 are the kernel, propagated as exactly 0.
-#: Rounding puts the presets' kernel eigenvalue within 2.3e-14 rad/us of 0, and their slowest
-#: decaying mode sits at 3.9e-4 rad/us, against a threshold of 3.6e-10 at ||M||_1 = 355 rad/us
-KERNEL_EIG_TOL = 1e-12
 #: largest ||M||_1 (t_end - t_0) handed to the stepwise integrator. An explicit
 #: step stays inside RK45's stability region, so the step count grows with it;
-#: every preset has ||M||_1 near 355 rad/us, so a 2000 us evolve comes to 7.1e5
+#: every preset has ||M||_1 near 332 rad/us, so a 2000 us evolve comes to 6.6e5
 RK_SPAN_LIMIT = 1e7
 
 
@@ -102,76 +104,70 @@ def _check_grid(times) -> np.ndarray:
 
 
 def propagate_vectors(superop: Superoperator, rho0, times, *, method: str = "auto") -> np.ndarray:
-    """Stack of vectorized rho(t), shape (n_times, 16).
+    """Stack of the coordinates of rho(t) (see liouvillian.vec), shape (n_times, 16).
 
     method "auto" (the default) and "eig" name one route,
-    eigen-propagation: it refuses an eigenbasis with condition number
-    past EIG_COND_LIMIT with DefectiveGenerator, and pins the kernel
-    eigenvalues (|lambda| <= KERNEL_EIG_TOL ||M||_1) to 0, so the steady
-    state neither grows nor decays however long the span. "rk" runs the
-    stepwise integrator on request, as an independent oracle; it refuses
-    a span whose ||M||_1 (t_end - t_0) exceeds RK_SPAN_LIMIT with
-    NoConvergence, so its run time stays bounded. A generator whose
-    ||M||_1 overflows is refused on both routes.
+    eigen-propagation of the affine form: it refuses an eigenbasis of A
+    with condition number past EIG_COND_LIMIT with DefectiveGenerator.
+    "rk" runs the stepwise integrator on the same form on request, as
+    an independent oracle; it refuses a span whose ||M||_1 (t_end -
+    t_0) exceeds RK_SPAN_LIMIT with NoConvergence, so its run time
+    stays bounded. A generator whose ||M||_1 overflows is refused on
+    both routes.
     """
     times = _check_grid(times)
-    v0 = vec(_as_matrix(rho0))
+    r0 = vec(_as_matrix(rho0))
     m = superop.matrix
 
     if method not in ("auto", "eig", "rk"):
         raise ConfigError(f"unknown propagation method {method!r}")
+    trace_row = np.isin(np.arange(1, 16), _DIAG)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.abs(m).sum(axis=0).max()  # ||M||_1
-    if not np.isfinite(norm):
+        a = m[1:, 1:] - np.outer(m[1:, 0], trace_row)  # within 2 ||M||_1, which may overflow alone
+    if not (np.isfinite(norm) and np.isfinite(a).all()):
         raise NoConvergence("||M||_1 of the generator overflows the float range")
+    b, c0 = m[1:, 0], r0[1:]
     if method != "rk":
-        lam, v, v_inv, cond = superop.eig()
+        lam, v, v_inv, cond = Superoperator(a).eig()
         if cond > EIG_COND_LIMIT:
             raise DefectiveGenerator(f"eigenbasis condition number {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}")
-        lam = np.where(np.abs(lam) <= KERNEL_EIG_TOL * norm, 0.0, lam)
-        coeff = v_inv @ v0
-        # rho_vec(t) = V diag(exp(lam t)) V^-1 rho_vec(0); an overflow shows as a non-finite stack
+        # an overflow shows as a non-finite stack
         with np.errstate(over="ignore", invalid="ignore"):
-            stack = (v @ (coeff[:, None] * np.exp(np.outer(lam, times)))).T
-        if not np.isfinite(stack).all():
+            kernel = lam == 0.0
+            ramp = np.expm1(np.outer(lam, times))
+            ramp[kernel] = times
+            # conjugate eigenpairs sum to a real vector, up to rounding in the imaginary part
+            c = c0 + (v @ ((v_inv @ (a @ c0 + b) / np.where(kernel, 1.0, lam))[:, None] * ramp)).real.T
+        if not np.isfinite(c).all():
             raise NoConvergence("eigen-propagation overflowed")
-        return stack
+    else:
+        with np.errstate(over="ignore"):  # an overflowing span is inf, and refused
+            span = norm * (times[-1] - times[0])
+        if not span <= RK_SPAN_LIMIT:
+            raise NoConvergence(f"stepwise integration over ||M||_1 (t_end - t_0) = {span:.3e} "
+                                f"exceeds {RK_SPAN_LIMIT:.0e}")
 
-    with np.errstate(over="ignore"):  # an overflowing span is inf, and refused
-        span = norm * (times[-1] - times[0])
-    if not span <= RK_SPAN_LIMIT:
-        raise NoConvergence(f"stepwise integration over ||M||_1 (t_end - t_0) = {span:.3e} "
-                            f"exceeds {RK_SPAN_LIMIT:.0e}")
+        from scipy.integrate import solve_ivp
 
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        lambda t, y: m @ y,
-        (times[0], times[-1]),
-        v0,
-        t_eval=times,
-        method="RK45",
-        rtol=1e-8,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise DefectiveGenerator(f"stepwise integration failed: {sol.message}")
-    return sol.y.T
+        sol = solve_ivp(lambda t, y: a @ y + b, (times[0], times[-1]), c0, t_eval=times, method="RK45",
+                        rtol=1e-8, atol=1e-12)
+        if not sol.success:
+            raise DefectiveGenerator(f"stepwise integration failed: {sol.message}")
+        c = sol.y.T
+    return np.concatenate([1.0 - c[:, trace_row].sum(axis=1, keepdims=True), c], axis=1)
 
 
 def evolve(superop: Superoperator, rho0, times, *, method: str = "auto") -> PopulationTrace:
     """Populations of rho(t) = exp(M t) rho0 on the given grid.
 
     The grid must start at 0 and increase strictly. Populations are
-    the real diagonal of the hermitized rho(t); the trace-sum and
+    the diagonal slots of the propagated coordinates; the trace-sum and
     range invariants of PopulationTrace double as the propagation
     sanity check.
     """
     times = _check_grid(times)
-    stack = propagate_vectors(superop, rho0, times, method=method)
-    rhos = stack.reshape((times.size, 4, 4)).transpose(0, 2, 1)  # column-major unvec per row
-    rhos = 0.5 * (rhos + np.conj(rhos.transpose(0, 2, 1)))
-    pops = np.real(np.diagonal(rhos, axis1=1, axis2=2)).copy()
+    pops = propagate_vectors(superop, rho0, times, method=method)[:, _DIAG]
     # scrub eigen-propagation roundoff so exact-zero populations stay in range
     tiny = (pops < 0.0) & (pops > -1e-10)
     pops[tiny] = 0.0
@@ -316,9 +312,8 @@ def g2(superop: Superoperator, rho_ss, tau_grid, config: SystemConfig, *, channe
 
     seeded = jump_map(rho)
     stack = propagate_vectors(superop, DensityMatrix(seeded / np.trace(seeded).real), tau_grid)
-    rhos = stack.reshape((tau_grid.size, 4, 4)).transpose(0, 2, 1)
     # Tr[J rho(tau)] needs only the P occupation of each propagated state
-    p_pop = np.real(rhos[:, 1, 1]) * np.trace(seeded).real
+    p_pop = stack[:, _DIAG[1]] * np.trace(seeded).real
     # the tau = 0 propagator is the identity; bypass its roundoff
     p_pop[0] = np.real(seeded[1, 1])
     total_rate = sum(rate for rate, _ in feeds)

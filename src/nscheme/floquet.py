@@ -2,27 +2,30 @@
 
 For an ion oscillating at the trap frequency nu, the density matrix
 is expanded as rho(t) = sum_n rho(n) exp(i n nu t) with |n| <= N.
-The stationary blocks x_n = vec(rho(n)) obey a block-tridiagonal
-system: row n reads (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}) = 0,
-with M0 the carrier generator, C the sideband commutator -i[H_side, .]
-and x_{+-(N+1)} = 0.
+The stationary blocks x_n = vec(rho(n)), the coordinates of rho(n) in
+liouvillian's slot layout, obey a block-tridiagonal system: row n
+reads (M0 - i n nu) x_n + C (x_{n-1} + x_{n+1}) = 0, with M0 the real
+carrier generator, C the real generator of the sideband commutator
+-i[H_side, .] and x_{+-(N+1)} = 0.
 
 It is solved by the matrix continued fraction (Risken, The
 Fokker-Planck Equation, ch. 9). With S_{N+1} = 0 the upper harmonics
 follow x_n = S_n x_{n-1}, S_n = -(M0 - i n nu + C S_{n+1})^{-1} C.
-Both M0 and C map X+ to (M X)+ (C because H_side is Hermitian), so
-the block system is invariant under rho(n) -> rho(-n)+: the lower
-ratio is T_1 = P conj(S_1) P, with P the vec-transpose permutation,
-and the lower blocks are the mirrored upper ones, rho(-n) = rho(n)+.
-The n = 0 row leaves the 16x16 effective generator M0 + C S_1 + C
-T_1, whose kernel one LU of the bordered system gives; rho(0) is
-normalized and hermitized, and the upper blocks follow from it. A
-stack solve returns the upper blocks only; a single solve sets each
-lower block to its upper block's conjugate transpose. The n = 0
-block carries the physical populations; blocks with n != 0 are
-traceless. The pairing defect is the hermiticity defect of rho(0)
-before it was hermitized, rounding only. The residual over the block
-rows n = 0..N is the correctness gate; row -n is row n mirrored.
+M0 and C are real, so the block system is invariant under
+x_n -> conj(x_{-n}), i.e. rho(n) -> rho(-n)+: the lower ratio is
+T_1 = conj(S_1), and the lower blocks are x_{-n} = conj(x_n). The
+n = 0 row leaves the real 16x16 effective generator
+M0 + C S_1 + C conj(S_1) = M0 + 2 Re(C S_1); one LU of its bordered
+system gives a real kernel x_0, so rho(0) is Hermitian as it stands,
+and the upper blocks follow from it. A point whose bordered system is
+exactly singular fails alone, with DegenerateKernel. A stack solve
+returns the upper blocks only; a single solve sets each lower block to
+its upper block's conjugate transpose. The n = 0 block carries the
+physical populations; blocks with n != 0 are traceless. The pairing
+defect max |x_0 - conj x_0| is the hermiticity defect of rho(0): 0 on
+the continued fraction, rounding on the pencil. The residual over the
+block rows n = 0..N is the correctness gate; row -n is row n
+conjugated.
 
 Every step runs on a stack of points, given as a model.ParamTable; a
 single solve is a table of one.
@@ -50,7 +53,7 @@ continued fraction's accuracy is left to the continued fraction.
 
 Both routes build M0, C and the shift -i nu in one place
 (_generators) and end in one verdict (_verdict): the same trace
-normalization, hermitized rho(0) and pairing defect, the same
+normalization and pairing defect, the same
 residual over rows 0..N (_block_rows) and the same gates, so a point
 passes or fails for the same reasons on either route.
 """
@@ -63,7 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
-from .liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
+from .liouvillian import _DIAG, commutator_stack, hamiltonian_stack, superoperator_stack, unvec
 from .model import _TABLE_FIELDS, ParamTable, SystemConfig, require_integer
 from .steady import bordered_kernel
 
@@ -86,20 +89,17 @@ PENCIL_STEP_TOL = 1e-8
 #: largest truncation order a sweep solves on the pencil (see _pencil_pays)
 PENCIL_MAX_ORDER = 16
 
-_DIAG = [5 * k for k in range(4)]  # vec indices of the diagonal of a 4x4 block
-_TRANSPOSE = [4 * (i % 4) + i // 4 for i in range(16)]  # vec(X^T) = vec(X)[_TRANSPOSE]
-
 
 @dataclasses.dataclass(frozen=True)
 class FloquetBlockSystem:
     """Solved harmonic blocks rho(n), n in [-order, order].
 
     blocks[n] are 4x4; populations come from the real diagonal of the
-    n = 0 block, and rho(-n) = rho(n)+ exactly. pairing_defect is the
-    max |rho(0) - rho(0)+| of the solved rho(0) before it was
-    hermitized, which measures rounding only. residual is the max-norm
-    defect of the block system's rows, those with n < 0 being the
-    mirrored rows n > 0.
+    n = 0 block, and rho(-n) = rho(n)+ exactly. pairing_defect is
+    max |x_0 - conj x_0| of the solved coordinates of rho(0), which
+    measures rounding only. residual is the max-norm defect of the
+    block system's rows, those with n < 0 being the conjugated rows
+    n > 0.
     """
 
     order: int
@@ -132,10 +132,12 @@ def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.n
     where a point failed), the block-system residuals (k,) over rows n
     = 0..order, the pairing defects (k,), and for each point None or the
     SolverError it failed with (see _verdict). It makes order + 1
-    stacked solves, one per upper ratio S_n and one for the kernel. The
-    lower blocks are the mirrored upper ones, rho(-n) = rho(n)+. order
-    must lie in [1, MAX_ORDER + 1]. A LAPACK failure of a stacked call
-    raises the SolverError it maps to for the whole stack.
+    stacked solves, one per upper ratio S_n and one for the kernel (see
+    steady.bordered_kernel: an exactly singular kernel system fails its
+    point alone). The lower blocks are the mirrored upper ones, rho(-n)
+    = rho(n)+. order must lie in [1, MAX_ORDER + 1]. A LAPACK failure of
+    a stacked continued-fraction solve raises the SolverError it maps
+    to for the whole stack.
     """
     if not table.enabled.all():
         raise MotionDisabled("the Floquet expansion needs motion enabled")
@@ -145,17 +147,19 @@ def solve_floquet_stack(table: ParamTable, order: int) -> tuple[np.ndarray, np.n
     with np.errstate(all="ignore"):
         m0, c, coupling, shift = _generators(table)
         upper = _fraction(m0, c, shift, order)
-        t_1 = upper[0][:, _TRANSPOSE][:, :, _TRANSPOSE].conj()  # T_1 = P conj(S_1) P
-        x0 = bordered_kernel(m0 + c @ upper[0] + c @ t_1, 4)
+        # C S_1 + C conj(S_1) = 2 Re(C S_1), as C is real
+        x0, kernel_errors = bordered_kernel(m0 + 2.0 * (c @ upper[0]).real, 4)
     x, residual, pairing, errors = _verdict(x0[:, None], coupling, shift, upper)
-    return np.swapaxes(x.reshape(*x.shape[:2], 4, 4), -1, -2), residual, pairing, errors
+    # a singular point's NaN kernel fails the verdict too; its first failure is the kernel's
+    errors = [verdict if kernel is None else kernel for kernel, verdict in zip(kernel_errors, errors)]
+    return unvec(x), residual, pairing, errors
 
 
 def _generators(table: ParamTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """M0, C, [M0, C] transposed (k, 32, 16) and the shift -i nu (k, 1) of the table's points."""
     parts = hamiltonian_stack(table)
     m0 = superoperator_stack(parts.h_total, table)
-    c = commutator_superoperator(parts.h_side)
+    c = commutator_stack(parts.h_side)
     return m0, c, np.concatenate([m0, c], axis=2).mT, -1j * table.trap_frequency[:, None]
 
 
@@ -164,26 +168,24 @@ def _verdict(x: np.ndarray, coupling: np.ndarray, shift: np.ndarray,
     """Normalized blocks x_0..x_order (k, order + 1, 16), residuals, pairing defects and errors of a stack.
 
     x (k, m, 16) holds each point's blocks x_0..x_{m-1} up to a factor;
-    they are divided by the trace of rho(0), rho(0) is hermitized, and
-    each ratio S_n of upper appends x_n = S_n x_{n-1}. errors[i] is None
-    or the SolverError of the first gate point i fails: a trace not
-    finite or vanishing, a residual not at most FLOQUET_RESIDUAL_TOL, a
-    rho(0) eigenvalue below -1e-8; a failed point's values are NaN. A
-    LAPACK failure of the stacked eigvalsh raises NoConvergence.
+    they are divided by the trace of rho(0), and each ratio S_n of
+    upper appends x_n = S_n x_{n-1}. errors[i] is None or the
+    SolverError of the first gate point i fails: a trace not finite or
+    vanishing, a residual not at most FLOQUET_RESIDUAL_TOL, a rho(0)
+    eigenvalue below -1e-8; a failed point's values are NaN. A LAPACK
+    failure of the stacked eigvalsh raises NoConvergence.
     """
     with np.errstate(all="ignore"):
         trace = x[:, 0, _DIAG].sum(axis=1)
         x = x / trace[:, None, None]
-        mirrored = x[:, 0, _TRANSPOSE].conj()
-        pairing = np.abs(x[:, 0] - mirrored).max(axis=1)
-        x[:, 0] = 0.5 * (x[:, 0] + mirrored)
+        pairing = np.abs(x[:, 0] - x[:, 0].conj()).max(axis=1)
         if len(upper):
             column = [x[:, 0].reshape(-1, 16, 1)]
             for s_n in upper:
                 column.append(s_n @ column[-1])
             x = np.concatenate([x, np.concatenate(column[1:], axis=2).mT], axis=1)
-        # rows n = 0..order with x_{-1} = x_1+ (row -n is row n mirrored) and x_{order+1} = 0
-        padded = np.concatenate([x[:, 1:2, _TRANSPOSE].conj(), x, np.zeros_like(x[:, :1])], axis=1)
+        # rows n = 0..order with x_{-1} = conj(x_1) (row -n is row n conjugated) and x_{order+1} = 0
+        padded = np.concatenate([x[:, 1:2].conj(), x, np.zeros_like(x[:, :1])], axis=1)
         residual = np.abs(_block_rows(coupling, shift, padded, 0)).max(axis=(1, 2))
     errors = [None] * len(x)
     # the gates in reverse order, so that the first gate a point fails names its error
@@ -196,8 +198,7 @@ def _verdict(x: np.ndarray, coupling: np.ndarray, shift: np.ndarray,
     failed = np.array([e is not None for e in errors])
     try:
         # a valid stand-in keeps the failed points out of the stacked call
-        lowest = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(4) / 4,
-                                             np.swapaxes(x[:, 0].reshape(-1, 4, 4), -1, -2)))[:, 0]
+        lowest = np.linalg.eigvalsh(np.where(failed[:, None, None], np.eye(4) / 4, unvec(x[:, 0])))[:, 0]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalues of rho(0): {exc}") from None
     for i in np.flatnonzero(lowest < -1e-8):
@@ -217,7 +218,7 @@ def require_order(order, what: str = "Floquet order") -> int:
 
 def _shifted(m0: np.ndarray, n: int, shift: np.ndarray) -> np.ndarray:
     """M0 - i n nu of every point: shift (k, 1) times n added to a copy's diagonal."""
-    out = m0.copy()
+    out = m0.astype(complex)
     out.reshape(len(out), -1)[:, ::17] += n * shift  # a strided view of each 16x16 diagonal
     return out
 

@@ -1,21 +1,29 @@
-"""Hamiltonian and Lindblad superoperator construction.
+"""Hamiltonian and Lindblad generator construction.
 
-Density matrices are vectorized column-major (Fortran order): element
-(i, j) of rho sits at vec index i + 4*j, so vec(A rho B) =
-(B^T kron A) vec(rho) and the coherent part of the generator is
-M = -i [(1 kron h) - (h^T kron 1)].
+A Hermitian 4x4 matrix X is held as 16 real coordinates in an
+orthonormal basis F_s of Hermitian matrices, Tr(F_s F_t) = delta_st
+(the coherence vector of Alicki and Lendi, Quantum Dynamical Semigroups
+and Applications, LNP 286, 1987): x_s = Tr(F_s X) and X = sum_s x_s F_s.
+Slot 5 i holds X_ii; for each level pair i < j, slot i + 4 j holds
+sqrt(2) Re X_ij and slot j + 4 i holds sqrt(2) Im X_ij. So the trace is
+the sum of slots 0, 5, 10, 15, slot i + 4 j involves levels i and j
+alone, and X+ has the conjugate coordinates of X (a Floquet harmonic
+rho(n), n != 0, has complex ones).
 
-There is one way to build the generator: the commutator of h, plus
-the Lindblad dissipator of the config's jump operators (P decays at
-gamma_p with branching beta_ps to S and beta_pd to D; Q decays at
-gamma_q to S only), minus the laser-linewidth dephasing rates on the
-diagonal. Multi-photon coherences dephase at the summed linewidths of
-the lasers involved; with every linewidth zero the last term vanishes.
-Every input of the generator (Hamiltonian, jump rates, dephasing) is
-built as a stack over points from a model.ParamTable, the parameter
-columns of the points; a single point is a table of one. The
-commutator superoperator is written by index: its 112 structural
-nonzeros are entries of h, so no Kronecker product is formed.
+The generator L of the master equation acts on the coordinates as the
+real 16x16 matrix R_st = Tr(F_s L(F_t)): the complex superoperator of
+L on column-major vec(rho) in a unitary change of basis, with the same
+spectrum and singular values. It is built one way: the commutator of
+h, plus the Lindblad dissipator of the config's jump operators (P
+decays at gamma_p with branching beta_ps to S and beta_pd to D; Q
+decays at gamma_q to S only), minus the laser-linewidth dephasing of
+the coherences, where a multi-photon coherence dephases at the summed
+linewidths of the lasers involved. R is linear in the 16 real
+components of h (h_ii, Re h_ij, Im h_ij), the three decay rates and
+the three linewidths, so a stack of generators is one product of
+those columns, taken from a model.ParamTable, with a constant basis
+of unit generators. The sideband coupling C is the commutator part
+alone, applied to the components of h_side.
 """
 
 from __future__ import annotations
@@ -27,21 +35,42 @@ import numpy as np
 from .errors import NoConvergence, NotHermitian
 from .model import ParamTable, SystemConfig
 
-_I4 = np.eye(4)
-
 # level indices in the fixed (S, P, D, Q) order
 _S, _P, _D, _Q = 0, 1, 2, 3
 
+# the level pairs i < j, and the slots of their real and imaginary parts
+_I, _J = np.triu_indices(4, 1)
+_RE = _I + 4 * _J
+_IM = _J + 4 * _I
+_DIAG = 5 * np.arange(4)
+# coordinate of a unit component: 1 on the diagonal, sqrt(2) for a real or imaginary part
+_SCALE = np.ones(16)
+_SCALE[np.r_[_RE, _IM]] = np.sqrt(2.0)
+
+
+def _components(x: np.ndarray) -> np.ndarray:
+    """Real components (..., 16) of Hermitian matrices (..., 4, 4): X_ii at 5 i, Re and Im X_ij at i + 4 j, j + 4 i."""
+    x, out = np.asarray(x), np.empty(np.shape(x)[:-2] + (16,))
+    upper = x[..., _I, _J]
+    out[..., _DIAG], out[..., _RE], out[..., _IM] = np.diagonal(x, axis1=-2, axis2=-1).real, upper.real, upper.imag
+    return out
+
 
 def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-major vectorization of a 4x4 matrix."""
-    return np.asarray(rho, dtype=complex).flatten(order="F")
+    """Real coordinates (..., 16) of Hermitian matrices (..., 4, 4), in the slot layout above."""
+    return _components(rho) * _SCALE
 
 
-def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of 4x4 matrices as 16x16, broadcast over leading axes."""
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(*prod.shape[:-4], 16, 16)
+def unvec(x: np.ndarray) -> np.ndarray:
+    """The matrices (..., 4, 4) of coordinates (..., 16); real coordinates give Hermitian matrices."""
+    x = np.asarray(x)
+    out = np.zeros(x.shape[:-1] + (4, 4), dtype=complex)
+    out[..., range(4), range(4)] = x[..., _DIAG]
+    with np.errstate(invalid="ignore"):  # 1j * inf
+        re, im = x[..., _RE] / _SCALE[_RE], 1j * (x[..., _IM] / _SCALE[_IM])
+        out[..., _I, _J] = re + im
+        out[..., _J, _I] = re - im
+    return out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -102,87 +131,66 @@ def build_hamiltonian(config: SystemConfig) -> HamiltonianParts:
     return parts
 
 
-# flat (row * 16 + column) positions of the commutator superoperator's
-# nonzeros and the flat (4 q + s) entries of h they hold: in the
-# column-major convention 1 kron h puts h[q, s] at (4p + q, 4p + s), and
-# h^T kron 1 puts h[r, p] at (4p + q, 4r + q); the two meet on the
-# diagonal p = r, q = s.
-_p, _q, _r = np.indices((4, 4, 4)).reshape(3, -1)
-_LEFT = 16 * (4 * _p + _q) + 4 * _p + _r, 4 * _q + _r
-_RIGHT = 16 * (4 * _p + _q) + 4 * _r + _q, 4 * _r + _p
-del _p, _q, _r
+def _unit_generators() -> np.ndarray:
+    """Generators (22, 256) of each unit component of h, unit decay rate and unit linewidth.
 
-
-def commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    """Superoperator of -i [h, .] in the column-major convention.
-
-    h may be a stack (..., 4, 4); the result is then (..., 16, 16).
-    Only the structural nonzeros are written, so a non-finite entry of
-    h spreads to the entries that hold it and no further.
+    Each is R_st = Tr(F_s L(F_t)), found from the exact components of L
+    applied to the unit-component matrices G_t (entries 0, +-1, +-i),
+    scaled once to the orthonormal basis F_t = G_t / _SCALE[t].
     """
-    h = np.asarray(h)
-    with np.errstate(invalid="ignore"):  # -1j * inf
-        entries = -1j * h.reshape(*h.shape[:-2], 16)
-    m = np.zeros((*h.shape[:-2], 256), dtype=complex)
-    m[..., _LEFT[0]] = entries[..., _LEFT[1]]
-    with np.errstate(over="ignore", invalid="ignore"):  # h[q, q] - h[p, p] past the float range
-        m[..., _RIGHT[0]] -= entries[..., _RIGHT[1]]
-    return m.reshape(*h.shape[:-2], 16, 16)
+    units = np.zeros((16, 4, 4), dtype=complex)
+    units[_DIAG, range(4), range(4)] = 1.0
+    units[_RE, _I, _J] = units[_RE, _J, _I] = 1.0
+    units[_IM, _I, _J], units[_IM, _J, _I] = 1j, -1j
+    # the jump operators |S><P|, |D><P|, |S><Q|, and each laser's linewidth on the coherences of its
+    # path (b_B, b_R, b_C): a coherence dephases at the sum over the lasers connecting its levels
+    ops, widths = np.zeros((3, 4, 4)), np.zeros((3, 4, 4))
+    ops[range(3), [_S, _D, _S], [_P, _P, _Q]] = 1.0
+    for laser, pairs in enumerate([[(_P, _S), (_S, _D), (_Q, _P), (_Q, _D)], [(_P, _D), (_S, _D), (_Q, _D)],
+                                   [(_Q, _S), (_Q, _P), (_Q, _D)]]):
+        for a, b in pairs:
+            widths[laser, a, b] = widths[laser, b, a] = 1.0
+    images = [-1j * (g @ units - units @ g) for g in units]
+    images += [op @ units @ op.T - 0.5 * (op.T @ op @ units + units @ op.T @ op) for op in ops]
+    images += [-w * units for w in widths]
+    basis = np.stack([_components(image).T * (_SCALE[:, None] / _SCALE) for image in images])
+    return basis.reshape(len(images), 256)
 
 
-def lindblad_dissipator(jump_ops: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Generic Lindblad dissipator for (rate, L) pairs.
+_GENERATORS = _unit_generators()
+_GENERATORS.setflags(write=False)
 
-    sum_k rate_k [L rho L+ - (L+L rho + rho L+L)/2], as a 16x16
-    superoperator; with rates of shape (k,), a (k, 16, 16) stack.
+
+def _generator_of(columns: np.ndarray) -> np.ndarray:
+    """Generators (k, 16, 16) of the columns (k, m), the weights of the first m unit generators.
+
+    A non-finite column value makes its own point's generator non-finite
+    and no other point's.
     """
-    m = np.zeros(np.broadcast_shapes(*(np.shape(rate) for rate, _ in jump_ops)) + (16, 16), dtype=complex)
-    for rate, op in jump_ops:
-        op = np.asarray(op, dtype=complex)
-        ldl = op.conj().T @ op
-        m += np.asarray(rate)[..., None, None] * (
-            _kron4(op.conj(), op)
-            - 0.5 * _kron4(_I4, ldl)
-            - 0.5 * _kron4(ldl.T, _I4)
-        )
-    return m
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, sums past the float range
+        return (columns @ _GENERATORS[:columns.shape[-1]]).reshape(len(columns), 16, 16)
 
 
-# the P->S, P->D and Q->S jump operators, in the order of _decay_stack's rate columns
-_DECAY_OPS = np.zeros((3, 4, 4))
-_DECAY_OPS[[0, 1, 2], [_S, _D, _S], [_P, _P, _Q]] = 1.0
-_DECAY_OPS.setflags(write=False)
-# their dissipators at unit rate; a channel's dissipator is its rate times its basis entry
-_DISSIPATOR_BASIS = np.stack([lindblad_dissipator([(1.0, op)]).real for op in _DECAY_OPS])
-_DISSIPATOR_BASIS.setflags(write=False)
-# the flat entries where any of them is nonzero; elsewhere a sum of finite rates times them is +0.0
-_DISSIPATOR_SUPPORT = np.flatnonzero(_DISSIPATOR_BASIS.any(axis=0))
-_DISSIPATOR_ON_SUPPORT = _DISSIPATOR_BASIS.reshape(3, 256)[:, _DISSIPATOR_SUPPORT]
+def commutator_stack(h: np.ndarray) -> np.ndarray:
+    """Real generators (k, 16, 16) of -i [h, .] for a stack of Hermitian h (k, 4, 4)."""
+    return _generator_of(_components(h))
 
 
-def _decay_stack(table: ParamTable) -> tuple[np.ndarray, np.ndarray]:
-    """Rates (k, 3) of the P->S, P->D, Q->S decays, and dephasing (k, 4, 4).
+def superoperator_stack(h: np.ndarray, table: ParamTable) -> np.ndarray:
+    """Generators of a stack of points, (k, 16, 16), one per point of the table.
 
-    Dephasing entry [i, a, b] is the extra decay of rho_ab at point i:
-    one-photon coherences decay at the linewidth of the laser driving
-    them, multi-photon coherences at the sum over the connecting path:
-    S-D at b_B + b_R, Q-P at b_B + b_C, Q-D at b_B + b_R + b_C.
+    h is (k, 4, 4), typically hamiltonian_stack(table).h_total. Point i
+    is the commutator of h[i], plus the dissipator of the decay
+    channels at the table's rates of point i, minus its linewidth
+    dephasing; every generator, single or swept, is built here.
     """
     rates = np.stack([table.beta_ps * table.gamma_p, table.beta_pd * table.gamma_p, table.gamma_q], axis=1)
-    b_b, b_r, b_c = table.linewidth.T
-    dephasing = np.zeros((len(table), 4, 4))
-    dephasing[:, _P, _S] = b_b
-    dephasing[:, _P, _D] = b_r
-    dephasing[:, _Q, _S] = b_c
-    dephasing[:, _S, _D] = b_b + b_r
-    dephasing[:, _Q, _P] = b_b + b_c
-    dephasing[:, _Q, _D] = b_b + b_r + b_c
-    return rates, dephasing + np.swapaxes(dephasing, -1, -2)
+    return _generator_of(np.concatenate([_components(h), rates, table.linewidth], axis=1))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Superoperator:
-    """16x16 generator acting on column-major vectorized rho."""
+    """A real generator: 16x16 on the coordinates of rho (see vec), or the 15x15 affine form of dynamics."""
 
     matrix: np.ndarray
 
@@ -201,33 +209,6 @@ class Superoperator:
         except np.linalg.LinAlgError:
             v_inv, cond = None, np.inf
         return lam, v, v_inv, cond
-
-
-def superoperator_stack(h: np.ndarray, table: ParamTable) -> np.ndarray:
-    """Generators of a stack of points, (k, 16, 16), one per point of the table.
-
-    h is (k, 4, 4), typically hamiltonian_stack(table).h_total. Point
-    i is commutator_superoperator(h[i]) plus the dissipator of the
-    decay channels at the table's rates of point i, minus its dephasing
-    rates on the coherences' diagonal entries. The rates and dephasing
-    are built as stacks too; every generator, single or swept, is built
-    here. The dissipator sums the channels' rates times their unit-rate
-    dissipators in channel order, on the entries where those are
-    nonzero, which is lindblad_dissipator's sum to the bit for finite
-    rates.
-    """
-    k = len(table)
-    rates, dephasing = _decay_stack(table)
-    on_support = np.zeros((k, _DISSIPATOR_SUPPORT.size))
-    for rate, basis in zip(rates.T, _DISSIPATOR_ON_SUPPORT):
-        on_support += rate[:, None] * basis
-    dissipator = np.zeros((k, 256))
-    dissipator[:, _DISSIPATOR_SUPPORT] = on_support
-    m = commutator_superoperator(h)
-    m += dissipator.reshape(k, 16, 16)
-    diag = np.arange(16)
-    m[:, diag, diag] -= np.swapaxes(dephasing, -1, -2).reshape(k, 16)
-    return m
 
 
 def build_superoperator(h: np.ndarray, config: SystemConfig) -> Superoperator:

@@ -106,7 +106,7 @@ class Spectrum:
     error name for NaN rows. metadata records enough context (package
     version, base-config hash, solver settings) to reproduce the sweep;
     a Floquet sweep's adds max_pairing_defect, the largest hermiticity
-    defect of a solved point's rho(0) before it was hermitized, and
+    defect max |x_0 - conj x_0| of a solved point's rho(0), and
     solved_by, the number of points solved by the pencil and by the
     continued fraction.
     """

@@ -1,28 +1,29 @@
 """Steady states of the Lindblad generator.
 
-The kernel of a generator M is found by replacing its first
-diagonal-element row with the trace row and solving this bordered
-system A x = e_0 with one LU factorization. The kernel must be unique:
-the relative gap sigma_{n^2-1} / sigma_1 of M's singular values must
-reach GAP_THRESHOLD (1e-8).
+The generator M is real, on the coordinates of rho (liouvillian's slot
+layout), so its kernel vector gives a Hermitian rho as it stands. The
+kernel is found by replacing M's first row (slot 0) with the trace row
+(slots 5 i) and solving this bordered system A x = e_0 with one LU
+factorization. The kernel must be unique: the relative gap
+sigma_{n^2-1} / sigma_1 of M's singular values must reach
+GAP_THRESHOLD (1e-8).
 
 Uniqueness is certified first, from the bordered system itself: one
 inverse A^-1 gives x as its first column, and since A differs from M
 in one row, GAP_THRESHOLD ||M||_F ||A^-1||_F <= 1 proves the gap
 (interlacing; see _certified). Such a point is accepted without an
-SVD. Only the uncertified points, or every point of a stack that holds
-an exactly singular A, have their singular values computed, and the
-gap decides them. Below the gap, levels that receive no population
+SVD. Only the uncertified points, among them any point whose A is
+exactly singular, have their singular values computed, and the gap
+decides them. Below the gap, levels that receive no population
 or coherence inflow ("unfed" levels, e.g. Q when Omega_C = 0) are
 removed and the reduced block is solved with the removed levels empty,
 which is the physically prepared branch. A degenerate kernel that no
 such reduction explains raises DegenerateKernel.
 
 Every step runs on a stack of generators, one generator being a stack
-of one, and each point keeps its own verdict. Only a LAPACK failure of
-a stacked SVD, or of the bordered solve on a stack whose A is exactly
-singular, raises for the whole stack, as the SolverError that step
-maps it to.
+of one, and each point keeps its own verdict; an exactly singular A
+fails its point alone. Only a LAPACK failure of a stacked SVD raises
+for the whole stack, as NoConvergence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateKernel, NoConvergence, SolverError
-from .liouvillian import Superoperator
+from .liouvillian import Superoperator, unvec, vec
 from .model import DensityMatrix, check_density_matrices
 
 #: relative singular-value gap below which the kernel is treated as degenerate
@@ -57,12 +58,12 @@ def steady_states(matrices: np.ndarray) -> tuple[np.ndarray, list]:
     point None or the SolverError the point failed with.
     """
     x, errors = _steady_vecs(matrices, 4)
-    return _physical(np.swapaxes(x.reshape(-1, 4, 4), -1, -2), errors)
+    return _physical(unvec(x), errors)
 
 
 def residuals(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """max |M vec(rho)| of each point of a stack, the stationarity defects."""
-    return np.abs(matrices @ np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], 16, 1)).max(axis=(-2, -1))
+    return np.abs(matrices @ vec(rho)[..., None]).max(axis=(-2, -1))
 
 
 def residual(superop: Superoperator, rho: DensityMatrix) -> float:
@@ -70,16 +71,32 @@ def residual(superop: Superoperator, rho: DensityMatrix) -> float:
     return float(residuals(superop.matrix, rho.matrix))
 
 
-def bordered_kernel(m: np.ndarray, n: int) -> np.ndarray:
+def bordered_kernel(m: np.ndarray, n: int) -> tuple[np.ndarray, list]:
     """Kernel vectors (k, n^2) of a stack of n-level generators, of trace 1 up to rounding.
 
-    One LU solve of the bordered system A x = e_0 per point; a singular
-    A raises DegenerateKernel for the whole stack.
+    One LU solve of the bordered system A x = e_0 per point; per point
+    also None, or the DegenerateKernel of an exactly singular A.
+    """
+    return _pointwise(lambda a: np.linalg.solve(a, np.eye(n * n, 1))[..., 0], _bordered(m, n), (n * n,))
+
+
+def _pointwise(solve, a: np.ndarray, shape: tuple) -> tuple[np.ndarray, list]:
+    """solve(a) of a stack of matrices, and per point None or the DegenerateKernel of an exactly singular one.
+
+    When the stacked call meets an exactly singular matrix, each point
+    is solved alone, and a singular one holds NaN of a result's shape.
     """
     try:
-        return np.linalg.solve(_bordered(m, n), np.eye(n * n, 1))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateKernel(f"bordered system singular: {exc}") from None
+        return solve(a), [None] * len(a)
+    except np.linalg.LinAlgError:
+        pass
+    out, errors = np.full((len(a), *shape), np.nan), [None] * len(a)
+    for i in range(len(a)):
+        try:
+            out[i] = solve(a[i:i + 1])[0]
+        except np.linalg.LinAlgError as exc:
+            errors[i] = DegenerateKernel(f"bordered system singular: {exc}")
+    return out, errors
 
 
 def _bordered(m: np.ndarray, n: int) -> np.ndarray:
@@ -88,7 +105,7 @@ def _bordered(m: np.ndarray, n: int) -> np.ndarray:
     The first diagonal-element row of each generator is replaced by the
     trace row, so A x = e_0 gives a kernel vector of trace 1.
     """
-    a = np.array(m, dtype=complex)
+    a = np.array(m)
     a[:, 0, :] = 0.0
     a[:, 0, [i + n * i for i in range(n)]] = 1.0
     return a
@@ -115,11 +132,9 @@ def _steady_vec(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _steady_vecs(m: np.ndarray, n: int) -> tuple[np.ndarray, list]:
-    try:
-        a_inv = np.linalg.inv(_bordered(m, n))  # column 0, A^-1 e_0, is the kernel vector
-    except np.linalg.LinAlgError:
-        a_inv = None  # an exactly singular A: the SVD decides every point of the stack
-    gapped = np.zeros(len(m), dtype=bool) if a_inv is None else _certified(m, a_inv, n)
+    # column 0, A^-1 e_0, is the kernel vector; an exactly singular A is NaN and left to the reduction
+    a_inv = _pointwise(np.linalg.inv, _bordered(m, n), (n * n, n * n))[0]
+    gapped = _certified(m, a_inv, n)
     uncertified = np.flatnonzero(~gapped)
     sing = np.empty((0, n * n))
     if uncertified.size:
@@ -127,11 +142,12 @@ def _steady_vecs(m: np.ndarray, n: int) -> tuple[np.ndarray, list]:
             sing = np.linalg.svd(m[uncertified], compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular values of the generator: {exc}") from None
-        gapped[uncertified] = (sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
-    x = np.full((len(m), n * n), np.nan, dtype=complex)
+        gapped[uncertified] = ((sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
+                               & ~np.isnan(a_inv[uncertified, 0, 0]))
+    x = np.full((len(m), n * n), np.nan)
     errors = [None] * len(m)
     if gapped.any():
-        sol = bordered_kernel(m[gapped], n) if a_inv is None else a_inv[gapped, :, 0]
+        sol = a_inv[gapped, :, 0]
         x[gapped] = sol / sol[:, [i + n * i for i in range(n)]].sum(axis=1, keepdims=True)
         defects = np.abs(m[gapped] @ x[gapped, :, None]).max(axis=(1, 2))
         for i, defect in zip(np.flatnonzero(gapped), defects):
@@ -158,7 +174,7 @@ def _reduced_vec(m: np.ndarray, n: int, sing: np.ndarray) -> np.ndarray:
             "and no decoupled level explains it"
         )
     sub_idx = [kept[i] + n * kept[j] for j in range(len(kept)) for i in range(len(kept))]
-    x = np.zeros(n * n, dtype=complex)
+    x = np.zeros(n * n)
     x[sub_idx] = _steady_vec(m[np.ix_(sub_idx, sub_idx)], len(kept))
     return x
 
@@ -166,13 +182,13 @@ def _reduced_vec(m: np.ndarray, n: int, sing: np.ndarray) -> np.ndarray:
 def _unfed_levels(m: np.ndarray, n: int, scale: float) -> list[int]:
     """Levels whose sector rows have no inflow from outside the sector.
 
-    The sector of level l is every vec index (i, j) with i == l or
-    j == l. Outflow from the sector into the rest is allowed; any
-    entry feeding the sector marks the level as fed.
+    The sector of level l is every slot i + n j with i == l or j == l.
+    Outflow from the sector into the rest is allowed; any entry feeding
+    the sector marks the level as fed.
     """
     unfed = []
     tol = STRUCTURAL_TOL * scale
-    row, col = np.indices((n, n)).reshape(2, -1, order="F")  # (i, j) of vec index i + n j
+    row, col = np.indices((n, n)).reshape(2, -1, order="F")  # (i, j) of slot i + n j
     for level in range(n):
         in_sector = (row == level) | (col == level)
         inflow = m[np.ix_(in_sector, ~in_sector)]
@@ -182,7 +198,7 @@ def _unfed_levels(m: np.ndarray, n: int, scale: float) -> list[int]:
 
 
 def _physical(rho: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
-    """Hermitize and renormalize every solved point; clip the points with a negative eigenvalue.
+    """Renormalize every solved point; clip the points with a negative eigenvalue.
 
     One eigvalsh per point gives the spectrum that decides the clip and
     that check_density_matrices gates; only the clipped points are
@@ -191,7 +207,6 @@ def _physical(rho: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
     failed = np.array([e is not None for e in errors])
     # a valid stand-in keeps the failed points out of the stacked calls
     rho = np.where(failed[:, None, None], np.eye(4) / 4, rho)
-    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
     rho /= np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
     try:
         eigvals = np.linalg.eigvalsh(rho)

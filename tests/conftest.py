@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 
-from nscheme.dynamics import _as_matrix, propagate_vectors
+from nscheme.dynamics import propagate_vectors
 from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, SolverError
 from nscheme.floquet import FLOQUET_RESIDUAL_TOL
-from nscheme.liouvillian import _kron4, build_hamiltonian, build_superoperator
+from nscheme.liouvillian import build_hamiltonian, build_superoperator, unvec
 from nscheme.model import (
     FREQUENCY_FIELDS,
     GAMMA_Q_DEFAULT,
@@ -16,10 +16,11 @@ from nscheme.model import (
     MotionSpec,
     SystemConfig,
     _resolve_path,
+    check_density_matrices,
     from_mhz,
     with_gamma_q,
 )
-from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, _physical, _unfed_levels, bordered_kernel
+from nscheme.steady import GAP_THRESHOLD, RESIDUAL_TOL, STRUCTURAL_TOL
 
 # oscillation amplitude giving |eta_B| = 0.1 at 397 nm
 OSC_AMPLITUDE_NM = 12.636902481496492
@@ -70,21 +71,15 @@ def replace_param(config, path, value):
     return dataclasses.replace(config, **{attr: new_section})
 
 
-def unvec(v):
-    """Inverse of liouvillian.vec: the 4x4 matrix of a column-major vector."""
-    return np.asarray(v, dtype=complex).reshape((4, 4), order="F")
-
-
 def propagate_states(superop, rho0, times, *, method="auto"):
-    """Hermitized rho(t) on a time grid, (n, 4, 4): the states whose diagonals evolve reports."""
-    rhos = propagate_vectors(superop, rho0, times, method=method).reshape(-1, 4, 4).transpose(0, 2, 1)
-    return 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    """rho(t) on a time grid, (n, 4, 4): the states whose diagonals evolve reports."""
+    return unvec(propagate_vectors(superop, rho0, times, method=method))
 
 
 def propagate(superop, rho0, t, *, method="auto"):
-    """Single-time propagation; returns the hermitized 4x4 rho(t)."""
+    """Single-time propagation; returns the 4x4 rho(t)."""
     if t == 0.0:
-        return _as_matrix(rho0)
+        return np.asarray(getattr(rho0, "matrix", rho0), dtype=complex)
     return propagate_states(superop, rho0, np.array([0.0, float(t)]), method=method)[-1]
 
 
@@ -102,14 +97,70 @@ def point_configs(config, spec):
     return configs
 
 
-def broadcast_commutator(h):
-    """-i [h, .] as two broadcast Kronecker products, (..., 16, 16).
+# -- the column-major generator, the oracle of liouvillian's real one ----------
 
-    Reference for liouvillian.commutator_superoperator, which writes the
-    nonzeros by index.
+# level indices in the fixed (S, P, D, Q) order
+S, P, D, Q = range(4)
+
+
+def slots(n):
+    """Unitary change of basis from column-major vec(rho) (rho_ij at i + n j) to the slot layout.
+
+    rho_ii stays at (n + 1) i; for i < j, slot i + n j holds sqrt(2) Re rho_ij
+    and slot j + n i holds sqrt(2) Im rho_ij.
     """
+    t = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        t[i * (n + 1), i * (n + 1)] = 1.0
+        for j in range(i + 1, n):
+            t[i + n * j, [i + n * j, j + n * i]] = np.array([1.0, 1.0]) / np.sqrt(2.0)
+            t[j + n * i, [i + n * j, j + n * i]] = np.array([-1j, 1j]) / np.sqrt(2.0)
+    return t
+
+
+SLOTS = slots(4)
+
+
+def in_slots(m):
+    """A column-major superoperator (..., 16, 16) in the slot layout: SLOTS m SLOTS^+."""
+    return SLOTS @ m @ SLOTS.conj().T
+
+
+def jump_operators(config):
+    """(rate, L) of the P->S, P->D and Q->S decays."""
+    atom = config.atom
+    ops = []
+    for rate, (target, source) in zip((atom.beta_ps * atom.gamma_p, atom.beta_pd * atom.gamma_p, atom.gamma_q),
+                                      ((S, P), (D, P), (S, Q))):
+        op = np.zeros((4, 4))
+        op[target, source] = 1.0
+        ops.append((rate, op))
+    return ops
+
+
+def dephasing_rates(config):
+    """Symmetric 4x4 matrix of coherence decay rates from laser linewidths."""
+    b_b, b_r, b_c = config.laser_b.linewidth, config.laser_r.linewidth, config.laser_c.linewidth
+    rates = np.zeros((4, 4))
+    rates[P, S], rates[P, D], rates[Q, S] = b_b, b_r, b_c
+    rates[S, D], rates[Q, P], rates[Q, D] = b_b + b_r, b_b + b_c, b_b + b_r + b_c
+    return rates + rates.T
+
+
+def oracle_commutator(h):
+    """-i [h, .] on column-major vec: -i (1 kron h - h^T kron 1)."""
     eye = np.eye(4)
-    return -1j * (_kron4(eye, h) - _kron4(np.swapaxes(h, -1, -2), eye))
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def oracle_generator(h, config):
+    """Column-major complex generator: commutator, Lindblad dissipator, minus the dephasing rates."""
+    eye = np.eye(4)
+    m = oracle_commutator(h)
+    for rate, op in jump_operators(config):
+        ldl = op.conj().T @ op
+        m = m + rate * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye))
+    return m - np.diag(dephasing_rates(config).flatten(order="F"))
 
 
 def with_linewidths(config, lw_mhz):
@@ -123,7 +174,7 @@ def with_linewidths(config, lw_mhz):
 
 
 def build_floquet_generator(config, order):
-    """Block-tridiagonal generator of dimension 16(2N+1).
+    """Block-tridiagonal column-major generator of dimension 16(2N+1).
 
     Blocks are ordered n = -N..N. Row n encodes (M0 - i n nu) rho(n)
     - i[H_side, rho(n-1) + rho(n+1)] with rho(+-(N+1)) truncated to
@@ -136,8 +187,8 @@ def build_floquet_generator(config, order):
         raise ConfigError(f"Floquet order must be >= 1, got {order}")
 
     parts = build_hamiltonian(config)
-    m0 = build_superoperator(parts.h_total, config).matrix
-    c_side = broadcast_commutator(parts.h_side)
+    m0 = oracle_generator(parts.h_total, config)
+    c_side = oracle_commutator(parts.h_side)
     nu = config.motion.trap_frequency
 
     nblocks = 2 * order + 1
@@ -161,8 +212,8 @@ def floquet_lower_ratios(config, order):
     takes T_n from the upper ratios by Hermitian symmetry.
     """
     parts = build_hamiltonian(config)
-    m0 = build_superoperator(parts.h_total, config).matrix
-    c_side = broadcast_commutator(parts.h_side)
+    m0 = oracle_generator(parts.h_total, config)
+    c_side = oracle_commutator(parts.h_side)
     shift = 1j * config.motion.trap_frequency * np.eye(16)
     ratios = []
     coupled = np.zeros_like(m0)
@@ -210,11 +261,40 @@ def svd_gated_steady_states(matrices):
 
     Reference for the production route, which skips the SVD on the
     points its bordered-inverse certificate accepts. Both take the
-    kernel vector from one LU of the bordered system, so they agree
+    kernel vector from the first column of the bordered system's
+    inverse and make the same normalization and clip, so they agree
     bitwise.
     """
     x, errors = svd_gated_steady_vecs(matrices, 4)
-    return _physical(np.swapaxes(x.reshape(-1, 4, 4), -1, -2), errors)
+    return physical_states(unvec(x), errors)
+
+
+def physical_states(rho, errors):
+    """Renormalized density matrices; a negative eigenvalue is clipped, or fails its point below -1e-10."""
+    failed = np.array([e is not None for e in errors])
+    rho = np.where(failed[:, None, None], np.eye(4) / 4, rho)
+    rho /= np.real(np.trace(rho, axis1=-2, axis2=-1))[:, None, None]
+    eigvals = np.linalg.eigvalsh(rho)
+    negative = np.flatnonzero(eigvals[:, 0] < 0.0)
+    for i in negative[eigvals[negative, 0] < -1e-10]:
+        errors[i] = NoConvergence(f"steady state has eigenvalue {eigvals[i, 0]:.2e} < -1e-10")
+    if negative.size:
+        vals, vecs = np.linalg.eigh(rho[negative])
+        clipped = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
+        clipped /= np.real(np.trace(clipped, axis1=-2, axis2=-1))[:, None, None]
+        rho[negative] = clipped
+        eigvals[negative] = np.linalg.eigvalsh(clipped)
+    check_density_matrices(rho, eigvals=eigvals)
+    rho[[e is not None for e in errors]] = np.nan
+    return rho, errors
+
+
+def bordered_matrices(m, n=4):
+    """The generators with their first row replaced by the trace row."""
+    a = np.array(m)
+    a[:, 0, :] = 0.0
+    a[:, 0, [i * (n + 1) for i in range(n)]] = 1.0
+    return a
 
 
 def svd_gated_steady_vecs(m, n):
@@ -223,11 +303,11 @@ def svd_gated_steady_vecs(m, n):
         sing = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular values of the generator: {exc}") from None
-    x = np.full((len(m), n * n), np.nan, dtype=complex)
+    x = np.full((len(m), n * n), np.nan)
     errors = [None] * len(m)
     gapped = (sing[:, 0] >= 1e-300) & (sing[:, -2] >= GAP_THRESHOLD * sing[:, 0])
     if gapped.any():
-        sol = bordered_kernel(m[gapped], n)
+        sol = np.linalg.inv(bordered_matrices(m[gapped], n))[:, :, 0]
         x[gapped] = sol / sol[:, [i + n * i for i in range(n)]].sum(axis=1, keepdims=True)
         defects = np.abs(m[gapped] @ x[gapped, :, None]).max(axis=(1, 2))
         for i, defect in zip(np.flatnonzero(gapped), defects):
@@ -241,11 +321,22 @@ def svd_gated_steady_vecs(m, n):
     return x, errors
 
 
+def unfed_levels(m, n, scale):
+    """Levels whose slots (i, j with i or j the level) take no inflow from the other slots."""
+    unfed = []
+    for level in range(n):
+        sector = np.array([i == level or j == level for j in range(n) for i in range(n)])
+        inflow = m[np.ix_(sector, ~sector)]
+        if inflow.size == 0 or np.abs(inflow).max() <= STRUCTURAL_TOL * scale:
+            unfed.append(level)
+    return unfed
+
+
 def _svd_gated_reduced_vec(m, n, sing):
     """Kernel below the gap: unfed levels stay empty, the rest is solved by the same route."""
     if sing[0] < 1e-300:
         raise DegenerateKernel("generator is identically zero")
-    unfed = _unfed_levels(m, n, sing[0])
+    unfed = unfed_levels(m, n, sing[0])
     kept = [l for l in range(n) if l not in unfed]
     if not unfed or len(kept) < 2:
         raise DegenerateKernel(
@@ -256,6 +347,6 @@ def _svd_gated_reduced_vec(m, n, sing):
     sub, errors = svd_gated_steady_vecs(m[np.ix_(sub_idx, sub_idx)][None], len(kept))
     if errors[0] is not None:
         raise errors[0]
-    x = np.zeros(n * n, dtype=complex)
+    x = np.zeros(n * n)
     x[sub_idx] = sub[0]
     return x

@@ -9,8 +9,8 @@ import pytest
 from conftest import make_config, propagate, propagate_states, sup_of, two_plus_one
 from nscheme.cli import main
 from nscheme.dressed import lambda_eigensystem
+from nscheme.cli import _load_config_arg
 from nscheme.dynamics import (
-    KERNEL_EIG_TOL,
     PopulationTrace,
     _hann,
     evolve,
@@ -93,21 +93,27 @@ def test_grid_validation(monkeypatch):
         evolve(sup, pure_state("S"), np.array([0.0, 1.0]), method="rk9")
 
 
-def test_eig_overflow_is_no_convergence_without_warnings():
-    # a 1e300 MHz Rabi frequency overflows exp(lambda t) at t > 0
-    c = make_config(ob=1e300)
+@pytest.mark.parametrize("ob, error, message", [
+    # a 1e100 MHz Rabi frequency overflows exp(lambda t) at t > 0
+    (1e100, NoConvergence, "eigen-propagation overflowed"),
+    # at 1e300 MHz the slow modes sit below the rounding of the fast ones: cond(V) is 1.9e31
+    (1e300, DefectiveGenerator, "eigenbasis condition number"),
+])
+def test_eig_overflow_is_no_convergence_without_warnings(ob, error, message):
+    c = make_config(ob=ob)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(NoConvergence, match="overflowed"):
+        with pytest.raises(error, match=message):
             evolve(sup_of(c), pure_state("S"), np.linspace(0.0, 5.0, 3), method="eig")
     assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("method", ["auto", "eig"])
 def test_singular_eigenbasis_is_defective(method):
-    # a Jordan block whose second eigenvector underflows onto the first; "auto" is eig, with no fallback
+    # a Jordan block between two coherence slots, whose second eigenvector underflows onto the first;
+    # "auto" is eig, with no fallback
     m = np.zeros((16, 16))
-    m[0, 1] = 1e308
+    m[1, 2] = 1e308
     sup = Superoperator(m)
     assert sup.eig()[2] is None and sup.eig()[3] == np.inf
     with pytest.raises(DefectiveGenerator):
@@ -116,22 +122,48 @@ def test_singular_eigenbasis_is_defective(method):
 
 @pytest.mark.parametrize("method", ["auto", "eig", "rk"])
 def test_generator_norm_past_the_float_range_is_refused(method):
-    # finite entries whose column sum overflows: a kernel threshold of inf would pin every mode
+    # finite entries whose column sum overflows
     m = np.zeros((16, 16))
     m[[0, 5], 5] = 1e308, -1e308
-    with pytest.raises(NoConvergence, match="overflows the float range"):
-        propagate_vectors(Superoperator(m), pure_state("S"), np.linspace(0.0, 1.0, 3), method=method)
+    # finite column sums whose affine form A[0, 4] = M[1, 5] - M[1, 0] overflows
+    affine = np.zeros((16, 16))
+    affine[1, [0, 5]] = 1e308, -1e308
+    for generator in (m, affine):
+        with pytest.raises(NoConvergence, match="overflows the float range"):
+            propagate_vectors(Superoperator(generator), pure_state("S"), np.linspace(0.0, 1.0, 3), method=method)
 
 
-def test_kernel_eigenvalue_is_pinned_to_zero():
-    # rounding leaves this point's kernel eigenvalue at 3.5e-16 rad/us, which over 1e15 us
-    # would scale the steady state by exp(0.35)
+def test_late_time_state_does_not_drift():
+    # the affine form holds no kernel mode: rounding leaves the generator's own kernel eigenvalue
+    # at 3.5e-16 rad/us here, which over 1e15 us would scale a propagated steady state by exp(0.35)
     sup = sup_of(make_config())
-    lam = sup.eig()[0]
-    assert 0.0 < np.abs(lam).min() < KERNEL_EIG_TOL * np.abs(sup.matrix).sum(axis=0).max()
+    assert 0.0 < np.abs(sup.eig()[0]).min() < 1e-15
     trace = evolve(sup, pure_state("S"), np.array([0.0, 1e6, 1e15]))
     assert np.array_equal(trace.populations[1], trace.populations[2])
     assert np.abs(trace.populations[2] - steady_state(sup).populations).max() < 1e-10
+
+
+@pytest.mark.parametrize("preset", ["fig3a", "fig4a"])
+def test_late_time_populations_are_the_steady_state(preset):
+    # the slowest mode of these presets decays at 3.9e-4 rad/us, so every mode has died out by 3e6 us
+    sup = sup_of(_load_config_arg(preset))
+    p_q = evolve(sup, pure_state("S"), np.array([0.0, 3e6])).population("Q")[-1]
+    assert abs(p_q - steady_state(sup).population("Q")) < 1e-11
+
+
+def test_exactly_degenerate_kernel_propagates():
+    # with Omega_C = 0 and gamma_Q = 0 nothing feeds or drains Q: A has an eigenvalue of exactly 0
+    sup = sup_of(make_config(oc=0.0, gq=0.0))
+    times = np.linspace(0.0, 20.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        from_q = evolve(sup, pure_state("Q"), times, method="eig").populations
+        assert np.array_equal(from_q, np.tile([0.0, 0.0, 0.0, 1.0], (times.size, 1)))
+        for level in ("S", "D"):
+            p_eig = evolve(sup, pure_state(level), times, method="eig").populations
+            p_rk = evolve(sup, pure_state(level), times, method="rk").populations
+            assert np.abs(p_eig - p_rk).max() < 1e-6
+            assert p_eig[:, 3].max() == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -222,3 +254,17 @@ def test_g2_zero_delay_and_bunching():
     assert vals[0] == 0.0
     assert np.all(vals[1:] > 0.0)
     assert vals[1] > 1.0
+
+
+def test_eigensystem_contract_gives_the_mean_photon_count():
+    # the benchmark's expected_jumps: gamma_P P_P + gamma_Q P_Q integrated over [0, 100 us] from |S>
+    # through build_superoperator(h, config).eig(), reading slots 0, 5 and 15
+    config = _load_config_arg("fig3a")
+    lam, v, v_inv, _ = sup_of(config).eig()
+    v0 = np.zeros(16, dtype=complex)
+    v0[0] = 1.0
+    small = np.abs(lam) * 100.0 < 1e-12
+    weight = np.where(small, 100.0, np.expm1(lam * 100.0) / np.where(small, 1.0, lam))
+    integral = v @ (weight * (v_inv @ v0))
+    mean = float(np.real(config.atom.gamma_p * integral[5] + config.atom.gamma_q * integral[15]))
+    assert mean == pytest.approx(785.2547123081, rel=1e-9)

@@ -7,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (OSC_AMPLITUDE_NM, build_floquet_generator, floquet_lower_ratios, make_config,
+from conftest import (OSC_AMPLITUDE_NM, SLOTS, build_floquet_generator, floquet_lower_ratios, in_slots, make_config,
                       solve_floquet_blocks, sup_of, two_plus_one, with_linewidths)
 from nscheme import floquet, scan
 from nscheme.errors import ConfigError, DegenerateKernel, MotionDisabled, NoConvergence, TruncationNotConverged
 from nscheme.floquet import SOLVE_TRUNCATION_TOL, _truncation_delta, solve_floquet_steady
-from nscheme.liouvillian import commutator_superoperator, hamiltonian_stack, superoperator_stack
+from nscheme.liouvillian import commutator_stack, hamiltonian_stack, superoperator_stack, vec
 from nscheme.model import _COLUMN, _TABLE_FIELDS, TWO_PI, ParamTable, _resolve_path
 from nscheme.scan import ScanSpec
 from nscheme.steady import steady_state
@@ -66,16 +66,14 @@ def test_continued_fraction_matches_block_solve(config, order):
 @pytest.mark.parametrize("config", SIDEBAND_CONFIGS, ids=SIDEBAND_IDS)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lower_ratios_are_mirrored_upper_ratios(config, order):
-    # vec is column-major, so vec(X^T) permutes vec(X) by i + 4 j -> j + 4 i
-    transpose = np.arange(16).reshape((4, 4), order="F").T.flatten(order="F")
-    assert floquet._TRANSPOSE == transpose.tolist()
+    # M0 and C are real, so the lower ratios are the conjugate upper ones
     table = ParamTable.of([config])
     parts = hamiltonian_stack(table)
     m0 = superoperator_stack(parts.h_total, table)
     shift = -1j * table.trap_frequency[:, None]  # -i nu on the diagonal
-    upper = floquet._fraction(m0, commutator_superoperator(parts.h_side), shift, order)
+    upper = floquet._fraction(m0, commutator_stack(parts.h_side), shift, order)
     for s_n, t_n in zip(upper, floquet_lower_ratios(config, order)):
-        assert np.abs(s_n[0][np.ix_(transpose, transpose)].conj() - t_n).max() < 1e-14
+        assert np.abs(s_n[0].conj() - in_slots(t_n)).max() < 1e-14
 
 
 @pytest.mark.parametrize("config", SIDEBAND_CONFIGS, ids=SIDEBAND_IDS)
@@ -93,7 +91,7 @@ def test_the_stack_returns_the_upper_blocks_and_the_lower_ones_are_mirrored(conf
 
 
 def _vec(matrix):
-    return np.asarray(matrix, dtype=complex).flatten(order="F")
+    return vec(np.asarray(matrix, dtype=complex))
 
 
 _NO_COUPLING = np.zeros((32, 16))
@@ -240,7 +238,7 @@ def test_vanishing_trace_fails_without_warnings(monkeypatch):
     # a traceless Hermitian rho(0): dividing by its trace leaves inf - inf in the pairing defect
     traceless = np.zeros(16)
     traceless[[1, 4]] = 1.0
-    monkeypatch.setattr(floquet, "bordered_kernel", lambda m, n: np.tile(traceless, (len(m), 1)))
+    monkeypatch.setattr(floquet, "bordered_kernel", lambda m, n: (np.tile(traceless, (len(m), 1)), [None] * len(m)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DegenerateKernel, match="vanishing trace"):
@@ -348,11 +346,36 @@ def test_block_system_is_affine_in_each_columns_coordinate(order):
 def test_block_system_is_the_reference_generator_bordered():
     config = make_config(motion=True, counter=True)
     order = 2
-    gen = build_floquet_generator(config, order)
+    slots = np.kron(np.eye(2 * order + 1), SLOTS)  # the change of basis of every block
+    gen = slots @ build_floquet_generator(config, order) @ slots.conj().T
     a = floquet._block_system(ParamTable.of([config]), order)[0]
     trace_row = 16 * order
-    assert np.array_equal(np.delete(a, trace_row, axis=0), np.delete(gen, trace_row, axis=0))
+    assert np.abs(np.delete(a - gen, trace_row, axis=0)).max() < 1e-15 * np.abs(a).max()
     assert np.array_equal(np.flatnonzero(a[trace_row]), trace_row + np.array(floquet._DIAG))
+
+
+def test_a_singular_kernel_system_fails_its_point_alone(monkeypatch):
+    # Omega_C = 0 at gamma_Q = 0 leaves Q unfed: that point's bordered kernel system is exactly singular
+    config = make_config(motion=True, counter=True, gq=0.0)
+    spec = ScanSpec("laser_C.rabi", 0.0, 0.2, 41, solver="floquet")
+    table = scan._sweep_table(config, spec, spec.values_mhz)
+    assert floquet.floquet_pencil(table, _COLUMN["laser_c", "rabi"], spec.floquet_order) is None
+    calls = []
+    stack = floquet.solve_floquet_stack
+
+    def counted(table, order):
+        calls.append(len(table))
+        return stack(table, order)
+
+    monkeypatch.setattr(scan, "solve_floquet_stack", counted)
+    sp = scan.run_scan(config, spec)
+    assert calls == [41]  # one stacked solve, no point-by-point rerun
+    assert sp.flags == ("DegenerateKernel",) + ("",) * 40
+    assert np.isnan(sp.populations[0]).all() and np.isnan(sp.residuals[0])
+    # every other point gets what it gets alone
+    for i in (1, 20, 40):
+        alone = stack(table[i:i + 1], spec.floquet_order)[0][0, 0]
+        assert np.array_equal(sp.populations[i], np.real(np.diag(alone)))
 
 
 def test_pencil_is_refused_where_the_continued_fraction_is_cheaper():

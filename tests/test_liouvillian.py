@@ -1,38 +1,25 @@
-"""Hamiltonian assembly, dissipators, and the vectorization convention."""
+"""Hamiltonian assembly, the real generator against its column-major oracle, and the slot layout."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import (broadcast_commutator, build_floquet_generator, make_config, point_configs, sup_of, unvec,
-                      with_linewidths)
+from conftest import (SLOTS, D, P, Q, S, build_floquet_generator, dephasing_rates, in_slots, jump_operators,
+                      make_config, oracle_commutator, oracle_generator, point_configs, sup_of, with_linewidths)
+from nscheme import scan
 from nscheme.liouvillian import (
-    _DECAY_OPS,
-    _decay_stack,
     build_hamiltonian,
     build_superoperator,
-    commutator_superoperator,
+    commutator_stack,
     hamiltonian_stack,
-    lindblad_dissipator,
     superoperator_stack,
+    unvec,
     vec,
 )
 from nscheme.errors import NoConvergence, NotHermitian
 from nscheme.model import ParamTable, from_mhz, pure_state
 from nscheme.scan import ScanSpec, _sweep_table
-
-S, P, D, Q = range(4)
-
-
-def jump_operators(config):
-    """(rate, operator) pairs of the three decay channels."""
-    return [(float(rate), op) for rate, op in zip(_decay_stack(ParamTable.of([config]))[0][0], _DECAY_OPS)]
-
-
-def dephasing_rates(config):
-    """Symmetric 4x4 matrix of coherence decay rates from laser linewidths."""
-    return _decay_stack(ParamTable.of([config]))[1][0]
 
 
 def trace_defect(matrix):
@@ -41,17 +28,28 @@ def trace_defect(matrix):
     Zero for any trace-preserving generator: the rows of d rho_ii /
     dt must cancel columnwise.
     """
-    diag_rows = [i + 4 * i for i in range(4)]
-    return float(np.abs(matrix[diag_rows, :].sum(axis=0)).max())
+    return float(np.abs(matrix[[0, 5, 10, 15], :].sum(axis=0)).max())
 
 
-def test_vec_is_column_major():
-    rho = np.arange(16.0).reshape(4, 4)
+def _random_hermitian_stack(rng, k):
+    h = rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))
+    h[rng.random((k, 4, 4)) < 0.3] = 0.0  # structural zeros, as in the N scheme's couplings
+    return h + np.swapaxes(h, -1, -2).conj()
+
+
+def test_vec_slot_layout():
+    rho, other = _random_hermitian_stack(np.random.default_rng(0), 2)
     v = vec(rho)
-    # element (i, j) lands at index i + 4j
-    assert v[0 + 4 * 1] == rho[0, 1]
-    assert v[3 + 4 * 2] == rho[3, 2]
-    assert np.array_equal(unvec(v), rho)
+    assert v.dtype == float
+    # rho_ii at 5 i; for i < j, sqrt(2) Re rho_ij at i + 4 j and sqrt(2) Im rho_ij at j + 4 i
+    assert v[5 * 2] == rho[2, 2].real
+    assert v[1 + 4 * 3] == np.sqrt(2.0) * rho[1, 3].real
+    assert v[3 + 4 * 1] == np.sqrt(2.0) * rho[1, 3].imag
+    assert np.abs(v - (SLOTS @ rho.flatten(order="F")).real).max() < 1e-15 * np.abs(v).max()
+    assert np.abs(unvec(v) - rho).max() < 1e-15 * np.abs(rho).max()
+    # real coordinates give an exactly Hermitian matrix; the basis is orthonormal
+    assert np.array_equal(unvec(v), unvec(v).conj().T)
+    assert vec(rho) @ vec(other) == pytest.approx(np.trace(rho @ other).real, rel=1e-14)
 
 
 def test_h0_diagonal():
@@ -89,9 +87,11 @@ def test_sideband_parts_conjugate():
     assert np.abs(h_side - h_side.conj().T).max() < 1e-12
     assert np.abs(h_side).max() > 0.0
     gen = build_floquet_generator(c, 1)
-    c_side = commutator_superoperator(h_side)
-    assert np.array_equal(gen[16:32, 0:16], c_side)
-    assert np.array_equal(gen[16:32, 32:48], c_side)
+    assert np.array_equal(gen[16:32, 0:16], oracle_commutator(h_side))
+    assert np.array_equal(gen[16:32, 32:48], oracle_commutator(h_side))
+    c_side = commutator_stack(h_side[None])[0]
+    assert c_side.dtype == float
+    assert np.abs(c_side - in_slots(gen[16:32, 0:16])).max() < 1e-15 * np.abs(c_side).max()
 
 
 def test_sideband_parts_vanish_without_motion():
@@ -99,54 +99,53 @@ def test_sideband_parts_vanish_without_motion():
 
 
 def test_jump_operator_rates_and_targets():
-    c = make_config()
-    ops = jump_operators(c)
-    assert len(ops) == 3
-    rates = sorted(r for r, _ in ops)
+    # the decay part of the generator moves population P -> S, P -> D and Q -> S at the three rates
+    c = make_config(gq=0.7)
+    h = build_hamiltonian(c).h_total
+    decay = build_superoperator(h, c).matrix - commutator_stack(h[None])[0]
     gp, gq = c.atom.gamma_p, c.atom.gamma_q
-    assert rates == pytest.approx(sorted([15 * gp / 16, gp / 16, gq]))
-    for rate, op in ops:
+    populations = decay[np.ix_([0, 5, 10, 15], [0, 5, 10, 15])]
+    want = np.array([[0.0, 15 * gp / 16, 0.0, gq], [0.0, -gp, 0.0, 0.0],
+                     [0.0, gp / 16, 0.0, 0.0], [0.0, 0.0, 0.0, -gq]])
+    assert np.abs(populations - want).max() < 1e-14 * gp
+    for _, op in jump_operators(c):
         # each channel moves exactly one unit of population
         assert np.count_nonzero(op) == 1
         assert np.abs(op).max() == pytest.approx(1.0)
 
 
 def test_dissipator_matches_elementwise_route():
-    """Dissipator and full generator vs direct evaluation of the master equation."""
+    """The generator vs direct evaluation of the master equation on each basis matrix."""
     c = make_config(gq=0.7)
     c = dataclasses.replace(c, laser_b=dataclasses.replace(c.laser_b, linewidth=from_mhz(0.01)),
                             laser_r=dataclasses.replace(c.laser_r, linewidth=from_mhz(0.003)),
                             laser_c=dataclasses.replace(c.laser_c, linewidth=from_mhz(0.02)))
     h = build_hamiltonian(c).h_total
-    ops = jump_operators(c)
     rates = dephasing_rates(c)
-    d_slow = np.zeros((16, 16), dtype=complex)
-    m_slow = np.zeros((16, 16), dtype=complex)
+    m_slow = np.zeros((16, 16))
     for col in range(16):
-        basis = unvec(np.eye(16)[:, col])
-        out = np.zeros((4, 4), dtype=complex)
-        for rate, op in ops:
+        basis = unvec(np.eye(16)[col])
+        out = -1j * (h @ basis - basis @ h) - rates * basis
+        for rate, op in jump_operators(c):
             anti = op.conj().T @ op
             out += rate * (op @ basis @ op.conj().T - 0.5 * (anti @ basis + basis @ anti))
-        d_slow[:, col] = vec(out)
-        m_slow[:, col] = vec(-1j * (h @ basis - basis @ h) + out - rates * basis)
-    assert np.abs(lindblad_dissipator(ops) - d_slow).max() < 1e-12
+        m_slow[:, col] = vec(out)
     assert np.abs(build_superoperator(h, c).matrix - m_slow).max() < 1e-12
 
 
 def test_decay_routes_agree():
-    """Decay part of the generator vs the generic Lindblad sum."""
+    """Decay part of the generator vs the generic Lindblad sum of the oracle."""
     c = make_config(gq=0.7)
     h = build_hamiltonian(c).h_total
-    sup = build_superoperator(h, c)
-    m_dissipator = sup.matrix - commutator_superoperator(h)
-    assert np.abs(m_dissipator - lindblad_dissipator(jump_operators(c))).max() < 1e-12
+    decay = build_superoperator(h, c).matrix - commutator_stack(h[None])[0]
+    want = in_slots(oracle_generator(h, c) - oracle_commutator(h))
+    assert np.abs(decay - want).max() < 1e-15 * np.abs(decay).max()
 
 
 def test_commutator_superoperator_action():
     c = make_config()
     h = build_hamiltonian(c).h_total
-    m = commutator_superoperator(h)
+    m = commutator_stack(h[None])[0]
     rho = pure_state("S").matrix
     lhs = unvec(m @ vec(rho))
     rhs = -1j * (h @ rho - rho @ h)
@@ -175,7 +174,10 @@ def test_dephasing_rate_pairs():
         laser_r=dataclasses.replace(c.laser_r, linewidth=b_r),
         laser_c=dataclasses.replace(c.laser_c, linewidth=b_c),
     )
-    rates = dephasing_rates(c)
+    h = build_hamiltonian(c).h_total
+    diff = build_superoperator(h, c).matrix - build_superoperator(h, with_linewidths(c, 0.0)).matrix
+    # both slots of a level pair dephase at the pair's rate: slot i + 4 j read at [i, j]
+    rates = -np.diag(diff).reshape(4, 4).T
     assert np.abs(rates - rates.T).max() == 0.0
     assert np.all(np.diag(rates) == 0.0)
     assert rates[P, S] == pytest.approx(b_b)
@@ -184,13 +186,7 @@ def test_dephasing_rate_pairs():
     assert rates[S, D] == pytest.approx(b_b + b_r)
     assert rates[Q, P] == pytest.approx(b_b + b_c)
     assert rates[Q, D] == pytest.approx(b_b + b_r + b_c)
-
-
-def test_dephasing_noop_at_zero_linewidth():
-    c = make_config()
-    h = build_hamiltonian(c).h_total
-    m_zero = build_superoperator(h, with_linewidths(c, 0.0)).matrix
-    assert np.array_equal(m_zero, commutator_superoperator(h) + lindblad_dissipator(jump_operators(c)))
+    assert np.abs(rates - dephasing_rates(c)).max() < 1e-14
 
 
 def test_dephasing_damps_only_coherences():
@@ -240,53 +236,56 @@ def _random_configs(rng, k):
     return configs
 
 
+def _assert_is_the_oracle(got, want):
+    """got is real and equals the oracle's want in the slot layout, to 1e-15 of each point's largest entry."""
+    assert got.dtype == float
+    scale = np.abs(got).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(got - in_slots(want)) <= 1e-15 * scale).all()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_superoperator_stack_is_the_generic_sum_to_the_bit(seed):
+def test_superoperator_stack_is_the_oracle_in_slots(seed):
     configs = _random_configs(np.random.default_rng(seed), 64)
     table = ParamTable.of(configs)
     h = hamiltonian_stack(table).h_total
-    ops = [op for _, op in jump_operators(configs[0])]
-    channels = [(np.array([jump_operators(c)[j][0] for c in configs]), ops[j]) for j in range(3)]
-    want = commutator_superoperator(h) + lindblad_dissipator(channels)
-    diag = np.arange(16)
-    want[:, diag, diag] -= np.stack([dephasing_rates(c).T.reshape(16) for c in configs])
     got = superoperator_stack(h, table)
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()
-
-
-def _random_hermitian_stack(rng, k):
-    h = rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))
-    h = h + np.swapaxes(h, -1, -2).conj()
-    h[rng.random((k, 4, 4)) < 0.3] = 0.0  # structural zeros, as in the N scheme's couplings
-    return h
+    _assert_is_the_oracle(got, np.stack([oracle_generator(h[i], c) for i, c in enumerate(configs)]))
+    # the trace row annihilates every generator
+    trace_rows = got[:, [0, 5, 10, 15]].sum(axis=1)
+    assert (np.abs(trace_rows) <= 1e-15 * np.abs(got).max(axis=(1, 2))[:, None]).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_index_commutator_equals_broadcast_oracle(seed):
+def test_commutator_stack_is_the_oracle_in_slots(seed):
     rng = np.random.default_rng(seed)
     h = _random_hermitian_stack(rng, 64) * 10.0 ** rng.integers(-300, 300, size=(64, 1, 1))
-    got = commutator_superoperator(h)
+    got = commutator_stack(h)
     assert got.shape == (64, 16, 16)
-    assert np.array_equal(got, broadcast_commutator(h))
-    assert np.array_equal(commutator_superoperator(h[0]), got[0])
+    _assert_is_the_oracle(got, np.stack([oracle_commutator(h_i) for h_i in h]))
 
 
-def test_index_commutator_on_inf_carrying_stacks():
-    # an overflowing Delta_R - Delta_B puts inf on the diagonal; eta Omega past the range on a coupling
-    h = _random_hermitian_stack(np.random.default_rng(2), 8)
-    h[1, 2, 2] = np.inf
-    h[3, 1, 0] = h[3, 0, 1] = np.inf
-    h[4, 3, 3] = -np.inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        want = broadcast_commutator(h)
-    got = commutator_superoperator(h)
-    both = np.isfinite(got) & np.isfinite(want)
-    assert np.array_equal(got[both], want[both])
-    # non-finite entries stay where the oracle has them, and the same points carry them
-    assert not (np.isfinite(want) & ~np.isfinite(got)).any()
-    assert np.array_equal((~np.isfinite(got)).any(axis=(1, 2)), (~np.isfinite(want)).any(axis=(1, 2)))
-    assert np.flatnonzero((~np.isfinite(got)).any(axis=(1, 2))).tolist() == [1, 3, 4]
+def test_non_finite_column_values_stay_in_their_point():
+    # an overflowing Delta_R - Delta_B puts inf on h's diagonal; eta Omega past the range on a sideband coupling
+    base = make_config(motion=True, counter=True)
+    overflow = dataclasses.replace(base, laser_b=dataclasses.replace(base.laser_b, detuning=-1.7e308),
+                                   laser_r=dataclasses.replace(base.laser_r, detuning=1.7e308))
+    strong = dataclasses.replace(base, laser_b=dataclasses.replace(base.laser_b, rabi=1e307),
+                                 motion=dataclasses.replace(base.motion, amplitude=1e5))
+    table = ParamTable.of([base, overflow, base, strong, base])
+    with np.errstate(over="ignore"):
+        parts = hamiltonian_stack(table)
+    m = superoperator_stack(parts.h_total, table)
+    c = commutator_stack(parts.h_side)
+    assert np.flatnonzero(~np.isfinite(m).all(axis=(1, 2))).tolist() == [1]
+    assert np.flatnonzero(~np.isfinite(c).all(axis=(1, 2))).tolist() == [3]
+    for i in (2, 4):
+        assert np.array_equal(m[i], m[0]) and np.array_equal(c[i], c[0])
+    # the verdicts the column-major generator got: the huge Rabi frequency leaves no kernel gap
+    carrier = ScanSpec("laser_R.detuning", 0.0, 1.0, 5)
+    floquet = ScanSpec("laser_R.detuning", 0.0, 1.0, 5, solver="floquet")
+    with np.errstate(over="ignore"):
+        assert scan._solve_block(table, carrier)[3] == ["", "NoConvergence", "", "DegenerateKernel", ""]
+        assert scan._solve_block(table, floquet)[3] == ["", "NoConvergence", "", "NoConvergence", ""]
 
 
 @pytest.mark.parametrize("h", [np.full((4, 4), np.nan), np.diag([0.0, 1.0, np.inf, 0.0])])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import make_config, point_configs, sup_of, svd_gated_steady_states, two_plus_one
+from conftest import (bordered_matrices, make_config, point_configs, slots, sup_of, svd_gated_steady_states,
+                      two_plus_one)
 from nscheme import scan
 from nscheme.cli import _load_config_arg
 from nscheme.errors import ConfigError, DegenerateKernel, SolverError
@@ -54,15 +55,17 @@ def test_dark_state_exact():
 
 
 def steady_state_of_matrix(matrix):
-    """Steady state of an n-level generator given as an n^2 x n^2 matrix.
+    """Steady state of an n-level generator given as a column-major n^2 x n^2 matrix.
 
-    Returns the (hermitized, trace-1) n x n density matrix without the
-    4-level wrapper, for restricted blocks.
+    Solved by the production route in the slot layout; returns the
+    trace-1 n x n density matrix without the 4-level wrapper, for
+    restricted blocks.
     """
     matrix = np.asarray(matrix)
     n = round(matrix.shape[0] ** 0.5)
-    rho = _steady_vec(matrix, n).reshape((n, n), order="F")
-    return 0.5 * (rho + rho.conj().T)
+    t = slots(n)
+    x = _steady_vec((t @ matrix @ t.conj().T).real, n)
+    return (t.conj().T @ x).reshape((n, n), order="F")
 
 
 def _lambda_generator(c):
@@ -149,14 +152,6 @@ DEGENERATE_CONFIGS = [
 ]
 
 
-def _bordered_matrices(m):
-    """The generators with their first row replaced by the trace row."""
-    a = np.array(m)
-    a[:, 0, :] = 0.0
-    a[:, 0, [0, 5, 10, 15]] = 1.0
-    return a
-
-
 def _outcome(solver, m):
     try:
         rho, errors = solver(m)
@@ -186,7 +181,7 @@ def test_exactly_singular_bordered_block_is_decided_by_the_svd(monkeypatch):
     spec = ScanSpec(axis="laser_C.rabi", start=0.0, stop=0.2, points=129, gamma_q_mode="zero")
     first = point_configs(config, spec)[0]
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(_bordered_matrices(sup_of(first).matrix[None]))
+        np.linalg.inv(bordered_matrices(sup_of(first).matrix[None]))
 
     calls = []
     solve_block = scan._solve_block
@@ -217,7 +212,7 @@ def _uncertified(config, spec):
     """Indices of the points whose Frobenius-norm certificate fails, from np.linalg.inv."""
     table = ParamTable.of(point_configs(config, spec))
     m = superoperator_stack(hamiltonian_stack(table).h_total, table)
-    bound = np.linalg.norm(m, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(_bordered_matrices(m)), axis=(1, 2))
+    bound = np.linalg.norm(m, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(bordered_matrices(m)), axis=(1, 2))
     return m, np.flatnonzero(GAP_THRESHOLD * bound > 1.0)
 
 
@@ -269,7 +264,7 @@ def test_certified_points_pass_the_svd_gap(doc):
         assume(False)
     m = sup_of(config).matrix[None]
     try:
-        a_inv = np.linalg.inv(_bordered_matrices(m))
+        a_inv = np.linalg.inv(bordered_matrices(m))
     except np.linalg.LinAlgError:
         a_inv = None
     if a_inv is not None and _certified(m, a_inv, 4)[0]:
